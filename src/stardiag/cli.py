@@ -129,6 +129,7 @@ def cmd_tg(args) -> int:
                 )
                 entry["bruteforce"] = res.value
                 entry["bruteforce_note"] = res.note
+                entry["bruteforce_stats"] = res.stats
                 if res.pair:
                     entry["bruteforce_pair"] = [list(p) for p in res.pair]
                 if res.applicable:

@@ -9,20 +9,22 @@ The crosscheck entry point runs every applicable method and compares.
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .base import BudgetError, DomainError, Model, VerificationError
 from .faults import (
     dist_mm_mask,
     good_faulty_sets,
+    has_min_degree,
     indist_mask,
     indist_pmc_mask,
     is_g_good_neighbor,
+    min_subgraph_size_oracle,
 )
-from .graph import LabelSet, TopologyGraph
-from .topologies import arrangement_label, build_cycle, build_nk_star
+from .graph import LabelSet, TopologyGraph, _iter_bits
+from .topologies import arrangement_label, build_cycle, build_nk_star, parse_arrangement
 
 #: default vertex caps for the exhaustive strategies
 DEFAULT_PAIR_BUDGET = 12
@@ -43,6 +45,7 @@ class DiagnosabilityResult:
     provenance: str
     note: str = ""
     pair: tuple[tuple[str, ...], tuple[str, ...]] | None = None
+    stats: dict = field(default_factory=dict, compare=False)  # work counters and phase seconds
 
     @property
     def applicable(self) -> bool:
@@ -93,27 +96,42 @@ def tg_bruteforce(
     indistinguishable distinct pairs (infinity if all pairs are
     distinguishable) and M is the largest admissible faulty-set size.
     PMC instances between the pair budget and the symmetric-difference
-    budget use the factored scan over candidate symmetric differences.
+    budget use the factored scan over candidate symmetric differences; it
+    takes M = |V| - min_subgraph_size_oracle(G, g), because the complements
+    of the proper admissible sets are exactly the nonempty sets inducing
+    min degree >= g.
     """
+    if g < 0:
+        raise DomainError("g must be nonnegative")
     n = graph.vertex_count
     if n > (sd_budget if model is Model.PMC else pair_budget):
         raise BudgetError(
             f"{n} vertices over the {model.value} brute-force budget"
         )
-    good = good_faulty_sets(graph, g)
-    if not good:
+    stats: dict = {}
+    started = time.perf_counter()
+    sd_path = model is Model.PMC and n > pair_budget
+    if sd_path:
+        smallest = min_subgraph_size_oracle(graph, g, budget=n)
+        m_cap = None if smallest is None else n - smallest
+    else:
+        good = good_faulty_sets(graph, g)
+        sizes_all = [m.bit_count() for m in good]
+        m_cap = max(sizes_all) if good else None
+    stats["m_cap_s"] = round(time.perf_counter() - started, 6)
+    if m_cap is None:
         return DiagnosabilityResult(
             value=None,
             model=model,
             method="bruteforce",
             provenance="exhaustive pair scan",
             note=f"no admissible g-good-neighbor faulty set exists for g={g}",
+            stats=stats,
         )
-    sizes_all = [m.bit_count() for m in good]
-    m_cap = max(sizes_all)
 
-    if model is Model.PMC and n > pair_budget:
-        p_val, pair_masks = _pmc_sd_scan(graph, g, m_cap)
+    started = time.perf_counter()
+    if sd_path:
+        p_val, pair_masks = _pmc_sd_scan(graph, g, m_cap, stats)
         method_note = "symmetric-difference scan"
     else:
         order = sorted(range(len(good)), key=lambda i: (sizes_all[i], good[i]))
@@ -126,6 +144,7 @@ def tg_bruteforce(
             p_val = best[0]
             pair_masks = (sets_sorted[best[2]], sets_sorted[best[1]])
         method_note = "pair scan"
+    stats["scan_s"] = round(time.perf_counter() - started, 6)
 
     if p_val is None:
         value = m_cap
@@ -142,6 +161,7 @@ def tg_bruteforce(
         provenance=f"exhaustive {method_note}",
         note=note,
         pair=pair,
+        stats=stats,
     )
 
 
@@ -168,52 +188,131 @@ def _sd_closure(graph, smask: int, g: int) -> int:
     return c
 
 
-def _pmc_sd_scan(graph, g: int, m_cap: int):
-    """Exact P for PMC via enumeration of candidate symmetric differences."""
+def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None):
+    """Exact P for PMC via enumeration of candidate symmetric differences.
+
+    Returns (P, (F1, F2)) for the first pair of smallest max size in the
+    order below, or (None, None) when every admissible pair is
+    distinguishable.  Each candidate symmetric difference S is taken in
+    increasing size and, within a size, in `combinations` order; with
+    C = _sd_closure(S) the best pair for S is (C | (S - T), C | T) for the
+    largest admissible side T of at most s/2 vertices (the numerically
+    largest on ties), else (C | S, C).  Three facts cut the work and leave
+    the result unchanged:
+
+    (a) P starts at the bound m_cap + 1: both sets of an admissible pair
+        are admissible, so its max size is at most m_cap.
+    (b) Only S inducing min degree >= g are generated: a vertex of F2 - F1
+        is fault-free under F1, and by Dahbura-Masson none of its >= g
+        fault-free neighbors lies outside F1 | F2, so each side of S, and
+        hence S, induces min degree >= g.  A branch is cut when a chosen
+        vertex can no longer reach g chosen neighbors, or when the
+        neighbors of the chosen set that cannot all join it (those passed
+        over, and those ahead beyond the slots left) plus ceil(s/2) reach
+        P: they lie in N(S) - S, inside C, so every pair for S has max
+        size >= |C| + ceil(s/2) >= P.
+    (c) T comes from the same generator restricted to S, over the bits of
+        S in descending order and for |T| from s/2 down: its first
+        admissible T is the one the descending walk over all submasks of
+        S would keep, since a larger side always gives a smaller max size.
+
+    `stats`, when given, receives the work counters of the scan.
+    """
     n = graph.vertex_count
     full = graph.full_mask
-    best_p = None
+    nbr = graph.nbr_masks
+    best_p = m_cap + 1
     best_pair = None
+    nodes = yielded = bound_cuts = closures = splits = 0
 
-    def mindeg_ok(mask):
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            if (graph.nbr_masks[low.bit_length() - 1] & mask).bit_count() < g:
+    def subsets(order, size, bounded):
+        """Yield each `size`-subset of `order` inducing min degree >= g, in combinations order."""
+        after = [0] * (len(order) + 1)  # after[j]: the vertices order[j:]
+        for j in range(len(order) - 1, -1, -1):
+            after[j] = after[j + 1] | 1 << order[j]
+        half = (size + 1) // 2
+
+        def over_bound(chosen, reach, rest, left):
+            # every S grown from `chosen` by `left` vertices of `rest` misses the
+            # passed neighbors and all but `left` of those ahead; N(S) - S lies in C
+            nonlocal bound_cuts
+            if not bounded:
                 return False
-        return True
+            out = reach & ~chosen
+            forced = (out & ~rest).bit_count() + max(0, (out & rest).bit_count() - left)
+            if forced + half >= best_p:
+                bound_cuts += 1
+                return True
+            return False
+
+        def grow(i, chosen, reach, left):
+            # reach: the union of the neighbor masks of chosen; order[:i]
+            # minus chosen is out for good
+            nonlocal nodes
+            nodes += 1
+            for j in range(i, len(order) - left + 1):
+                u = order[j]
+                rest = after[j + 1]
+                nu = nbr[u]
+                grown = chosen | 1 << u
+                if (nu & (chosen | rest)).bit_count() >= g and not over_bound(
+                    grown, reach | nu, rest, left - 1
+                ):
+                    if left > 1:
+                        yield from grow(j + 1, grown, reach | nu, left - 1)
+                    elif has_min_degree(graph, grown, g):
+                        yield grown
+                # u is out from here on
+                m = nu & chosen
+                while m:
+                    low = m & -m
+                    m ^= low
+                    if (nbr[low.bit_length() - 1] & (chosen | rest)).bit_count() < g:
+                        return
+                if over_bound(chosen, reach, rest, left):
+                    return
+
+        yield from grow(0, 0, 0, size)
 
     for s_size in range(1, n + 1):
-        if best_p is not None and (s_size + 1) // 2 >= best_p:
+        half = (s_size + 1) // 2
+        if half >= best_p:
             break
-        for combo in combinations(range(n), s_size):
-            smask = 0
-            for i in combo:
-                smask |= 1 << i
+        for smask in subsets(range(n), s_size, True):
+            yielded += 1
+            closures += 1
             c = _sd_closure(graph, smask, g)
             base = c.bit_count()
-            if best_p is not None and base + (s_size + 1) // 2 >= best_p:
+            if base + half >= best_p:
                 continue
-            cand = None
             cand_pair = None
-            if mindeg_ok(smask) and (c | smask) != full:
+            # a side of t vertices scores base + s - t; only scores below P matter
+            descending = sorted(_iter_bits(smask), reverse=True)
+            for t_size in range(s_size // 2, max(0, base + s_size - best_p), -1):
+                for t in subsets(descending, t_size, False):
+                    splits += 1
+                    if has_min_degree(graph, smask ^ t, g):
+                        cand = base + s_size - t_size
+                        cand_pair = (c | (smask ^ t), c | t)
+                        break
+                if cand_pair is not None:
+                    break
+            if cand_pair is None and base + s_size < best_p and (c | smask) != full:
                 cand = base + s_size
                 cand_pair = (c | smask, c)
-            # balanced two-sided partitions of the symmetric difference
-            t = (smask - 1) & smask
-            while t:
-                tsize = t.bit_count()
-                if 0 < tsize <= s_size // 2:
-                    other = smask ^ t
-                    score = base + s_size - tsize
-                    if (cand is None or score < cand) and mindeg_ok(t) and mindeg_ok(other):
-                        cand = score
-                        cand_pair = (c | other, c | t)
-                t = (t - 1) & smask
-            if cand is not None and (best_p is None or cand < best_p):
+            if cand_pair is not None:
                 best_p = cand
                 best_pair = cand_pair
+    if stats is not None:
+        stats.update(
+            search_nodes=nodes,
+            candidates=yielded,
+            bound_cuts=bound_cuts,
+            closures=closures,
+            splits=splits,
+        )
+    if best_pair is None:
+        return None, None
     return best_p, best_pair
 
 
@@ -331,7 +430,7 @@ def witness_general(n: int, k: int, g: int) -> WitnessReport:
     tail = tuple(range(1, n - g))  # the n-g-1 fixed trailing symbols
     lead = k - (n - g - 1)
     a_labels = set()
-    for p in map(lambda lab: _parse(lab, n), graph.labels):
+    for p in map(lambda lab: parse_arrangement(lab, n), graph.labels):
         if p[lead:] == tail and all(s > n - g - 1 for s in p[:lead]):
             a_labels.add(arrangement_label(p, n))
     a_set = frozenset(a_labels)
@@ -427,12 +526,6 @@ def witness_cycle6() -> WitnessReport:
             "sizes_match_formula": True,
         },
     )
-
-
-def _parse(label, n):
-    from .topologies import parse_arrangement
-
-    return parse_arrangement(label, n)
 
 
 # -- crosscheck ----------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .base import BudgetError, DomainError, Model, NotApplicableError
+from .base import BudgetError, DomainError, Model, NotApplicableError, VerificationError
 from .graph import LabelSet, TopologyGraph, _iter_bits
 
 #: default vertex cap for the exhaustive searches in this module
@@ -41,6 +41,17 @@ def good_mask(graph: TopologyGraph, fmask: int, g: int) -> bool:
         low = r & -r
         r ^= low
         if (graph.nbr_masks[low.bit_length() - 1] & rest).bit_count() < g:
+            return False
+    return True
+
+
+def has_min_degree(graph: TopologyGraph, mask: int, g: int) -> bool:
+    """True iff every vertex of `mask` has >= g neighbors inside `mask`."""
+    m = mask
+    while m:
+        low = m & -m
+        m ^= low
+        if (graph.nbr_masks[low.bit_length() - 1] & mask).bit_count() < g:
             return False
     return True
 
@@ -219,16 +230,6 @@ def _connected_subsets(graph: TopologyGraph, region: int, size: int):
         yield from grow(v_bit, nbr[v_bit.bit_length() - 1] & r, r, size - 1)
 
 
-def _induced_min_degree_ok(graph: TopologyGraph, mask: int, g: int) -> bool:
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        if (graph.nbr_masks[low.bit_length() - 1] & mask).bit_count() < g:
-            return False
-    return True
-
-
 def min_subgraph_size_oracle(
     graph: TopologyGraph, g: int, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> int | None:
@@ -238,6 +239,8 @@ def min_subgraph_size_oracle(
     the g-core and a minimum one is connected, so the search seeds on each
     core vertex and grows connected sets of increasing size.
     """
+    if g < 0:
+        raise DomainError("g must be nonnegative")
     if graph.vertex_count > budget:
         raise BudgetError(
             f"{graph.vertex_count} vertices over the brute-force budget of {budget}"
@@ -256,6 +259,6 @@ def min_subgraph_size_oracle(
     top = min(c.bit_count() for c in comps)
     for size in range(g + 1, top + 1):
         for mask in _connected_subsets(graph, core, size):
-            if _induced_min_degree_ok(graph, mask, g):
+            if has_min_degree(graph, mask, g):
                 return size
-    raise AssertionError("g-core exists but no qualifying subset was found")
+    raise VerificationError("g-core exists but no qualifying subset was found")

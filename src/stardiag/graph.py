@@ -180,11 +180,9 @@ class TopologyGraph:
 
     def to_dot(self) -> str:
         lines = [f'graph "{self.descriptor}" {{']
-        seen = 0
         for i, lab in enumerate(self.labels):
             if self.nbr_masks[i] == 0:
                 lines.append(f'  "{lab}";')
-            seen |= self.nbr_masks[i]
         for a, b in self.edges():
             lines.append(f'  "{a}" -- "{b}";')
         lines.append("}")

@@ -47,3 +47,26 @@ def ref_components(graph):
     return sorted(
         (frozenset(g) for g in groups.values()), key=lambda s: (len(s), min(s))
     )
+
+
+def small_graphs(max_vertices):
+    """Every S_{n,k}, C_m and K_m, and seeded random graphs, of at most `max_vertices` vertices."""
+    from stardiag import build_complete, build_cycle, build_nk_star
+
+    graphs = []
+    for n in range(3, max_vertices + 1):
+        size = 1
+        for k in range(1, n):
+            size *= n - k + 1
+            if size > max_vertices:
+                break
+            graphs.append(build_nk_star(n, k))
+    graphs += [build_cycle(m) for m in range(3, max_vertices + 1)]
+    graphs += [build_complete(m) for m in range(3, min(10, max_vertices) + 1)]
+    graphs += [
+        random_graph(n, (0.3, 0.5)[seed % 2], seed)
+        for n in (7, 9, 11, 13, 16)
+        if n <= max_vertices
+        for seed in range(4)
+    ]
+    return graphs

@@ -58,6 +58,24 @@ def test_tg_surfaces_the_known_disagreement(capsys):
     assert report["results"]["pmc"]["disagreement"] == {"formula": 3, "bruteforce": 2}
 
 
+def test_tg_rejects_negative_g(capsys):
+    for method in ("all", "brute"):
+        code = main(["tg", "--graph", "nkstar:4,2", "--g", "-1", "--method", method])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_tg_settles_s43_by_brute_force(capsys):
+    code, report = run_json(
+        capsys, "tg", "--graph", "nkstar:4,3", "--g", "2", "--model", "pmc", "--budget-sd", "30"
+    )
+    assert code == 0 and report["ok"]
+    entry = report["results"]["pmc"]
+    assert entry["bruteforce"] == entry["formula"] == 11
+    assert entry["witness_upper_bounds"]["general"] == 11
+    assert entry["bruteforce_stats"]["closures"] > 0
+
+
 def test_tg_formula_only_for_big_graphs(capsys):
     code, report = run_json(
         capsys, "tg", "--graph", "nkstar:6,5", "--g", "4", "--method", "formula"

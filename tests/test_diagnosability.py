@@ -17,7 +17,12 @@ from stardiag import (
 )
 from stardiag.base import BudgetError, DomainError
 from stardiag.diagnosability import _pmc_sd_scan
-from stardiag.faults import good_faulty_sets, indist_pmc_mask, is_g_good_neighbor
+from stardiag.faults import (
+    good_faulty_sets,
+    indist_pmc_mask,
+    is_g_good_neighbor,
+    min_subgraph_size_oracle,
+)
 
 
 # -- closed forms --------------------------------------------------------
@@ -123,6 +128,13 @@ def test_bruteforce_degenerate_g():
     assert not res.applicable
 
 
+def test_bruteforce_rejects_negative_g():
+    s42 = build_nk_star(4, 2)
+    for model in Model:
+        with pytest.raises(DomainError):
+            tg_bruteforce(s42, -1, model)
+
+
 def test_bruteforce_budget_errors():
     s52 = build_nk_star(5, 2)  # 20 vertices
     with pytest.raises(BudgetError):
@@ -163,7 +175,7 @@ def test_pmc_sd_scan_matches_pair_scan():
     graphs = [build_cycle(6), build_complete(4), build_nk_star(4, 2)]
     graphs += [random_graph(9, 0.35, seed) for seed in range(6)]
     for graph in graphs:
-        for g in (1, 2):
+        for g in range(4):
             good = good_faulty_sets(graph, g)
             if not good:
                 continue
@@ -175,6 +187,55 @@ def test_pmc_sd_scan_matches_pair_scan():
                     best = p if best is None else min(best, p)
             sd_p, _ = _pmc_sd_scan(graph, g, m_cap)
             assert sd_p == best, (graph.descriptor, g)
+
+
+def test_pmc_sd_scan_matches_reference_scan():
+    # the pruned scan returns the unpruned scan's exact (p, pair), order and
+    # tie-breaks included, on every cell small enough to run the reference
+    from conftest import small_graphs
+    from reference_scan import _pmc_sd_scan as reference_scan
+
+    for graph in small_graphs(13):
+        for g in range(5):
+            smallest = min_subgraph_size_oracle(graph, g, budget=13)
+            if smallest is None:
+                continue
+            m_cap = graph.vertex_count - smallest
+            assert _pmc_sd_scan(graph, g, m_cap) == reference_scan(graph, g, m_cap), (
+                graph.descriptor,
+                g,
+            )
+
+
+def test_bruteforce_stats_count_the_scan():
+    s42 = build_nk_star(4, 2)
+    scan = tg_bruteforce(s42, 1, Model.PMC, pair_budget=11)
+    assert set(scan.stats) == {
+        "m_cap_s",
+        "scan_s",
+        "search_nodes",
+        "candidates",
+        "bound_cuts",
+        "closures",
+        "splits",
+    }
+    # only candidate differences inducing min degree >= 1 get a closure
+    assert 0 < scan.stats["candidates"] == scan.stats["closures"] < 2**12
+    pairs = tg_bruteforce(s42, 1, Model.PMC)
+    assert set(pairs.stats) == {"m_cap_s", "scan_s"}
+    assert scan.value == pairs.value == 4
+
+
+@pytest.mark.parametrize(
+    "n, k, values",
+    [(5, 2, [5, 6, 7, 0]), (4, 3, [5, 11, 0]), (6, 2, [6, 7, 8, 9, 0])],
+)
+def test_bruteforce_settles_the_ladder(n, k, values):
+    # every PMC cell of S_{5,2}, S_{4,3} and S_{6,2} agrees with the closed form
+    graph = build_nk_star(n, k)
+    for g, expected in enumerate(values, 1):
+        assert tg_formula(n, k, g, Model.PMC).value == expected
+        assert tg_bruteforce(graph, g, Model.PMC, sd_budget=30).value == expected, g
 
 
 def test_formula_matches_bruteforce_where_both_exist():

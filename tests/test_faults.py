@@ -17,10 +17,11 @@ from stardiag import (
     rg_connectivity_bruteforce,
     rg_connectivity_formula,
 )
-from stardiag.base import BudgetError, DomainError, NotApplicableError
+from stardiag import faults
+from stardiag.base import BudgetError, DomainError, NotApplicableError, VerificationError
 from stardiag.faults import FaultPair, _connected_subsets, good_faulty_sets
 
-from conftest import random_graph
+from conftest import random_graph, small_graphs
 
 
 # -- g-good-neighbor predicates -----------------------------------------
@@ -182,6 +183,33 @@ def test_min_subgraph_lower_bound_factorial(s42):
             assert size is not None
             # size >= (g+1)!/(n-k)! without leaving integer arithmetic
             assert size * math.factorial(n - k) >= math.factorial(g + 1)
+
+
+def test_min_subgraph_rejects_negative_g(c6):
+    with pytest.raises(DomainError):
+        min_subgraph_size_oracle(c6, -1)
+
+
+def test_min_subgraph_invariant_raises_verification_error(s42, monkeypatch):
+    # a non-regular g-core always holds a qualifying connected set; if the
+    # search finds none, the oracle reports a broken invariant
+    monkeypatch.setattr(faults, "_connected_subsets", lambda graph, region, size: iter(()))
+    with pytest.raises(VerificationError):
+        min_subgraph_size_oracle(s42, 1)
+
+
+def test_m_cap_identity():
+    # the complement of a proper admissible set is a nonempty set inducing
+    # min degree >= g, so |V| minus the oracle is the largest admissible size
+    for graph in small_graphs(16):
+        for g in range(5):
+            good = good_faulty_sets(graph, g)
+            smallest = min_subgraph_size_oracle(graph, g, budget=16)
+            if not good:
+                assert smallest is None, (graph.descriptor, g)
+            else:
+                largest = max(m.bit_count() for m in good)
+                assert graph.vertex_count - smallest == largest, (graph.descriptor, g)
 
 
 def test_min_subgraph_budget(s42):
