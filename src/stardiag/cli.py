@@ -120,12 +120,7 @@ def cmd_tg(args) -> int:
         if args.method in ("brute", "all"):
             try:
                 res = tg_bruteforce(
-                    graph,
-                    args.g,
-                    model,
-                    pair_budget=args.budget_pair,
-                    sd_budget=args.budget_sd,
-                    workers=args.workers,
+                    graph, args.g, model, pair_budget=args.budget_pair, sd_budget=args.budget_sd
                 )
                 entry["bruteforce"] = res.value
                 entry["bruteforce_note"] = res.note
@@ -242,12 +237,7 @@ def cmd_table(args) -> int:
                         if graph is None:
                             graph = from_descriptor(f"nkstar:{n},{k}")
                         brute = tg_bruteforce(
-                            graph,
-                            g,
-                            model,
-                            pair_budget=args.budget_pair,
-                            sd_budget=args.budget_sd,
-                            workers=args.workers,
+                            graph, g, model, pair_budget=args.budget_pair, sd_budget=args.budget_sd
                         )
                         row["bruteforce"] = brute.value
                         if res.applicable and brute.value != res.value:
@@ -326,6 +316,7 @@ def cmd_simulate(args) -> int:
                 "mode": "witness-ambiguity",
                 "witness": _witness_dict(wit),
                 "t": t,
+                "t_source": "witness",
                 "consistent_hypotheses": sets,
                 "ambiguous": ambiguous,
                 "ok": ambiguous,
@@ -335,10 +326,16 @@ def cmd_simulate(args) -> int:
         _emit(args, report)
         return 0 if ambiguous else 1
 
-    if params is not None:
-        t = tg_formula(params[0], params[1], args.g, model).value
+    # the oracle's value wherever it runs: the closed form has a known gap at S_{3,2}
+    budget = args.budget_sd if model is Model.PMC else args.budget_pair
+    if params is None or graph.vertex_count <= budget:
+        t = tg_bruteforce(
+            graph, args.g, model, pair_budget=args.budget_pair, sd_budget=args.budget_sd
+        ).value
+        t_source = "bruteforce"
     else:
-        t = tg_bruteforce(graph, args.g, model, pair_budget=args.budget_pair).value
+        t = tg_formula(params[0], params[1], args.g, model).value
+        t_source = "formula"
     if t is None or t < 1:
         raise StardiagError(f"t_g is {t}; nothing to simulate")
     rng = random.Random(args.seed)
@@ -365,6 +362,7 @@ def cmd_simulate(args) -> int:
         {
             "mode": "injection",
             "t": t,
+            "t_source": t_source,
             "strategy": args.strategy,
             "trials": args.trials,
             "unique_diagnoses": successes,
@@ -381,7 +379,9 @@ def _add_common(p, graph=True):
     if graph:
         p.add_argument("--graph", required=True, help="descriptor, e.g. nkstar:4,2")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1, help="ignored; kept so existing command lines still parse"
+    )
     p.add_argument("--budget-pair", type=int, default=DEFAULT_PAIR_BUDGET, dest="budget_pair")
     p.add_argument("--budget-sd", type=int, default=DEFAULT_SD_BUDGET, dest="budget_sd")
     p.add_argument(

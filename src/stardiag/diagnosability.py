@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .base import BudgetError, DomainError, Model, VerificationError
 from .faults import (
@@ -26,7 +26,7 @@ from .faults import (
 from .graph import LabelSet, TopologyGraph, _iter_bits
 from .topologies import arrangement_label, build_cycle, build_nk_star, parse_arrangement
 
-#: default vertex caps for the exhaustive strategies
+#: default vertex caps of the exhaustive oracle: MM* graphs (pair) and PMC graphs (sd)
 DEFAULT_PAIR_BUDGET = 12
 DEFAULT_SD_BUDGET = 16
 
@@ -55,31 +55,20 @@ class DiagnosabilityResult:
 # -- exhaustive oracle ---------------------------------------------------
 
 
-def _scan_chunk(args):
-    """Pair-scan worker: best indistinguishable pair within a j-index chunk."""
-    graph, sets_sorted, sizes, model, lo, hi = args
-    best = None  # (max_size, j, i)
-    for j in range(max(lo, 1), hi):
-        if best is not None and sizes[j] >= best[0]:
-            break
-        fj = sets_sorted[j]
-        for i in range(j):
-            if indist_mask(graph, sets_sorted[i], fj, model):
-                best = (sizes[j], j, i)
-                break
-    return best
+def _pair_scan(graph, g: int, model: Model):
+    """Reference P by the direct O(M^2) scan over all admissible pairs.
 
-
-def _pair_scan(graph, sets_sorted, sizes, model, workers):
-    if workers <= 1 or len(sets_sorted) < 64:
-        return _scan_chunk((graph, sets_sorted, sizes, model, 1, len(sets_sorted)))
-    bounds = []
-    step = max(1, (len(sets_sorted) + workers - 1) // workers)
-    for lo in range(1, len(sets_sorted), step):
-        bounds.append((graph, sets_sorted, sizes, model, lo, min(lo + step, len(sets_sorted))))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = [r for r in pool.map(_scan_chunk, bounds) if r is not None]
-    return min(results) if results else None
+    Returns (P, (F1, F2)) like `_pmc_sd_scan`: the admissible sets are
+    taken by (size, mask), and the first set with an indistinguishable
+    predecessor gives P and the pair.  It walks all 2^|V| masks, so only
+    the tests call it, to cross-check the symmetric-difference scan.
+    """
+    good = sorted(good_faulty_sets(graph, g), key=lambda m: (m.bit_count(), m))
+    for j, fj in enumerate(good):
+        for fi in good[:j]:
+            if indist_mask(graph, fi, fj, model):
+                return fj.bit_count(), (fi, fj)
+    return None, None
 
 
 def tg_bruteforce(
@@ -88,18 +77,18 @@ def tg_bruteforce(
     model: Model,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     sd_budget: int = DEFAULT_SD_BUDGET,
-    workers: int = 1,
 ) -> DiagnosabilityResult:
     """Exhaustive t_g over all proper g-good-neighbor faulty sets.
 
     t_g = min(P-1, M) where P is the smallest max(|F1|,|F2|) over
     indistinguishable distinct pairs (infinity if all pairs are
     distinguishable) and M is the largest admissible faulty-set size.
-    PMC instances between the pair budget and the symmetric-difference
-    budget use the factored scan over candidate symmetric differences; it
-    takes M = |V| - min_subgraph_size_oracle(G, g), because the complements
-    of the proper admissible sets are exactly the nonempty sets inducing
-    min degree >= g.
+    M = |V| - min_subgraph_size_oracle(G, g), because the complements of
+    the proper admissible sets are exactly the nonempty sets inducing min
+    degree >= g.  Both models take P from the symmetric-difference scan;
+    MM* with g <= 1 admits bridge vertices there, and for g >= 2 it is the
+    PMC scan unchanged.  PMC graphs are capped at `sd_budget` vertices,
+    MM* graphs at `pair_budget`.
     """
     if g < 0:
         raise DomainError("g must be nonnegative")
@@ -110,40 +99,22 @@ def tg_bruteforce(
         )
     stats: dict = {}
     started = time.perf_counter()
-    sd_path = model is Model.PMC and n > pair_budget
-    if sd_path:
-        smallest = min_subgraph_size_oracle(graph, g, budget=n)
-        m_cap = None if smallest is None else n - smallest
-    else:
-        good = good_faulty_sets(graph, g)
-        sizes_all = [m.bit_count() for m in good]
-        m_cap = max(sizes_all) if good else None
+    smallest = min_subgraph_size_oracle(graph, g, budget=n)
     stats["m_cap_s"] = round(time.perf_counter() - started, 6)
-    if m_cap is None:
+    if smallest is None:
         return DiagnosabilityResult(
             value=None,
             model=model,
             method="bruteforce",
-            provenance="exhaustive pair scan",
+            provenance="exhaustive symmetric-difference scan",
             note=f"no admissible g-good-neighbor faulty set exists for g={g}",
             stats=stats,
         )
+    m_cap = n - smallest
 
     started = time.perf_counter()
-    if sd_path:
-        p_val, pair_masks = _pmc_sd_scan(graph, g, m_cap, stats)
-        method_note = "symmetric-difference scan"
-    else:
-        order = sorted(range(len(good)), key=lambda i: (sizes_all[i], good[i]))
-        sets_sorted = [good[i] for i in order]
-        sizes = [sizes_all[i] for i in order]
-        best = _pair_scan(graph, sets_sorted, sizes, model, workers)
-        if best is None:
-            p_val, pair_masks = None, None
-        else:
-            p_val = best[0]
-            pair_masks = (sets_sorted[best[2]], sets_sorted[best[1]])
-        method_note = "pair scan"
+    bridges = model is Model.MM and g <= 1
+    p_val, pair_masks = _pmc_sd_scan(graph, g, m_cap, stats, bridges=bridges)
     stats["scan_s"] = round(time.perf_counter() - started, 6)
 
     if p_val is None:
@@ -158,7 +129,8 @@ def tg_bruteforce(
         value=value,
         model=model,
         method="bruteforce",
-        provenance=f"exhaustive {method_note}",
+        provenance="exhaustive symmetric-difference scan"
+        + (" with bridge sets" if bridges else ""),
         note=note,
         pair=pair,
         stats=stats,
@@ -188,8 +160,8 @@ def _sd_closure(graph, smask: int, g: int) -> int:
     return c
 
 
-def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None):
-    """Exact P for PMC via enumeration of candidate symmetric differences.
+def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: bool = False):
+    """Exact P via enumeration of candidate symmetric differences.
 
     Returns (P, (F1, F2)) for the first pair of smallest max size in the
     order below, or (None, None) when every admissible pair is
@@ -216,6 +188,23 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None):
         admissible T is the one the descending walk over all submasks of
         S would keep, since a larger side always gives a smaller max size.
 
+    With `bridges` (MM*, g <= 1) the scan also admits bridge vertices.
+    Write S1 = F1 - F2, S2 = F2 - F1 and O = V - (F1 | F2).  By
+    Sengupta-Dahbura a pair is MM*-indistinguishable iff every vertex b of
+    the bridge set B = O & N(S) has no neighbor in O and at most one in
+    each of S1 and S2; F1 and F2 being g-good-neighbor, each b also has
+    >= g neighbors in each side and each vertex of S_i has >= g neighbors
+    in S_i | B.  So B is empty for g >= 2 (MM* is PMC there), and the scan
+    enumerates U = S | B, which again induces min degree >= g, with
+    C = _sd_closure(U): N(U) - U lies in C because B has no neighbor in O.
+    Each U is then cut into (S1, S2, B) with B independent and every b
+    with exactly one neighbor per side (g = 1), or at most one (g = 0),
+    largest B first.  In (b), ceil(s/2) gives way to a lower bound on the
+    larger side that allows for B: each b keeps >= deg(b) - 2 neighbors
+    in C, so |B| <= maxdeg * |C| / (mindeg - 2) when mindeg > 2, and the
+    larger side has >= ceil((|U| - |B|) / 2) vertices; the generator takes
+    |C| = P - 2, the largest common part that can still beat P.
+
     `stats`, when given, receives the work counters of the scan.
     """
     n = graph.vertex_count
@@ -223,24 +212,35 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None):
     nbr = graph.nbr_masks
     best_p = m_cap + 1
     best_pair = None
-    nodes = yielded = bound_cuts = closures = splits = 0
+    nodes = yielded = bound_cuts = closures = splits = bridge_sets = 0
+    degrees = [m.bit_count() for m in nbr]
+    lo_deg, hi_deg = min(degrees), max(degrees)
+    least_s = 2 if g else 1  # |S| >= this whenever B is nonempty
 
-    def subsets(order, size, bounded):
+    def least_side(u_size, c_size):
+        """Lower bound on max(|S1|, |S2|) for |U| = u_size and |C| = c_size."""
+        if not bridges:
+            return (u_size + 1) // 2
+        b_max = u_size - least_s
+        if lo_deg > 2:
+            b_max = min(b_max, hi_deg * c_size // (lo_deg - 2))
+        return (u_size - max(0, b_max) + 1) // 2
+
+    def subsets(order, size, least):
         """Yield each `size`-subset of `order` inducing min degree >= g, in combinations order."""
         after = [0] * (len(order) + 1)  # after[j]: the vertices order[j:]
         for j in range(len(order) - 1, -1, -1):
             after[j] = after[j + 1] | 1 << order[j]
-        half = (size + 1) // 2
 
         def over_bound(chosen, reach, rest, left):
             # every S grown from `chosen` by `left` vertices of `rest` misses the
             # passed neighbors and all but `left` of those ahead; N(S) - S lies in C
             nonlocal bound_cuts
-            if not bounded:
+            if least is None:
                 return False
             out = reach & ~chosen
             forced = (out & ~rest).bit_count() + max(0, (out & rest).bit_count() - left)
-            if forced + half >= best_p:
+            if forced + least >= best_p:
                 bound_cuts += 1
                 return True
             return False
@@ -274,22 +274,77 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None):
 
         yield from grow(0, 0, 0, size)
 
+    def sides_ok(s1, s2, bmask):
+        """Each vertex of a side keeps >= g neighbors in its side and B."""
+        for side in (s1, s2):
+            support = side | bmask
+            for v in _iter_bits(side):
+                if (nbr[v] & support).bit_count() < g:
+                    return False
+        return True
+
+    def bridge_cut(umask, c, base):
+        """Best (S1, S2, B) cut of U that beats P, updating best_p and best_pair."""
+        nonlocal best_p, best_pair, bridge_sets, splits
+        u_size = umask.bit_count()
+        in_u = {v: (nbr[v] & umask).bit_count() for v in _iter_bits(umask)}
+        # a bridge has one neighbor per side (g = 1), or at most one (g = 0)
+        cands = [v for v, d in in_u.items() if d == 2 or (g == 0 and d == 1)]
+        b_top = min(len(cands), u_size - least_s)
+        if lo_deg > 2:
+            b_top = min(b_top, hi_deg * base // (lo_deg - 2))
+        for b_size in range(max(0, b_top), -1, -1):
+            s_size = u_size - b_size
+            if base + (s_size + 1) // 2 >= best_p:
+                break
+            for combo in combinations(cands, b_size):
+                bmask = 0
+                for b in combo:
+                    bmask |= 1 << b
+                if any(nbr[b] & bmask for b in combo):
+                    continue  # B is independent
+                bridge_sets += b_size > 0
+                smask = umask ^ bmask
+                pairs = [nbr[b] for b in combo if in_u[b] == 2]
+                s_bits = list(_iter_bits(smask))
+                for t_size in range(s_size // 2, max(-1, base + s_size - best_p), -1):
+                    if t_size == 0 and pairs:
+                        break  # a bridge with two neighbors needs one on each side
+                    found = None
+                    for tc in combinations(s_bits, t_size):
+                        splits += 1
+                        t = 0
+                        for v in tc:
+                            t |= 1 << v
+                        if all((p & t).bit_count() == 1 for p in pairs) and sides_ok(
+                            smask ^ t, t, bmask
+                        ):
+                            found = t
+                            break
+                    if found is not None:
+                        best_p = base + s_size - t_size
+                        best_pair = (c | (smask ^ found), c | found)
+                        break
+
     for s_size in range(1, n + 1):
-        half = (s_size + 1) // 2
-        if half >= best_p:
+        if min(c + least_side(s_size, c) for c in range(max(1, best_p - 1))) >= best_p:
             break
-        for smask in subsets(range(n), s_size, True):
+        least = least_side(s_size, best_p - 2)
+        for smask in subsets(range(n), s_size, least):
             yielded += 1
             closures += 1
             c = _sd_closure(graph, smask, g)
             base = c.bit_count()
-            if base + half >= best_p:
+            if base + least_side(s_size, base) >= best_p:
+                continue
+            if bridges:
+                bridge_cut(smask, c, base)
                 continue
             cand_pair = None
             # a side of t vertices scores base + s - t; only scores below P matter
             descending = sorted(_iter_bits(smask), reverse=True)
             for t_size in range(s_size // 2, max(0, base + s_size - best_p), -1):
-                for t in subsets(descending, t_size, False):
+                for t in subsets(descending, t_size, None):
                     splits += 1
                     if has_min_degree(graph, smask ^ t, g):
                         cand = base + s_size - t_size
@@ -311,6 +366,8 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None):
             closures=closures,
             splits=splits,
         )
+        if bridges:
+            stats["bridge_sets"] = bridge_sets
     if best_pair is None:
         return None, None
     return best_p, best_pair
@@ -358,7 +415,8 @@ def tg_formula(n: int, k: int, g: int, model: Model) -> DiagnosabilityResult:
         if n >= 4 and n - k <= g <= n - 2:
             num = math.factorial(g + 1) * (n - g)
             den = math.factorial(n - k)
-            assert num % den == 0
+            if num % den:
+                raise VerificationError(f"(g+1)!(n-g) = {num} is not a multiple of (n-k)! = {den}")
             entries.append((num // den - 1, "high band (g+1)!(n-g)/(n-k)!-1"))
         if k == n - 1 and n >= 4 and 1 <= g <= n - 2:
             entries.append(((n - g) * math.factorial(g + 1) - 1, "star-graph band (n-g)(g+1)!-1"))
@@ -372,7 +430,7 @@ def tg_formula(n: int, k: int, g: int, model: Model) -> DiagnosabilityResult:
         )
     values = {v for v, _ in entries}
     if len(values) != 1:
-        raise AssertionError(
+        raise VerificationError(
             f"overlapping formula bands disagree for n={n}, k={k}, g={g}, "
             f"{model.value}: {entries}"
         )
@@ -484,6 +542,7 @@ def witness_snk2_mm(n: int) -> WitnessReport:
     _require(not dist_mm_mask(graph, m1, m2), "pair distinguishable under MM*")
     # no PMC claim is made for this pair; its status is recorded only
     pmc_indist = indist_pmc_mask(graph, m1, m2)
+    formula = tg_formula(n, 2, 1, Model.MM).value
     return WitnessReport(
         construction="snk2-mm",
         descriptor=graph.descriptor,
@@ -496,7 +555,7 @@ def witness_snk2_mm(n: int) -> WitnessReport:
             "f2_good": True,
             "indistinguishable_pmc": pmc_indist,
             "indistinguishable_mm": True,
-            "sizes_match_formula": True,
+            "sizes_match_formula": max(len(f1), len(f2)) - 1 == formula,
         },
     )
 
@@ -511,6 +570,7 @@ def witness_cycle6() -> WitnessReport:
     m1, m2 = graph.mask_of(f1), graph.mask_of(f2)
     _require(not dist_mm_mask(graph, m1, m2), "pair distinguishable under MM*")
     pmc_indist = indist_pmc_mask(graph, m1, m2)
+    formula = tg_formula(3, 2, 1, Model.MM).value
     return WitnessReport(
         construction="cycle6",
         descriptor=graph.descriptor,
@@ -523,7 +583,7 @@ def witness_cycle6() -> WitnessReport:
             "f2_good": True,
             "indistinguishable_pmc": pmc_indist,
             "indistinguishable_mm": True,
-            "sizes_match_formula": True,
+            "sizes_match_formula": max(len(f1), len(f2)) - 1 == formula,
         },
     )
 
@@ -559,7 +619,6 @@ def crosscheck(
     g: int,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     sd_budget: int = DEFAULT_SD_BUDGET,
-    workers: int = 1,
 ) -> CrosscheckReport:
     """Run every applicable t_g method for both models and compare."""
     report = CrosscheckReport(n=n, k=k, g=g)
@@ -571,9 +630,7 @@ def crosscheck(
         entry["formula_provenance"] = formula.provenance or formula.note
         budget = sd_budget if model is Model.PMC else pair_budget
         if graph.vertex_count <= budget:
-            brute = tg_bruteforce(
-                graph, g, model, pair_budget=pair_budget, sd_budget=sd_budget, workers=workers
-            )
+            brute = tg_bruteforce(graph, g, model, pair_budget=pair_budget, sd_budget=sd_budget)
             entry["bruteforce"] = brute.value
             if brute.pair:
                 entry["bruteforce_pair"] = [list(p) for p in brute.pair]

@@ -116,7 +116,10 @@ def rg_connectivity_formula(n: int, k: int, g: int) -> int:
             f"got n={n}, k={k}, g={g}"
         )
     value = math.factorial(g + 1) * (n - g - 1)
-    assert value % math.factorial(n - k) == 0
+    if value % math.factorial(n - k):
+        raise VerificationError(
+            f"(g+1)!(n-g-1) = {value} is not a multiple of (n-k)! = {math.factorial(n - k)}"
+        )
     return value // math.factorial(n - k)
 
 

@@ -18,8 +18,8 @@ LabelSet = frozenset
 class TopologyGraph:
     """Simple undirected graph bound to a family descriptor string.
 
-    Instances are immutable after construction and safe to share across
-    workers.  Construction collapses duplicate edges and rejects self-loops.
+    Instances are immutable after construction.  Construction collapses
+    duplicate edges and rejects self-loops.
     """
 
     def __init__(

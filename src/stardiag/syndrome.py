@@ -215,7 +215,15 @@ def syndrome_from_text(graph: TopologyGraph, text: str) -> Syndrome:
     if len(head) != 5:
         raise DomainError(f"bad syndrome header {lines[0]!r}")
     model = Model.parse(head[0])
-    seed = int(head[3])
+    params = descriptor_params(graph.descriptor) or (0, 0)
+    if head[1:3] != [str(params[0]), str(params[1])]:
+        raise DomainError(
+            f"syndrome header n k = {' '.join(head[1:3])} does not match {graph.descriptor}"
+        )
+    try:
+        seed = int(head[3])
+    except ValueError:
+        raise DomainError(f"bad syndrome seed {head[3]!r}") from None
     strategy = head[4]
     assignment = build_assignment(graph, model)
     outcome_map = {}
@@ -223,14 +231,21 @@ def syndrome_from_text(graph: TopologyGraph, text: str) -> Syndrome:
         left, _, bit_s = ln.rpartition("->")
         if not _:
             raise DomainError(f"bad syndrome line {ln!r}")
+        if bit_s.strip() not in ("0", "1"):
+            raise DomainError(f"syndrome outcome must be 0 or 1 in {ln!r}")
         bit = int(bit_s)
-        if "|" in left:
-            pair_s, _, w_s = left.partition("|")
-            u_s, v_s = pair_s.split()
-            key = (graph._lookup(u_s), graph._lookup(v_s), graph._lookup(w_s.strip()))
-        else:
-            u_s, v_s = left.split()
-            key = (graph._lookup(u_s), graph._lookup(v_s), None)
+        try:
+            if "|" in left:
+                pair_s, _, w_s = left.partition("|")
+                u_s, v_s = pair_s.split()
+                key = (graph._lookup(u_s), graph._lookup(v_s), graph._lookup(w_s.strip()))
+            else:
+                u_s, v_s = left.split()
+                key = (graph._lookup(u_s), graph._lookup(v_s), None)
+        except ValueError:
+            raise DomainError(f"bad syndrome line {ln!r}") from None
+        if key in outcome_map:
+            raise DomainError(f"duplicate syndrome unit {left.strip()!r}")
         outcome_map[key] = bit
     try:
         outcomes = tuple(outcome_map[unit] for unit in assignment.units)

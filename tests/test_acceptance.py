@@ -87,10 +87,10 @@ def test_criterion_02():
     for model in Model:
         assert tg_bruteforce(s41, 1, model).value == 1
         assert tg_bruteforce(s41, 2, model).value == 1
-    assert tg_bruteforce(s42, 1, Model.PMC, workers=2).value == 4
-    assert tg_bruteforce(s42, 1, Model.MM, workers=2).value == 3
-    assert tg_bruteforce(s42, 2, Model.PMC, workers=2).value == 5
-    assert tg_bruteforce(s42, 2, Model.MM, workers=2).value == 5
+    assert tg_bruteforce(s42, 1, Model.PMC).value == 4
+    assert tg_bruteforce(s42, 1, Model.MM).value == 3
+    assert tg_bruteforce(s42, 2, Model.PMC).value == 5
+    assert tg_bruteforce(s42, 2, Model.MM).value == 5
 
 
 @criterion(3, "kappa agreement", 300.0)

@@ -76,6 +76,29 @@ def test_tg_settles_s43_by_brute_force(capsys):
     assert entry["bruteforce_stats"]["closures"] > 0
 
 
+def test_tg_settles_s52_mm_by_brute_force(capsys):
+    from stardiag import Model, tg_formula
+
+    for g in range(1, 5):
+        code, report = run_json(
+            capsys, "tg", "--graph", "nkstar:5,2", "--g", str(g), "--model", "mm",
+            "--budget-pair", "20",
+        )
+        assert code == 0 and report["ok"], g
+        entry = report["results"]["mm"]
+        assert entry["bruteforce"] == entry["formula"] == tg_formula(5, 2, g, Model.MM).value
+        assert entry["bruteforce_stats"]["scan_s"] < 10
+
+
+def test_tg_accepts_and_ignores_workers(capsys):
+    argv = ["tg", "--graph", "nkstar:4,2", "--g", "1", "--method", "brute"]
+    _, one = run_json(capsys, *argv, "--workers", "1")
+    _, four = run_json(capsys, *argv, "--workers", "4")
+    for model in ("pmc", "mm"):
+        assert one["results"][model]["bruteforce"] == four["results"][model]["bruteforce"]
+        assert one["results"][model]["bruteforce_pair"] == four["results"][model]["bruteforce_pair"]
+
+
 def test_tg_formula_only_for_big_graphs(capsys):
     code, report = run_json(
         capsys, "tg", "--graph", "nkstar:6,5", "--g", "4", "--method", "formula"
@@ -159,6 +182,21 @@ def test_simulate_injection_unique_diagnoses(capsys):
     assert report["unique_diagnoses"] == 5
     for trial in report["trial_log"]:
         assert trial["unique"] and trial["candidates"] == [trial["truth"]]
+
+
+def test_simulate_takes_t_from_the_oracle_at_the_gap(capsys):
+    # the closed form says 3 at S_{3,2} under PMC, g = 1; exhaustion says 2
+    code, report = run_json(
+        capsys, "simulate", "--graph", "nkstar:3,2", "--g", "1", "--model", "pmc",
+        "--trials", "5", "--seed", "3",
+    )
+    assert report["t"] == 2 and report["t_source"] == "bruteforce"
+    assert code == 0 and report["unique_diagnoses"] == 5
+    _, big = run_json(
+        capsys, "simulate", "--graph", "nkstar:5,2", "--g", "1", "--model", "mm",
+        "--trials", "1", "--budget-diag", "20",
+    )
+    assert big["t"] == 4 and big["t_source"] == "formula"
 
 
 def test_simulate_witness_ambiguity(capsys):

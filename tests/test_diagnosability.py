@@ -16,9 +16,12 @@ from stardiag import (
     witness_snk2_mm,
 )
 from stardiag.base import BudgetError, DomainError
-from stardiag.diagnosability import _pmc_sd_scan
+from stardiag.diagnosability import _pair_scan, _pmc_sd_scan, _sd_closure
 from stardiag.faults import (
+    dist_mm_mask,
     good_faulty_sets,
+    good_mask,
+    indist_mask,
     indist_pmc_mask,
     is_g_good_neighbor,
     min_subgraph_size_oracle,
@@ -144,11 +147,12 @@ def test_bruteforce_budget_errors():
 
 
 def test_bruteforce_workers_agree():
+    # the symmetric-difference scan, serial for both models, agrees with the pair scan
     s42 = build_nk_star(4, 2)
     for model in Model:
-        solo = tg_bruteforce(s42, 1, model, workers=1)
-        multi = tg_bruteforce(s42, 1, model, workers=4)
-        assert solo.value == multi.value
+        solo = tg_bruteforce(s42, 1, model)
+        p, _ = _pair_scan(s42, 1, model)
+        assert solo.value == p - 1
 
 
 def test_mm_value_never_exceeds_pmc_value():
@@ -209,21 +213,116 @@ def test_pmc_sd_scan_matches_reference_scan():
 
 def test_bruteforce_stats_count_the_scan():
     s42 = build_nk_star(4, 2)
-    scan = tg_bruteforce(s42, 1, Model.PMC, pair_budget=11)
-    assert set(scan.stats) == {
-        "m_cap_s",
-        "scan_s",
-        "search_nodes",
-        "candidates",
-        "bound_cuts",
-        "closures",
-        "splits",
+    scan_keys = {
+        "m_cap_s", "scan_s", "search_nodes", "candidates", "bound_cuts", "closures", "splits"
     }
+    pmc = tg_bruteforce(s42, 1, Model.PMC)
+    assert set(pmc.stats) == scan_keys
     # only candidate differences inducing min degree >= 1 get a closure
-    assert 0 < scan.stats["candidates"] == scan.stats["closures"] < 2**12
-    pairs = tg_bruteforce(s42, 1, Model.PMC)
-    assert set(pairs.stats) == {"m_cap_s", "scan_s"}
-    assert scan.value == pairs.value == 4
+    assert 0 < pmc.stats["candidates"] == pmc.stats["closures"] < 2**12
+    mm = tg_bruteforce(s42, 1, Model.MM)
+    assert set(mm.stats) == scan_keys | {"bridge_sets"}
+    assert 0 < mm.stats["bridge_sets"] and 0 < mm.stats["closures"] < 2**12
+    # no bridge exists for g >= 2, so MM* runs the plain PMC scan there
+    assert set(tg_bruteforce(s42, 2, Model.MM).stats) == scan_keys
+    assert pmc.value == 4 and mm.value == 3
+
+
+def test_sd_scan_matches_pair_scan_both_models():
+    # the one symmetric-difference oracle against the serial O(M^2) pair scan:
+    # equal values, and a returned pair that really refutes t_g = value + 1.
+    # The four random graphs need bridges the small graphs never do: a
+    # bridge with one neighbor in S (at g = 0), and more than
+    # maxdeg * |C| / mindeg bridges in all
+    from conftest import random_graph, small_graphs
+
+    extra = [random_graph(8, 0.5, 1294), random_graph(6, 0.3, 1357)]
+    extra += [random_graph(6, 0.7, 1135), random_graph(7, 0.6, 1177)]
+    for graph in small_graphs(12) + extra:
+        for g in range(4):
+            for model in Model:
+                res = tg_bruteforce(graph, g, model)
+                p, _ = _pair_scan(graph, g, model)
+                where = (graph.descriptor, g, model)
+                if not res.applicable:
+                    assert not good_faulty_sets(graph, g), where
+                    continue
+                if p is None:
+                    assert res.pair is None, where
+                    continue
+                assert res.value == p - 1, where
+                m1, m2 = (graph.mask_of(f) for f in res.pair)
+                assert m1 != m2, where
+                assert good_mask(graph, m1, g) and good_mask(graph, m2, g), where
+                assert m1 != graph.full_mask and m2 != graph.full_mask, where
+                assert indist_mask(graph, m1, m2, model), where
+                assert max(m1.bit_count(), m2.bit_count()) == res.value + 1, where
+
+
+def _bridge_sets(graph, f1, f2):
+    """(S1, S2, B, O) of a pair: B is the set of fault-free vertices next to the difference."""
+    outside = graph.full_mask & ~(f1 | f2)
+    return f1 & ~f2, f2 & ~f1, outside & graph.neighborhood_mask(f1 ^ f2), outside
+
+
+def test_mm_indistinguishable_pairs_have_no_bridge_for_g_at_least_2():
+    # the lemma that sends MM* with g >= 2 through the PMC scan: for
+    # admissible pairs, MM*-indistinguishable iff PMC-indistinguishable
+    from conftest import small_graphs
+
+    for graph in small_graphs(10):
+        for g in (2, 3):
+            good = good_faulty_sets(graph, g)
+            for i, f1 in enumerate(good):
+                for f2 in good[i + 1 :]:
+                    mm = not dist_mm_mask(graph, f1, f2)
+                    assert mm == indist_pmc_mask(graph, f1, f2), (graph.descriptor, g, f1, f2)
+                    if mm:
+                        assert _bridge_sets(graph, f1, f2)[2] == 0
+
+
+def test_bridge_characterization_of_mm():
+    # the characterization the bridged scan enumerates, against dist_mm_mask:
+    # a pair is MM*-indistinguishable iff every bridge b has no fault-free
+    # neighbor and at most one neighbor in each side; for admissible pairs
+    # each b also has >= g neighbors per side, each vertex of a side keeps
+    # >= g neighbors in its side and B, and the closure of S | B is the
+    # smallest shared part
+    from conftest import random_graph
+
+    graphs = [build_cycle(6), build_complete(5), build_nk_star(3, 2), build_nk_star(4, 1)]
+    graphs += [random_graph(7, p, seed) for p in (0.35, 0.6) for seed in range(3)]
+    for graph in graphs:
+        nbr = graph.nbr_masks
+        for f1 in range(graph.full_mask + 1):
+            for f2 in range(f1 + 1, graph.full_mask + 1):
+                s1, s2, b, outside = _bridge_sets(graph, f1, f2)
+                quiet = all(
+                    not nbr[v] & outside
+                    and (nbr[v] & s1).bit_count() <= 1
+                    and (nbr[v] & s2).bit_count() <= 1
+                    for v in range(graph.vertex_count)
+                    if b >> v & 1
+                )
+                assert quiet == (not dist_mm_mask(graph, f1, f2)), (graph.descriptor, f1, f2)
+                if not quiet or f2 == graph.full_mask:
+                    continue
+                for g in (0, 1, 2):
+                    if not (good_mask(graph, f1, g) and good_mask(graph, f2, g)):
+                        continue
+                    for v in range(graph.vertex_count):
+                        if b >> v & 1:
+                            assert (nbr[v] & s1).bit_count() >= g
+                            assert (nbr[v] & s2).bit_count() >= g
+                        for side in (s1, s2):
+                            if side >> v & 1:
+                                assert (nbr[v] & (side | b)).bit_count() >= g
+                    u = s1 | s2 | b
+                    c = _sd_closure(graph, u, g)
+                    assert c & ~(f1 & f2) == 0
+                    if (c | s1) != graph.full_mask:
+                        assert good_mask(graph, c | s1, g) and good_mask(graph, c | s2, g)
+                        assert not dist_mm_mask(graph, c | s1, c | s2)
 
 
 @pytest.mark.parametrize(
@@ -303,6 +402,20 @@ def test_witness_cycle6():
     wit = witness_cycle6()
     assert wit.f1 == {"u1", "u2"} and wit.f2 == {"u4", "u5"}
     assert wit.upper_bound == 1 == tg_formula(3, 2, 1, Model.MM).value
+
+
+def test_witness_size_check_compares_with_the_formula(monkeypatch):
+    assert witness_cycle6().checks["sizes_match_formula"]
+    assert witness_snk2_mm(5).checks["sizes_match_formula"]
+    real = tg_formula
+
+    def off_by_one(n, k, g, model):
+        res = real(n, k, g, model)
+        return type(res)(res.value + 1, res.model, res.method, res.provenance)
+
+    monkeypatch.setattr("stardiag.diagnosability.tg_formula", off_by_one)
+    assert not witness_cycle6().checks["sizes_match_formula"]
+    assert not witness_snk2_mm(5).checks["sizes_match_formula"]
 
 
 # -- crosscheck ----------------------------------------------------------

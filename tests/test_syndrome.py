@@ -174,3 +174,37 @@ def test_syndrome_text_rejects_damage(c6):
     # drop one unit line
     with pytest.raises(DomainError):
         syndrome_from_text(c6, "\n".join(text.splitlines()[:-1]) + "\n")
+    # a unit line naming one vertex
+    with pytest.raises(DomainError):
+        syndrome_from_text(c6, text.splitlines()[0] + "\nu1 -> 0\n")
+
+
+def test_syndrome_text_rejects_bad_outcomes(c6):
+    text = syndrome_to_text(generate_syndrome(build_assignment(c6, Model.PMC), set(), "zeros"))
+    head, first, *rest = text.splitlines()
+    for bad in ("7", "x", "-1", ""):
+        damaged = first.rpartition("->")[0] + "-> " + bad
+        with pytest.raises(DomainError):
+            syndrome_from_text(c6, "\n".join([head, damaged, *rest]) + "\n")
+
+
+def test_syndrome_text_rejects_a_foreign_header(c6, s42):
+    text = syndrome_to_text(generate_syndrome(build_assignment(c6, Model.PMC), set(), "zeros"))
+    assert text.startswith("pmc 3 2 ")
+    with pytest.raises(DomainError):
+        syndrome_from_text(c6, text.replace("pmc 3 2 ", "pmc 4 2 ", 1))
+    with pytest.raises(DomainError):
+        syndrome_from_text(c6, text.replace("pmc 3 2 0 ", "pmc 3 2 x ", 1))  # bad seed
+    s42_text = syndrome_to_text(generate_syndrome(build_assignment(s42, Model.MM), set(), "zeros"))
+    with pytest.raises(DomainError):
+        syndrome_from_text(s42, s42_text.replace("mm 4 2 ", "mm 4 3 ", 1))
+
+
+def test_syndrome_text_rejects_duplicate_units(c6):
+    text = syndrome_to_text(generate_syndrome(build_assignment(c6, Model.PMC), set(), "zeros"))
+    head, first, *rest = text.splitlines()
+    flipped = first.rpartition("->")[0] + "-> 1"
+    with pytest.raises(DomainError):
+        syndrome_from_text(c6, "\n".join([head, first, flipped, *rest]) + "\n")
+    with pytest.raises(DomainError):
+        syndrome_from_text(c6, "\n".join([head, first, first, *rest]) + "\n")
