@@ -12,17 +12,17 @@ import random
 import sys
 import time
 
-from .base import BudgetError, Model, NotApplicableError, StardiagError
+from .base import BudgetError, DomainError, Model, NotApplicableError, StardiagError
 from .diagnosability import (
-    DEFAULT_PAIR_BUDGET,
-    DEFAULT_SD_BUDGET,
+    DEFAULT_ORACLE_BUDGET,
+    build_witness,
+    crosscheck,
     tg_bruteforce,
     tg_formula,
-    witness_cycle6,
-    witness_general,
-    witness_snk2_mm,
+    witness_for,
 )
 from .faults import (
+    DEFAULT_SEARCH_BUDGET,
     good_mask,
     rg_connectivity_bruteforce,
     rg_connectivity_formula,
@@ -104,6 +104,7 @@ def cmd_tg(args) -> int:
         "results": {},
     }
     ok = True
+    witnesses = {}  # built once, whichever models a construction serves
     for model in models:
         entry: dict = {}
         values = {}
@@ -119,9 +120,7 @@ def cmd_tg(args) -> int:
                     values["formula"] = res.value
         if args.method in ("brute", "all"):
             try:
-                res = tg_bruteforce(
-                    graph, args.g, model, pair_budget=args.budget_pair, sd_budget=args.budget_sd
-                )
+                res = tg_bruteforce(graph, args.g, model, args.budget)
                 entry["bruteforce"] = res.value
                 entry["bruteforce_note"] = res.note
                 entry["bruteforce_stats"] = res.stats
@@ -134,18 +133,12 @@ def cmd_tg(args) -> int:
                     raise
                 entry["bruteforce"] = None
                 entry["bruteforce_skipped"] = str(exc)
-        if args.method in ("witness", "all") and params is not None:
-            n, k = params
-            bounds = {}
-            if n >= 4 and 2 <= k <= n - 1 and n - k <= args.g <= n - 2:
-                bounds["general"] = witness_general(n, k, args.g).upper_bound
-            if k == 2 and args.g == 1 and n >= 4 and model is Model.MM:
-                bounds["snk2-mm"] = witness_snk2_mm(n).upper_bound
-            if (n, k, args.g) == (3, 2, 1) and model is Model.MM:
-                bounds["cycle6"] = witness_cycle6().upper_bound
-            if bounds:
-                entry["witness_upper_bounds"] = bounds
-                values.update({f"witness:{name}": b for name, b in bounds.items()})
+        name = witness_for(*params, args.g, model) if params else None
+        if args.method in ("witness", "all") and name:
+            if name not in witnesses:
+                witnesses[name] = build_witness(name, *params, args.g)
+            entry["witness_upper_bounds"] = {name: witnesses[name].upper_bound}
+            values[f"witness:{name}"] = witnesses[name].upper_bound
         if len(set(values.values())) > 1:
             ok = False
             entry["disagreement"] = values
@@ -172,7 +165,7 @@ def cmd_kappa(args) -> int:
                 report["formula_note"] = str(exc)
         report["formula"] = values.get("formula")
     if args.method in ("brute", "all"):
-        brute = rg_connectivity_bruteforce(graph, args.g, budget=args.budget_pair + 8)
+        brute = rg_connectivity_bruteforce(graph, args.g, budget=args.budget)
         report["bruteforce"] = brute if brute is not None else "no cut"
         if brute is not None:
             values["bruteforce"] = brute
@@ -185,12 +178,13 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    if args.construction == "cycle6" or (args.n, args.k, args.g) == (3, 2, 1):
-        wit = witness_cycle6()
-    elif args.construction == "snk2-mm":
-        wit = witness_snk2_mm(args.n)
-    else:
-        wit = witness_general(args.n, args.k, args.g)
+    cell = (args.n, args.k, args.g)
+    name = witness_for(*cell, Model.PMC) or witness_for(*cell, Model.MM)
+    if args.construction not in ("auto", name):
+        raise DomainError(f"the {args.construction} witness does not cover n, k, g = {cell}")
+    if name is None:
+        raise DomainError(f"no witness construction covers n, k, g = {cell}")
+    wit = build_witness(name, *cell)
     report = {"command": "witness", "ok": True, "witness": _witness_dict(wit)}
     _emit(args, report)
     return 0
@@ -217,42 +211,27 @@ def cmd_table(args) -> int:
     ok = True
     for n in range(args.n_min, args.n_max + 1):
         for k in range(1, n):
-            graph = None
             for g in range(1, n):
-                for model in (Model.PMC, Model.MM):
-                    res = tg_formula(n, k, g, model)
+                check = crosscheck(n, k, g, args.budget)
+                ok = ok and check.ok
+                for model in Model:
+                    entry = check.results[model.value]
                     row = {
                         "n": n,
                         "k": k,
                         "g": g,
                         "model": model.value,
-                        "formula": res.value,
+                        "formula": entry["formula"],
                         "status": "formula-only",
                     }
-                    budget = args.budget_sd if model is Model.PMC else args.budget_pair
-                    vertex_count = 1
-                    for i in range(n, n - k, -1):
-                        vertex_count *= i
-                    if vertex_count <= budget:
-                        if graph is None:
-                            graph = from_descriptor(f"nkstar:{n},{k}")
-                        brute = tg_bruteforce(
-                            graph, g, model, pair_budget=args.budget_pair, sd_budget=args.budget_sd
-                        )
-                        row["bruteforce"] = brute.value
-                        if res.applicable and brute.value != res.value:
-                            row["status"] = "DISAGREE"
-                            ok = False
-                        else:
-                            row["status"] = "brute-verified"
-                    elif n >= 4 and 2 <= k <= n - 1 and n - k <= g <= n - 2:
-                        wit = witness_general(n, k, g)
-                        row["witness_upper_bound"] = wit.upper_bound
-                        if wit.upper_bound == res.value:
-                            row["status"] = "witness+formula"
-                        else:
-                            row["status"] = "DISAGREE"
-                            ok = False
+                    if "bruteforce_skipped" not in entry:
+                        row["bruteforce"] = entry["bruteforce"]
+                        row["status"] = "brute-verified"
+                    elif "witness" in entry:
+                        row["witness_upper_bound"] = entry["witness_upper_bound"]
+                        row["status"] = "witness+formula"
+                    if not entry["ok"]:
+                        row["status"] = "DISAGREE"
                     rows.append(row)
     report = {
         "command": "table",
@@ -295,16 +274,13 @@ def cmd_simulate(args) -> int:
     if args.witness:
         if params is None:
             raise StardiagError("--witness needs a star-family graph descriptor")
-        n, k = params
-        if (n, k, args.g) == (3, 2, 1):
-            wit = witness_cycle6()
-            graph = from_descriptor(wit.descriptor)
-        elif k == 2 and args.g == 1 and model is Model.MM:
-            wit = witness_snk2_mm(n)
-            graph = from_descriptor(wit.descriptor)
-        else:
-            wit = witness_general(n, k, args.g)
-            graph = from_descriptor(wit.descriptor)
+        name = witness_for(*params, args.g, model)
+        if name is None:
+            raise DomainError(
+                f"no witness construction covers n, k, g = {(*params, args.g)} under {model.value}"
+            )
+        wit = build_witness(name, *params, args.g)
+        graph = from_descriptor(wit.descriptor)
         assignment = build_assignment(graph, model)
         syn = ambiguity_syndrome(assignment, wit.f1, wit.f2)
         t = max(len(wit.f1), len(wit.f2))
@@ -327,11 +303,8 @@ def cmd_simulate(args) -> int:
         return 0 if ambiguous else 1
 
     # the oracle's value wherever it runs: the closed form has a known gap at S_{3,2}
-    budget = args.budget_sd if model is Model.PMC else args.budget_pair
-    if params is None or graph.vertex_count <= budget:
-        t = tg_bruteforce(
-            graph, args.g, model, pair_budget=args.budget_pair, sd_budget=args.budget_sd
-        ).value
+    if params is None or graph.vertex_count <= args.budget:
+        t = tg_bruteforce(graph, args.g, model, args.budget).value
         t_source = "bruteforce"
     else:
         t = tg_formula(params[0], params[1], args.g, model).value
@@ -382,8 +355,14 @@ def _add_common(p, graph=True):
     p.add_argument(
         "--workers", type=int, default=1, help="ignored; kept so existing command lines still parse"
     )
-    p.add_argument("--budget-pair", type=int, default=DEFAULT_PAIR_BUDGET, dest="budget_pair")
-    p.add_argument("--budget-sd", type=int, default=DEFAULT_SD_BUDGET, dest="budget_sd")
+    p.add_argument(
+        "--budget",
+        "--budget-pair",
+        "--budget-sd",
+        type=int,
+        default=DEFAULT_ORACLE_BUDGET,
+        help="vertex cap of the exhaustive search; --budget-pair and --budget-sd are old spellings",
+    )
     p.add_argument(
         "--budget-diag", type=int, default=DEFAULT_DIAGNOSIS_BUDGET, dest="budget_diag"
     )
@@ -413,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--method", choices=["formula", "brute", "all"], default="all")
-    p.set_defaults(func=cmd_kappa)
+    p.set_defaults(func=cmd_kappa, budget=DEFAULT_SEARCH_BUDGET)
 
     p = sub.add_parser("witness", help="build and verify an indistinguishable pair")
     _add_common(p, graph=False)

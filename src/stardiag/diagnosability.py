@@ -3,7 +3,8 @@
 t_g is computed by an exhaustive oracle over faulty-set pairs, by a
 piecewise closed-form evaluator covering the full (k, g, model) case
 table, and bounded from above by explicit witness-pair constructions.
-The crosscheck entry point runs every applicable method and compares.
+The crosscheck entry point runs every applicable method and compares;
+`witness_for` is the one rule for which construction covers a cell.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from .faults import (
 from .graph import LabelSet, TopologyGraph, _iter_bits
 from .topologies import arrangement_label, build_cycle, build_nk_star, parse_arrangement
 
-#: default vertex caps of the exhaustive oracle: MM* graphs (pair) and PMC graphs (sd)
-DEFAULT_PAIR_BUDGET = 12
-DEFAULT_SD_BUDGET = 16
+#: default vertex cap of the exhaustive oracle, under either model
+DEFAULT_ORACLE_BUDGET = 16
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ def tg_bruteforce(
     graph: TopologyGraph,
     g: int,
     model: Model,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-    sd_budget: int = DEFAULT_SD_BUDGET,
+    budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> DiagnosabilityResult:
     """Exhaustive t_g over all proper g-good-neighbor faulty sets.
 
@@ -87,13 +86,12 @@ def tg_bruteforce(
     the proper admissible sets are exactly the nonempty sets inducing min
     degree >= g.  Both models take P from the symmetric-difference scan;
     MM* with g <= 1 admits bridge vertices there, and for g >= 2 it is the
-    PMC scan unchanged.  PMC graphs are capped at `sd_budget` vertices,
-    MM* graphs at `pair_budget`.
+    PMC scan unchanged.  Graphs are capped at `budget` vertices.
     """
     if g < 0:
         raise DomainError("g must be nonnegative")
     n = graph.vertex_count
-    if n > (sd_budget if model is Model.PMC else pair_budget):
+    if n > budget:
         raise BudgetError(
             f"{n} vertices over the {model.value} brute-force budget"
         )
@@ -588,6 +586,35 @@ def witness_cycle6() -> WitnessReport:
     )
 
 
+def witness_for(n: int, k: int, g: int, model: Model) -> str | None:
+    """The witness construction that covers cell (n, k, g) under `model`, or None.
+
+    The three constructions cover disjoint cells, so at most one applies:
+    `general` covers n >= 4, 2 <= k <= n-1, n-k <= g <= n-2 under both
+    models; `snk2-mm` covers S_{n,2} with n >= 4 and g = 1, and `cycle6`
+    covers S_{3,2} with g = 1, both under MM* only.
+    """
+    if n >= 4 and 2 <= k <= n - 1 and n - k <= g <= n - 2:
+        return "general"
+    if model is Model.MM and k == 2 and g == 1:
+        if n >= 4:
+            return "snk2-mm"
+        if n == 3:
+            return "cycle6"
+    return None
+
+
+def build_witness(name: str, n: int, k: int, g: int) -> WitnessReport:
+    """Build the construction `name` that `witness_for` picked for cell (n, k, g)."""
+    if name == "general":
+        return witness_general(n, k, g)
+    if name == "snk2-mm":
+        return witness_snk2_mm(n)
+    if name == "cycle6":
+        return witness_cycle6()
+    raise DomainError(f"unknown witness construction {name!r}")
+
+
 # -- crosscheck ----------------------------------------------------------
 
 
@@ -613,65 +640,46 @@ class CrosscheckReport:
         }
 
 
-def crosscheck(
-    n: int,
-    k: int,
-    g: int,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-    sd_budget: int = DEFAULT_SD_BUDGET,
-) -> CrosscheckReport:
-    """Run every applicable t_g method for both models and compare."""
+def crosscheck(n: int, k: int, g: int, budget: int = DEFAULT_ORACLE_BUDGET) -> CrosscheckReport:
+    """Run every applicable t_g method for both models and compare.
+
+    S_{n,k} is built only when the oracle's `budget` admits it, and the
+    witness that covers the cell is built once, whichever models it serves.
+    Each model's entry records `ok`: its brute-force value and witness bound
+    both match its formula.
+    """
     report = CrosscheckReport(n=n, k=k, g=g)
-    graph = build_nk_star(n, k)
-    for model in (Model.PMC, Model.MM):
-        entry: dict = {}
-        formula = tg_formula(n, k, g, model)
-        entry["formula"] = formula.value
-        entry["formula_provenance"] = formula.provenance or formula.note
-        budget = sd_budget if model is Model.PMC else pair_budget
-        if graph.vertex_count <= budget:
-            brute = tg_bruteforce(graph, g, model, pair_budget=pair_budget, sd_budget=sd_budget)
+    formulas = {model: tg_formula(n, k, g, model) for model in Model}
+    graph = build_nk_star(n, k) if math.perm(n, k) <= budget else None
+    witnesses: dict[str, WitnessReport] = {}
+    for model, formula in formulas.items():
+        entry: dict = {
+            "formula": formula.value,
+            "formula_provenance": formula.provenance or formula.note,
+        }
+        mismatches = []
+        if graph is None:
+            entry["bruteforce"] = None
+            entry["bruteforce_skipped"] = "over budget"
+        else:
+            brute = tg_bruteforce(graph, g, model, budget)
             entry["bruteforce"] = brute.value
             if brute.pair:
                 entry["bruteforce_pair"] = [list(p) for p in brute.pair]
             if formula.applicable and brute.value != formula.value:
-                report.ok = False
-                report.notes.append(
-                    f"{model.value}: brute force {brute.value} != formula {formula.value}"
-                )
-        else:
-            entry["bruteforce"] = None
-            entry["bruteforce_skipped"] = "over budget"
+                mismatches.append(f"brute force {brute.value}")
+        name = witness_for(n, k, g, model)
+        if name is not None:
+            if name not in witnesses:
+                witnesses[name] = build_witness(name, n, k, g)
+            bound = witnesses[name].upper_bound
+            entry.update(witness=name, witness_upper_bound=bound)
+            if bound != formula.value:
+                mismatches.append(f"{name} witness bound {bound}")
+        entry["ok"] = not mismatches
+        report.notes += [f"{model.value}: {m} != formula {formula.value}" for m in mismatches]
         report.results[model.value] = entry
-
-    witnesses = {}
-    if n >= 4 and 2 <= k <= n - 1 and n - k <= g <= n - 2:
-        wit = witness_general(n, k, g)
-        witnesses["general"] = wit
-        expected = tg_formula(n, k, g, Model.PMC).value
-        if wit.upper_bound != expected:
-            report.ok = False
-            report.notes.append(
-                f"general witness bound {wit.upper_bound} != formula {expected}"
-            )
-    if k == 2 and g == 1 and n >= 4:
-        wit = witness_snk2_mm(n)
-        witnesses["snk2-mm"] = wit
-        expected = tg_formula(n, k, g, Model.MM).value
-        if wit.upper_bound != expected:
-            report.ok = False
-            report.notes.append(
-                f"S_{{n,2}} MM* witness bound {wit.upper_bound} != formula {expected}"
-            )
-    if (n, k, g) == (3, 2, 1):
-        wit = witness_cycle6()
-        witnesses["cycle6"] = wit
-        expected = tg_formula(n, k, g, Model.MM).value
-        if wit.upper_bound != expected:
-            report.ok = False
-            report.notes.append(
-                f"six-cycle witness bound {wit.upper_bound} != formula {expected}"
-            )
+    report.ok = not report.notes
     report.results["witnesses"] = {
         name: {"sizes": w.sizes, "upper_bound": w.upper_bound, "checks": w.checks}
         for name, w in witnesses.items()

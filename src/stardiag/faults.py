@@ -8,26 +8,13 @@ searches in the diagnosability module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .base import BudgetError, DomainError, Model, NotApplicableError, VerificationError
-from .graph import LabelSet, TopologyGraph, _iter_bits
+from .graph import TopologyGraph, _iter_bits
 
 #: default vertex cap for the exhaustive searches in this module
 DEFAULT_SEARCH_BUDGET = 20
-
-
-@dataclass(frozen=True)
-class FaultPair:
-    """Two distinct faulty-set hypotheses on the same graph."""
-
-    f1: LabelSet
-    f2: LabelSet
-
-    def __post_init__(self):
-        if self.f1 == self.f2:
-            raise DomainError("a fault pair needs two distinct sets")
 
 
 # -- g-good-neighbor predicates -----------------------------------------

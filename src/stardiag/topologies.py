@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 
 from .base import DomainError, VerificationError
-from .graph import TopologyGraph
+from .graph import TopologyGraph, _iter_bits
 
 #: default cap on generated vertices (7! keeps exhaustive checks tractable)
 DEFAULT_VERTEX_BUDGET = 5040
@@ -37,9 +37,13 @@ def arrangements(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 def canonical_vertex_enumeration(n: int, k: int) -> list[str]:
-    """Lexicographically sorted labels of all k-arrangements of 1..n."""
+    """Labels of all k-arrangements of 1..n in the graph's index order.
+
+    That order sorts the labels as strings, so for n >= 10 it is not the
+    numeric order of the arrangements: "1-10" comes before "1-2".
+    """
     _check_nk(n, k)
-    return [arrangement_label(p, n) for p in arrangements(n, k)]
+    return sorted(arrangement_label(p, n) for p in arrangements(n, k))
 
 
 def _check_nk(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_BUDGET):
@@ -211,7 +215,7 @@ def verify_split(
             raise VerificationError(
                 f"fiber {pref!r} has {fmask.bit_count()} vertices, expected {t}"
             )
-        for i in _bits(fmask):
+        for i in _iter_bits(fmask):
             if split.nbr_masks[i] & fmask:
                 raise VerificationError(f"fiber {pref!r} is not independent in the split graph")
 
@@ -219,7 +223,7 @@ def verify_split(
     for x, y in base.edges():
         fx, fy = fibers[x], fibers[y]
         matched = 0
-        for i in _bits(fx):
+        for i in _iter_bits(fx):
             link = split.nbr_masks[i] & fy
             if link.bit_count() != 1:
                 raise VerificationError(
@@ -240,10 +244,3 @@ def verify_split(
             )
 
     return SplitWitness(base=base, split=split, projection=projection, t=t)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

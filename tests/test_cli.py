@@ -1,6 +1,12 @@
 import json
+from pathlib import Path
 
-from stardiag.cli import main
+import pytest
+
+from stardiag.base import DomainError
+from stardiag.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -132,6 +138,30 @@ def test_witness_subcommand(capsys):
     assert all(wit["checks"].values())
 
 
+def test_witness_auto_builds_snk2_mm(capsys):
+    code, report = run_json(capsys, "witness", "--n", "5", "--k", "2", "--g", "1")
+    assert code == 0
+    assert report["witness"]["construction"] == "snk2-mm"
+    assert report["witness"]["upper_bound"] == 4
+
+
+@pytest.mark.parametrize(
+    "construction, cell", [("general", ("3", "2", "1")), ("snk2-mm", ("5", "2", "3"))]
+)
+def test_witness_refuses_a_construction_off_its_cells(capsys, construction, cell):
+    n, k, g = cell
+    code = main(["witness", "--n", n, "--k", k, "--g", g, "--construction", construction])
+    assert code == 2
+    assert "does not cover" in capsys.readouterr().err
+
+
+def test_simulate_witness_refuses_an_uncovered_cell():
+    argv = ["simulate", "--graph", "nkstar:3,2", "--g", "1", "--model", "pmc", "--witness"]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(DomainError, match="no witness construction covers"):
+        args.func(args)
+
+
 def test_split_subcommand(capsys):
     code, report = run_json(capsys, "split", "--n", "4", "--k", "2")
     assert code == 0 and report["ok"]
@@ -158,6 +188,34 @@ def test_table_n3_flags_the_pmc_gap(capsys):
             "formula": 3,
             "bruteforce": 2,
             "status": "DISAGREE",
+        }
+    ]
+
+
+def test_table_builds_each_witness_once(capsys, monkeypatch):
+    import stardiag.diagnosability as diagnosability
+
+    calls = []
+    real = diagnosability.witness_general
+
+    def counted(*cell):
+        calls.append(cell)
+        return real(*cell)
+
+    monkeypatch.setattr(diagnosability, "witness_general", counted)
+    code, report = run_json(capsys, "table", "--n-min", "4", "--n-max", "5")
+    assert code == 0 and report["ok"]
+    assert len(calls) == len(set(calls)) == 3 + 6  # the general cells of n = 4 and n = 5
+    row = [r for r in report["rows"] if (r["n"], r["k"], r["g"], r["model"]) == (5, 2, 1, "mm")]
+    assert row == [
+        {
+            "n": 5,
+            "k": 2,
+            "g": 1,
+            "model": "mm",
+            "formula": 4,
+            "witness_upper_bound": 4,
+            "status": "witness+formula",
         }
     ]
 
@@ -230,3 +288,27 @@ def test_out_flag_writes_report(capsys, tmp_path):
     assert code == 0
     report = json.loads(path.read_text())
     assert report["results"]["pmc"]["formula"] == 1
+
+
+def test_budget_spellings_set_one_value():
+    parse = build_parser().parse_args
+    tg = ["tg", "--graph", "nkstar:4,2", "--g", "1"]
+    assert parse(tg).budget == 16
+    assert parse([*tg, "--budget-pair", "11", "--budget-sd", "30"]).budget == 30
+    assert parse([*tg, "--budget-sd", "30", "--budget", "12"]).budget == 12
+    assert parse(["kappa", "--graph", "nkstar:4,2", "--g", "1"]).budget == 20
+    assert parse(["kappa", "--graph", "nkstar:4,2", "--g", "1", "--budget-pair", "9"]).budget == 9
+
+
+def test_benchmark_command_lines_parse(monkeypatch):
+    # the benchmark drives the CLI with --budget-pair, --budget-sd and --workers
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.workloads import WORKLOADS, build
+
+    parser = build_parser()
+    for name in WORKLOADS:
+        workload = build(name, seed=1)
+        argvs = [item.argv for item in workload.items]
+        argvs += [cell.argv for rung in workload.ladder for cell in rung.cells]
+        for argv in argvs:
+            parser.parse_args(argv)

@@ -8,10 +8,12 @@ from stardiag import (
     build_complete,
     build_cycle,
     build_nk_star,
+    build_witness,
     crosscheck,
     tg_bruteforce,
     tg_formula,
     witness_cycle6,
+    witness_for,
     witness_general,
     witness_snk2_mm,
 )
@@ -26,6 +28,7 @@ from stardiag.faults import (
     is_g_good_neighbor,
     min_subgraph_size_oracle,
 )
+from stardiag.topologies import DEFAULT_VERTEX_BUDGET
 
 
 # -- closed forms --------------------------------------------------------
@@ -141,9 +144,9 @@ def test_bruteforce_rejects_negative_g():
 def test_bruteforce_budget_errors():
     s52 = build_nk_star(5, 2)  # 20 vertices
     with pytest.raises(BudgetError):
-        tg_bruteforce(s52, 1, Model.MM)  # over the pair budget
+        tg_bruteforce(s52, 1, Model.MM)  # over the default budget
     with pytest.raises(BudgetError):
-        tg_bruteforce(s52, 1, Model.PMC)  # over the default SD budget too
+        tg_bruteforce(s52, 1, Model.PMC)  # under either model
 
 
 def test_bruteforce_workers_agree():
@@ -165,8 +168,8 @@ def test_mm_value_never_exceeds_pmc_value():
         build_complete(5),
     ):
         for g in range(1, 4):
-            pmc = tg_bruteforce(graph, g, Model.PMC, pair_budget=12)
-            mm = tg_bruteforce(graph, g, Model.MM, pair_budget=12)
+            pmc = tg_bruteforce(graph, g, Model.PMC, budget=12)
+            mm = tg_bruteforce(graph, g, Model.MM, budget=12)
             if pmc.applicable and mm.applicable:
                 assert mm.value <= pmc.value
 
@@ -334,7 +337,7 @@ def test_bruteforce_settles_the_ladder(n, k, values):
     graph = build_nk_star(n, k)
     for g, expected in enumerate(values, 1):
         assert tg_formula(n, k, g, Model.PMC).value == expected
-        assert tg_bruteforce(graph, g, Model.PMC, sd_budget=30).value == expected, g
+        assert tg_bruteforce(graph, g, Model.PMC, budget=30).value == expected, g
 
 
 def test_formula_matches_bruteforce_where_both_exist():
@@ -418,6 +421,50 @@ def test_witness_size_check_compares_with_the_formula(monkeypatch):
     assert not witness_snk2_mm(5).checks["sizes_match_formula"]
 
 
+def _table_cells(n_max):
+    for n in range(3, n_max + 1):
+        for k in range(1, n):
+            for g in range(1, n):
+                yield n, k, g
+
+
+def test_witness_for_builds_what_it_names():
+    # every cell the rule assigns, up to n = 8, builds and certifies the
+    # closed form exactly; S_{8,k} for k >= 5 is over the vertex cap
+    for n, k, g in _table_cells(8):
+        names = {model: witness_for(n, k, g, model) for model in Model}
+        name = names[Model.PMC] or names[Model.MM]
+        if name is None:
+            continue
+        if math.perm(n, k) > DEFAULT_VERTEX_BUDGET:
+            assert name == "general", (n, k, g)
+            continue
+        wit = build_witness(name, n, k, g)
+        assert wit.construction == name
+        assert wit.checks["indistinguishable_mm"]
+        for model in Model:
+            if names[model] is not None:
+                assert wit.upper_bound == tg_formula(n, k, g, model).value, (n, k, g, model)
+                assert wit.checks["indistinguishable_pmc"] or model is Model.MM
+
+
+def test_witness_for_gives_no_cell_two_constructions():
+    covered = {}
+    for n, k, g in _table_cells(12):
+        names = {witness_for(n, k, g, model) for model in Model} - {None}
+        assert len(names) <= 1, (n, k, g, names)
+        for name in names:
+            covered.setdefault(name, set()).add((n, k, g))
+        if "general" not in names:
+            with pytest.raises(DomainError):
+                witness_general(n, k, g)  # the builder's guard agrees with the rule
+    assert covered["cycle6"] == {(3, 2, 1)}
+    assert covered["snk2-mm"] == {(n, 2, 1) for n in range(4, 13)}
+    assert witness_for(5, 2, 1, Model.PMC) is None
+    with pytest.raises(DomainError):
+        build_witness("petersen", 5, 2, 1)
+
+
 # -- crosscheck ----------------------------------------------------------
 
 
@@ -428,6 +475,9 @@ def test_crosscheck_agreeing_case():
     assert report.results["pmc"]["bruteforce"] == 5
     assert report.results["mm"]["bruteforce"] == 5
     assert "general" in report.results["witnesses"]
+    for model in ("pmc", "mm"):
+        assert report.results[model]["witness_upper_bound"] == 5
+        assert report.results[model]["ok"]
     d = report.to_dict()
     assert d["ok"] and d["n"] == 4
 

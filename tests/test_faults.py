@@ -19,7 +19,7 @@ from stardiag import (
 )
 from stardiag import faults
 from stardiag.base import BudgetError, DomainError, NotApplicableError, VerificationError
-from stardiag.faults import FaultPair, _connected_subsets, good_faulty_sets
+from stardiag.faults import _connected_subsets, good_faulty_sets
 
 from conftest import random_graph, small_graphs
 
@@ -69,12 +69,6 @@ def test_good_faulty_sets_reference(c6):
             if all(len(c6.neighbors(v) & rest) >= 1 for v in rest):
                 expected += 1
     assert len(good_faulty_sets(c6, 1)) == expected
-
-
-def test_fault_pair_requires_distinct_sets():
-    with pytest.raises(DomainError):
-        FaultPair(frozenset({"a"}), frozenset({"a"}))
-    FaultPair(frozenset({"a"}), frozenset({"b"}))
 
 
 # -- distinguishability --------------------------------------------------

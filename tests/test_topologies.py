@@ -34,6 +34,11 @@ def test_canonical_enumeration_is_sorted_and_complete():
     assert len(labs) == 12
     assert labs == sorted(labs)
     assert labs[0] == "12" and labs[-1] == "43"
+    # above nine symbols the string order is not the numeric one: "1-10" < "1-2"
+    for n, k in [(4, 2), (10, 2)]:
+        labs = canonical_vertex_enumeration(n, k)
+        assert labs == sorted(labs) == list(build_nk_star(n, k).labels)
+    assert canonical_vertex_enumeration(10, 2)[:3] == ["1-10", "1-2", "1-3"]
 
 
 def test_nk_star_counts_and_regularity():
