@@ -11,6 +11,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 
 from .base import BudgetError, DomainError, Model, NotApplicableError, StardiagError
 from .diagnosability import (
@@ -284,7 +285,8 @@ def cmd_simulate(args) -> int:
         assignment = build_assignment(graph, model)
         syn = ambiguity_syndrome(assignment, wit.f1, wit.f2)
         t = max(len(wit.f1), len(wit.f2))
-        candidates = diagnose(graph, syn, t, args.g, budget=args.budget_diag)
+        search: dict = {}
+        candidates = diagnose(graph, syn, t, args.g, budget=args.budget_diag, stats=search)
         sets = [sorted(c) for c in candidates]
         ambiguous = sorted(wit.f1) in sets and sorted(wit.f2) in sets and len(sets) >= 2
         report.update(
@@ -294,6 +296,7 @@ def cmd_simulate(args) -> int:
                 "t": t,
                 "t_source": "witness",
                 "consistent_hypotheses": sets,
+                "diagnosis_stats": search,
                 "ambiguous": ambiguous,
                 "ok": ambiguous,
             }
@@ -315,11 +318,14 @@ def cmd_simulate(args) -> int:
     assignment = build_assignment(graph, model)
     trials = []
     successes = 0
+    totals: Counter = Counter()  # search counters summed over the trials
     for trial in range(args.trials):
         fmask = _random_good_set(graph, args.g, t, rng)
         truth = graph.labels_of(fmask)
         syn = generate_syndrome(assignment, truth, args.strategy, seed=rng.getrandbits(64))
-        found = diagnose(graph, syn, t, args.g, budget=args.budget_diag)
+        search: dict = {}
+        found = diagnose(graph, syn, t, args.g, budget=args.budget_diag, stats=search)
+        totals.update(search)
         unique = found == [truth]
         successes += unique
         trials.append(
@@ -339,6 +345,7 @@ def cmd_simulate(args) -> int:
             "strategy": args.strategy,
             "trials": args.trials,
             "unique_diagnoses": successes,
+            "diagnosis_stats": dict(totals),
             "ok": ok,
             "trial_log": trials if args.trials <= 10 else trials[:10],
         }

@@ -25,7 +25,13 @@ from .faults import (
     min_subgraph_size_oracle,
 )
 from .graph import LabelSet, TopologyGraph, _iter_bits
-from .topologies import arrangement_label, build_cycle, build_nk_star, parse_arrangement
+from .topologies import (
+    DEFAULT_VERTEX_BUDGET,
+    arrangement_label,
+    build_cycle,
+    build_nk_star,
+    parse_arrangement,
+)
 
 #: default vertex cap of the exhaustive oracle, under either model
 DEFAULT_ORACLE_BUDGET = 16
@@ -92,9 +98,7 @@ def tg_bruteforce(
         raise DomainError("g must be nonnegative")
     n = graph.vertex_count
     if n > budget:
-        raise BudgetError(
-            f"{n} vertices over the {model.value} brute-force budget"
-        )
+        raise BudgetError(f"{n} vertices over the brute-force budget of {budget}")
     stats: dict = {}
     started = time.perf_counter()
     smallest = min_subgraph_size_oracle(graph, g, budget=n)
@@ -645,8 +649,10 @@ def crosscheck(n: int, k: int, g: int, budget: int = DEFAULT_ORACLE_BUDGET) -> C
 
     S_{n,k} is built only when the oracle's `budget` admits it, and the
     witness that covers the cell is built once, whichever models it serves.
-    Each model's entry records `ok`: its brute-force value and witness bound
-    both match its formula.
+    Every construction lives on S_{n,k}, so a witness over `build_nk_star`'s
+    vertex cap is skipped and recorded as `witness_skipped`.  Each model's
+    entry records `ok`: its brute-force value and witness bound both match
+    its formula.
     """
     report = CrosscheckReport(n=n, k=k, g=g)
     formulas = {model: tg_formula(n, k, g, model) for model in Model}
@@ -669,7 +675,9 @@ def crosscheck(n: int, k: int, g: int, budget: int = DEFAULT_ORACLE_BUDGET) -> C
             if formula.applicable and brute.value != formula.value:
                 mismatches.append(f"brute force {brute.value}")
         name = witness_for(n, k, g, model)
-        if name is not None:
+        if name is not None and math.perm(n, k) > DEFAULT_VERTEX_BUDGET:
+            entry["witness_skipped"] = "over budget"
+        elif name is not None:
             if name not in witnesses:
                 witnesses[name] = build_witness(name, n, k, g)
             bound = witnesses[name].upper_bound

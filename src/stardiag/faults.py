@@ -22,14 +22,7 @@ DEFAULT_SEARCH_BUDGET = 20
 
 def good_mask(graph: TopologyGraph, fmask: int, g: int) -> bool:
     """True iff every vertex outside `fmask` keeps >= g neighbors outside it."""
-    rest = graph.full_mask & ~fmask
-    r = rest
-    while r:
-        low = r & -r
-        r ^= low
-        if (graph.nbr_masks[low.bit_length() - 1] & rest).bit_count() < g:
-            return False
-    return True
+    return has_min_degree(graph, graph.full_mask & ~fmask, g)
 
 
 def has_min_degree(graph: TopologyGraph, mask: int, g: int) -> bool:

@@ -19,7 +19,7 @@ from .topologies import descriptor_params
 
 STRATEGIES = ("random", "zeros", "ones")
 
-#: default vertex cap for exhaustive hypothesis enumeration
+#: default vertex cap of `diagnose`
 DEFAULT_DIAGNOSIS_BUDGET = 16
 
 
@@ -158,31 +158,135 @@ def diagnose(
     g: int,
     first_two: bool = False,
     budget: int = DEFAULT_DIAGNOSIS_BUDGET,
+    stats: dict | None = None,
 ) -> list[frozenset]:
     """All proper g-good-neighbor hypotheses of size <= t consistent with the syndrome.
 
-    Hypotheses are enumerated in increasing size then lexicographic label
-    order; with first_two=True the scan stops as soon as ambiguity is
-    established.  An empty result means the true fault count exceeded t.
+    Hypotheses come in increasing size then lexicographic label order;
+    with first_two=True only the first two are returned.  An empty result
+    means the true fault count exceeded t.
+
+    A depth-first search assigns each vertex a status, faulty or
+    fault-free, and after every step closes the assignment under the
+    syndrome's clauses, each read off a unit whose controller is
+    fault-free:
+
+    - PMC (u->v, b): u fault-free forces v to status b, and v taking the
+      other status forces u faulty.
+    - MM* (u, v; w, 0): w fault-free forces u and v fault-free, and a
+      faulty u or v forces w faulty.
+    - MM* (u, v; w, 1): w fault-free needs u or v faulty, so u, v and w
+      are never all fault-free: once two of them are, the third is forced
+      faulty.
+
+    A branch is cut when two clauses force a vertex both ways, when more
+    than min(t, |V|-1) vertices are faulty, or when a fault-free vertex
+    has fewer than g neighbors outside the faulty set.  Once min(t, |V|-1)
+    vertices are faulty every other vertex is fault-free.  A full
+    assignment satisfies every clause, so it is consistent with the
+    syndrome; it is kept when it also passes `good_mask`.
+
+    `stats`, when given, receives the work counters of the search:
+    search nodes, assignments forced by the clauses, and full assignments.
     """
     n = graph.vertex_count
     if n > budget:
         raise BudgetError(f"{n} vertices over the diagnosis budget of {budget}")
     if syndrome.assignment.graph is not graph and syndrome.assignment.graph != graph:
         raise DomainError("syndrome is bound to a different graph")
+    limit = min(t, n - 1)
+    full = graph.full_mask
+    nbr = graph.nbr_masks
+    # per vertex x: x faulty forces these faulty; x fault-free forces these
+    # faulty, or these fault-free; x and a fault-free force b faulty, per (a, b)
+    faulty_faulty = [0] * n
+    free_faulty = [0] * n
+    free_free = [0] * n
+    triples: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v, w), bit in zip(syndrome.assignment.units, syndrome.outcomes):
+        bu, bv = 1 << u, 1 << v
+        if w is None:
+            if bit:
+                free_faulty[u] |= bv
+                free_faulty[v] |= bu
+            else:
+                free_free[u] |= bv
+                faulty_faulty[v] |= bu
+        elif bit:
+            bw = 1 << w
+            triples[u].append((bv, bw))
+            triples[v].append((bu, bw))
+            triples[w].append((bu, bv))
+        else:
+            free_free[w] |= bu | bv
+            faulty_faulty[u] |= 1 << w
+            faulty_faulty[v] |= 1 << w
+    nodes = forced = leaves = 0
+
+    def settle(faulty, free, new_faulty, new_free):
+        """Close (faulty, free) under the clauses, from the newly assigned vertices.
+
+        Returns the closed pair, or None on a conflict or too many faults.
+        """
+        nonlocal forced
+        while new_faulty or new_free:
+            want_faulty = want_free = 0
+            m = new_faulty
+            while m:
+                low = m & -m
+                m ^= low
+                want_faulty |= faulty_faulty[low.bit_length() - 1]
+            m = new_free
+            while m:
+                low = m & -m
+                m ^= low
+                x = low.bit_length() - 1
+                want_faulty |= free_faulty[x]
+                want_free |= free_free[x]
+                for a, b in triples[x]:
+                    if a & free:
+                        want_faulty |= b
+                    if b & free:
+                        want_faulty |= a
+            if want_faulty & (free | want_free) or want_free & faulty:
+                return None
+            new_faulty = want_faulty & ~faulty
+            new_free = want_free & ~free
+            faulty |= new_faulty
+            free |= new_free
+            forced += new_faulty.bit_count() + new_free.bit_count()
+            if faulty.bit_count() > limit:
+                return None
+        return faulty, free
+
     found = []
-    for size in range(min(t, n - 1) + 1):
-        for combo in combinations(range(n), size):
-            fmask = 0
-            for i in combo:
-                fmask |= 1 << i
-            if not good_mask(graph, fmask, g):
+    stack = [(0, 0)] if limit >= 0 else []
+    while stack:
+        faulty, free = stack.pop()
+        nodes += 1
+        rest = full & ~faulty
+        if any((nbr[x] & rest).bit_count() < g for x in _iter_bits(free)):
+            continue
+        open_ = rest & ~free
+        if open_ and faulty.bit_count() == limit:
+            if settle(faulty, free | open_, 0, open_) is None:
                 continue
-            if consistent_mask(syndrome.assignment, syndrome.outcomes, fmask):
-                found.append(graph.labels_of(fmask))
-                if first_two and len(found) >= 2:
-                    return found
-    return found
+            open_ = 0
+        if not open_:
+            leaves += 1
+            if good_mask(graph, faulty, g):
+                found.append(faulty)
+            continue
+        x = open_ & -open_
+        for state in (settle(faulty | x, free, x, 0), settle(faulty, free | x, 0, x)):
+            if state is not None:
+                stack.append(state)
+    if stats is not None:
+        stats.update(search_nodes=nodes, forced=forced, leaves=leaves)
+    found.sort(key=lambda fmask: (fmask.bit_count(), tuple(_iter_bits(fmask))))
+    if first_two:
+        found = found[:2]
+    return [graph.labels_of(fmask) for fmask in found]
 
 
 # -- syndrome file format ------------------------------------------------

@@ -220,6 +220,14 @@ def test_table_builds_each_witness_once(capsys, monkeypatch):
     ]
 
 
+def test_table_leaves_over_cap_witnesses_formula_only(capsys):
+    # the general witness of S_{8,k} for k >= 5 needs a graph over the 5040-vertex cap
+    code, report = run_json(capsys, "table", "--n-min", "8", "--n-max", "8")
+    assert code == 0 and report["ok"] and len(report["rows"]) == 98
+    assert {row["status"] for row in report["rows"] if row["k"] >= 5} == {"formula-only"}
+    assert any(row["status"] == "witness+formula" for row in report["rows"] if row["k"] == 4)
+
+
 def test_simulate_injection_unique_diagnoses(capsys):
     code, report = run_json(
         capsys,
@@ -240,6 +248,24 @@ def test_simulate_injection_unique_diagnoses(capsys):
     assert report["unique_diagnoses"] == 5
     for trial in report["trial_log"]:
         assert trial["unique"] and trial["candidates"] == [trial["truth"]]
+    assert report["diagnosis_stats"]["leaves"] >= 5  # summed over the trials
+
+
+def test_simulate_reaches_30_vertices(capsys):
+    # the benchmark's diagnosis ladder above 20 vertices, under the default oracle cap;
+    # the clauses settle each syndrome after a branch or two, so the search stays small
+    nodes = trials = 0
+    for graph in ("nkstar:4,3", "nkstar:6,2"):
+        for model in ("pmc", "mm"):
+            for g in ("1", "2"):
+                code, report = run_json(
+                    capsys, "simulate", "--graph", graph, "--g", g, "--model", model,
+                    "--trials", "3", "--budget-diag", "30", "--seed", "5",
+                )
+                assert code == 0 and report["unique_diagnoses"] == 3, (graph, model, g)
+                nodes += report["diagnosis_stats"]["search_nodes"]
+                trials += 3
+    assert nodes <= 4 * trials
 
 
 def test_simulate_takes_t_from_the_oracle_at_the_gap(capsys):
@@ -273,6 +299,7 @@ def test_simulate_witness_ambiguity(capsys):
     sets = report["consistent_hypotheses"]
     assert sorted(report["witness"]["F1"]) in sets
     assert sorted(report["witness"]["F2"]) in sets
+    assert report["diagnosis_stats"]["leaves"] >= len(sets)
 
 
 def test_error_exit_code(capsys):

@@ -143,10 +143,11 @@ def test_bruteforce_rejects_negative_g():
 
 def test_bruteforce_budget_errors():
     s52 = build_nk_star(5, 2)  # 20 vertices
-    with pytest.raises(BudgetError):
+    message = "20 vertices over the brute-force budget of 16"
+    with pytest.raises(BudgetError, match=message):
         tg_bruteforce(s52, 1, Model.MM)  # over the default budget
-    with pytest.raises(BudgetError):
-        tg_bruteforce(s52, 1, Model.PMC)  # under either model
+    with pytest.raises(BudgetError, match=message):
+        tg_bruteforce(s52, 1, Model.PMC)  # under either model, in the same words
 
 
 def test_bruteforce_workers_agree():
@@ -480,6 +481,15 @@ def test_crosscheck_agreeing_case():
         assert report.results[model]["ok"]
     d = report.to_dict()
     assert d["ok"] and d["n"] == 4
+
+
+def test_crosscheck_skips_a_witness_over_the_vertex_cap():
+    # the general witness of S_{8,5} needs 6720 vertices, over build_nk_star's cap
+    report = crosscheck(8, 5, 3)
+    assert report.ok and report.results["witnesses"] == {}
+    for model in ("pmc", "mm"):
+        entry = report.results[model]
+        assert entry["witness_skipped"] == "over budget" and "witness" not in entry
 
 
 def test_crosscheck_reports_known_pmc_gap_at_3_2_1():

@@ -19,7 +19,7 @@ from stardiag import (
 )
 from stardiag import faults
 from stardiag.base import BudgetError, DomainError, NotApplicableError, VerificationError
-from stardiag.faults import _connected_subsets, good_faulty_sets
+from stardiag.faults import _connected_subsets, good_faulty_sets, good_mask, has_min_degree
 
 from conftest import random_graph, small_graphs
 
@@ -32,6 +32,21 @@ def test_good_neighbor_basic(s42):
     assert is_g_good_neighbor(s42, {"12"}, 2)
     assert not is_g_good_neighbor(s42, {"12"}, 3)  # neighbors of 12 drop to degree 2
     assert is_g_good_neighbor(s42, set(s42.labels), 5)  # F = V is vacuously good
+
+
+def test_good_mask_is_min_degree_of_the_complement():
+    rng = random.Random(3)
+    for graph in small_graphs(12):
+        full = graph.full_mask
+        for _ in range(40):
+            fmask = rng.getrandbits(graph.vertex_count)
+            for g in range(4):
+                by_definition = all(
+                    len(graph.neighbors(lab) - graph.labels_of(fmask)) >= g
+                    for lab in graph.labels_of(full & ~fmask)
+                )
+                assert good_mask(graph, fmask, g) == by_definition, (graph.descriptor, fmask, g)
+                assert good_mask(graph, fmask, g) == has_min_degree(graph, full & ~fmask, g)
 
 
 def test_good_neighbor_monotone_in_g(c6, s42):

@@ -8,14 +8,22 @@ from stardiag import (
     ambiguity_syndrome,
     build_assignment,
     build_complete,
+    build_nk_star,
+    build_witness,
     diagnose,
     generate_syndrome,
     is_consistent,
     syndrome_from_text,
     syndrome_to_text,
     witness_cycle6,
+    witness_for,
 )
 from stardiag.base import BudgetError, DomainError, VerificationError
+from stardiag.syndrome import STRATEGIES
+from stardiag.topologies import from_descriptor
+
+from conftest import small_graphs
+from reference_diagnose import diagnose as reference_diagnose
 
 
 def test_assignment_unit_counts(s42, c6):
@@ -119,6 +127,68 @@ def test_diagnose_budget(s42):
     syn = generate_syndrome(assignment, set(), "zeros")
     with pytest.raises(BudgetError):
         diagnose(s42, syn, 1, 1, budget=4)
+
+
+def _witness_cases():
+    """(graph, ambiguity syndrome, t, g) for every witness cell on S_{3,2}, S_{4,2} and S_{5,2}."""
+    for n in (3, 4, 5):
+        for g in range(1, n):
+            for model in Model:
+                name = witness_for(n, 2, g, model)
+                if name:
+                    wit = build_witness(name, n, 2, g)
+                    graph = from_descriptor(wit.descriptor)
+                    syn = ambiguity_syndrome(build_assignment(graph, model), wit.f1, wit.f2)
+                    yield graph, syn, max(len(wit.f1), len(wit.f2)), g
+
+
+def test_diagnose_matches_the_reference_enumeration():
+    rng = random.Random(6)
+    cases = list(_witness_cases())
+    assert len(cases) == 7
+    s52 = build_nk_star(5, 2)
+    for graph in small_graphs(12) + [s52]:
+        for model in Model:
+            assignment = build_assignment(graph, model)
+            for g in range(4):
+                # on S_{5,2} the reference walks every set of size <= t: keep t small
+                # there, and keep only the fully random and the random-strategy syndromes
+                t = rng.randint(0, 4 if graph is s52 else graph.vertex_count)
+                coin = tuple(rng.getrandbits(1) for _ in assignment.units)
+                syndromes = [Syndrome(assignment, coin)]
+                for strategy in STRATEGIES:
+                    truth = graph.labels_of(rng.getrandbits(graph.vertex_count))
+                    syndromes.append(generate_syndrome(assignment, truth, strategy, rng.getrandbits(32)))
+                cases += [(graph, syn, t, g) for syn in syndromes[: 2 if graph is s52 else None]]
+    for graph, syn, t, g in cases:
+        want = reference_diagnose(graph, syn, t, g, budget=20)
+        assert diagnose(graph, syn, t, g, budget=20) == want, (graph.descriptor, syn.strategy, t, g)
+        assert diagnose(graph, syn, t, g, first_two=True, budget=20) == want[:2]
+
+
+def test_diagnose_counts_its_search(s42):
+    wit = build_witness("general", 4, 2, 2)
+    for model in Model:
+        assignment = build_assignment(s42, model)
+        for syn in (
+            ambiguity_syndrome(assignment, wit.f1, wit.f2),
+            generate_syndrome(assignment, wit.f1, "random", seed=4),
+        ):
+            stats = {}
+            found = diagnose(s42, syn, len(wit.f2), 2, stats=stats)
+            assert set(stats) == {"search_nodes", "forced", "leaves"}
+            assert min(stats.values()) > 0
+            assert stats["leaves"] >= len(found) >= 1
+    # at t = 0 every vertex is fault-free from the root on
+    stats = {}
+    silent = generate_syndrome(build_assignment(s42, Model.PMC), set(), "zeros")
+    assert diagnose(s42, silent, 0, 2, stats=stats) == [frozenset()]
+    assert stats == {"search_nodes": 1, "forced": 0, "leaves": 1}
+    # all ones: a fault-free vertex has every neighbor faulty, so at g = 1 each
+    # fault-free branch dies where it starts and the search stays linear in |V|
+    assignment = build_assignment(s42, Model.PMC)
+    assert diagnose(s42, Syndrome(assignment, (1,) * 36), 11, 1, stats=stats) == []
+    assert stats["search_nodes"] < 2 * s42.vertex_count
 
 
 def test_ambiguity_syndrome_on_witness_pair(c6):
