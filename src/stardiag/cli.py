@@ -29,7 +29,6 @@ from .faults import (
     rg_connectivity_formula,
 )
 from .syndrome import (
-    DEFAULT_DIAGNOSIS_BUDGET,
     ambiguity_syndrome,
     build_assignment,
     diagnose,
@@ -260,6 +259,8 @@ def _random_good_set(graph, g, max_size, rng, attempts=20000):
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise DomainError(f"--trials must be at least 1, got {args.trials}")
     started = time.time()
     graph = from_descriptor(args.graph)
     params = descriptor_params(graph.descriptor)
@@ -286,7 +287,7 @@ def cmd_simulate(args) -> int:
         syn = ambiguity_syndrome(assignment, wit.f1, wit.f2)
         t = max(len(wit.f1), len(wit.f2))
         search: dict = {}
-        candidates = diagnose(graph, syn, t, args.g, budget=args.budget_diag, stats=search)
+        candidates = diagnose(graph, syn, t, args.g, stats=search)
         sets = [sorted(c) for c in candidates]
         ambiguous = sorted(wit.f1) in sets and sorted(wit.f2) in sets and len(sets) >= 2
         report.update(
@@ -324,7 +325,7 @@ def cmd_simulate(args) -> int:
         truth = graph.labels_of(fmask)
         syn = generate_syndrome(assignment, truth, args.strategy, seed=rng.getrandbits(64))
         search: dict = {}
-        found = diagnose(graph, syn, t, args.g, budget=args.budget_diag, stats=search)
+        found = diagnose(graph, syn, t, args.g, stats=search)
         totals.update(search)
         unique = found == [truth]
         successes += unique
@@ -371,7 +372,7 @@ def _add_common(p, graph=True):
         help="vertex cap of the exhaustive search; --budget-pair and --budget-sd are old spellings",
     )
     p.add_argument(
-        "--budget-diag", type=int, default=DEFAULT_DIAGNOSIS_BUDGET, dest="budget_diag"
+        "--budget-diag", type=int, default=None, help="ignored; diagnose has no vertex cap"
     )
     p.add_argument("--out", default=None)
 

@@ -17,6 +17,7 @@ from itertools import combinations
 from .base import BudgetError, DomainError, Model, VerificationError
 from .faults import (
     dist_mm_mask,
+    g_core,
     good_faulty_sets,
     has_min_degree,
     indist_mask,
@@ -142,24 +143,13 @@ def tg_bruteforce(
 def _sd_closure(graph, smask: int, g: int) -> int:
     """Smallest shared-fault set forced by symmetric difference `smask`.
 
-    Starts from N(S) and repeatedly absorbs any remaining vertex with
-    fewer than g remaining neighbors; every absorbed vertex is forced into
-    F1 & F2 for any indistinguishable pair with this symmetric difference.
+    Everything outside S but the `g_core` of V - S - N(S): N(S) is shared
+    by any indistinguishable pair with this symmetric difference, and so
+    is every vertex the peel drops, since it cannot keep g fault-free
+    neighbors.
     """
-    c = graph.neighborhood_mask(smask)
-    region = graph.full_mask & ~c & ~smask
-    changed = True
-    while changed:
-        changed = False
-        r = region
-        while r:
-            low = r & -r
-            r ^= low
-            if (graph.nbr_masks[low.bit_length() - 1] & region).bit_count() < g:
-                region ^= low
-                c |= low
-                changed = True
-    return c
+    outside = graph.full_mask & ~smask
+    return outside & ~g_core(graph, outside & ~graph.neighborhood_mask(smask), g)
 
 
 def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: bool = False):
@@ -169,10 +159,10 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
     order below, or (None, None) when every admissible pair is
     distinguishable.  Each candidate symmetric difference S is taken in
     increasing size and, within a size, in `combinations` order; with
-    C = _sd_closure(S) the best pair for S is (C | (S - T), C | T) for the
-    largest admissible side T of at most s/2 vertices (the numerically
-    largest on ties), else (C | S, C).  Three facts cut the work and leave
-    the result unchanged:
+    C = _sd_closure(S), all of V - S but the `g_core` of V - S - N(S), the
+    best pair for S is (C | (S - T), C | T) for the largest admissible
+    side T of at most s/2 vertices (the numerically largest on ties), else
+    (C | S, C).  Three facts cut the work and leave the result unchanged:
 
     (a) P starts at the bound m_cap + 1: both sets of an admissible pair
         are admissible, so its max size is at most m_cap.
@@ -264,7 +254,8 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
                         yield from grow(j + 1, grown, reach | nu, left - 1)
                     elif has_min_degree(graph, grown, g):
                         yield grown
-                # u is out from here on
+                # u is out from here on: has_min_degree(graph, nu & chosen, g, chosen | rest),
+                # written inline because the call costs the scan about 5%
                 m = nu & chosen
                 while m:
                     low = m & -m
@@ -275,15 +266,6 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
                     return
 
         yield from grow(0, 0, 0, size)
-
-    def sides_ok(s1, s2, bmask):
-        """Each vertex of a side keeps >= g neighbors in its side and B."""
-        for side in (s1, s2):
-            support = side | bmask
-            for v in _iter_bits(side):
-                if (nbr[v] & support).bit_count() < g:
-                    return False
-        return True
 
     def bridge_cut(umask, c, base):
         """Best (S1, S2, B) cut of U that beats P, updating best_p and best_pair."""
@@ -318,8 +300,9 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
                         t = 0
                         for v in tc:
                             t |= 1 << v
-                        if all((p & t).bit_count() == 1 for p in pairs) and sides_ok(
-                            smask ^ t, t, bmask
+                        # each vertex of a side keeps >= g neighbors in its side and B
+                        if all((p & t).bit_count() == 1 for p in pairs) and all(
+                            has_min_degree(graph, side, g, side | bmask) for side in (smask ^ t, t)
                         ):
                             found = t
                             break

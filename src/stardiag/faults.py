@@ -25,15 +25,37 @@ def good_mask(graph: TopologyGraph, fmask: int, g: int) -> bool:
     return has_min_degree(graph, graph.full_mask & ~fmask, g)
 
 
-def has_min_degree(graph: TopologyGraph, mask: int, g: int) -> bool:
-    """True iff every vertex of `mask` has >= g neighbors inside `mask`."""
+def has_min_degree(graph: TopologyGraph, mask: int, g: int, within: int | None = None) -> bool:
+    """True iff every vertex of `mask` has >= g neighbors inside `within` (default `mask`)."""
+    if within is None:
+        within = mask
     m = mask
     while m:
         low = m & -m
         m ^= low
-        if (graph.nbr_masks[low.bit_length() - 1] & mask).bit_count() < g:
+        if (graph.nbr_masks[low.bit_length() - 1] & within).bit_count() < g:
             return False
     return True
+
+
+def g_core(graph: TopologyGraph, region: int, g: int) -> int:
+    """Largest subset of `region` whose induced subgraph has min degree >= g.
+
+    A worklist peel (Batagelj-Zaversnik 2003): a vertex left with fewer
+    than g neighbors in the core is dropped, and its neighbors still in
+    the core are queued to be looked at again.  The g-core is unique, so
+    the order of the queue does not matter.
+    """
+    nbr = graph.nbr_masks
+    core = todo = region
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        if (nbr[v] & core).bit_count() < g:
+            core ^= low
+            todo |= nbr[v] & core
+    return core
 
 
 def is_g_good_neighbor(graph: TopologyGraph, fault_set, g: int) -> bool:
@@ -167,22 +189,6 @@ def indist_mask(graph: TopologyGraph, f1: int, f2: int, model: Model) -> bool:
 # -- minimum subgraph size oracle ----------------------------------------
 
 
-def _g_core_mask(graph: TopologyGraph, g: int) -> int:
-    """Maximal vertex set whose induced subgraph has min degree >= g."""
-    core = graph.full_mask
-    changed = True
-    while changed:
-        changed = False
-        c = core
-        while c:
-            low = c & -c
-            c ^= low
-            if (graph.nbr_masks[low.bit_length() - 1] & core).bit_count() < g:
-                core ^= low
-                changed = True
-    return core
-
-
 def _connected_subsets(graph: TopologyGraph, region: int, size: int):
     """Masks of connected vertex sets of exactly `size` inside `region`.
 
@@ -230,7 +236,7 @@ def min_subgraph_size_oracle(
         )
     if g == 0:
         return 1
-    core = _g_core_mask(graph, g)
+    core = g_core(graph, graph.full_mask, g)
     if core == 0:
         return None
     comps = graph.component_masks(core)

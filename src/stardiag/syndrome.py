@@ -12,15 +12,12 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .base import BudgetError, DomainError, Model, VerificationError
-from .faults import good_mask
+from .base import DomainError, Model, VerificationError
+from .faults import good_mask, has_min_degree
 from .graph import TopologyGraph, _iter_bits
 from .topologies import descriptor_params
 
 STRATEGIES = ("random", "zeros", "ones")
-
-#: default vertex cap of `diagnose`
-DEFAULT_DIAGNOSIS_BUDGET = 16
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,6 @@ def diagnose(
     t: int,
     g: int,
     first_two: bool = False,
-    budget: int = DEFAULT_DIAGNOSIS_BUDGET,
     stats: dict | None = None,
 ) -> list[frozenset]:
     """All proper g-good-neighbor hypotheses of size <= t consistent with the syndrome.
@@ -190,13 +186,10 @@ def diagnose(
     search nodes, assignments forced by the clauses, and full assignments.
     """
     n = graph.vertex_count
-    if n > budget:
-        raise BudgetError(f"{n} vertices over the diagnosis budget of {budget}")
     if syndrome.assignment.graph is not graph and syndrome.assignment.graph != graph:
         raise DomainError("syndrome is bound to a different graph")
     limit = min(t, n - 1)
     full = graph.full_mask
-    nbr = graph.nbr_masks
     # per vertex x: x faulty forces these faulty; x fault-free forces these
     # faulty, or these fault-free; x and a fault-free force b faulty, per (a, b)
     faulty_faulty = [0] * n
@@ -265,7 +258,7 @@ def diagnose(
         faulty, free = stack.pop()
         nodes += 1
         rest = full & ~faulty
-        if any((nbr[x] & rest).bit_count() < g for x in _iter_bits(free)):
+        if not has_min_degree(graph, free, g, rest):
             continue
         open_ = rest & ~free
         if open_ and faulty.bit_count() == limit:

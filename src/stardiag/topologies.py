@@ -105,17 +105,21 @@ def build_nk_star(
     return TopologyGraph(labels, edges, descriptor=f"nkstar:{n},{k}")
 
 
-def build_complete(n: int) -> TopologyGraph:
+def build_complete(n: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGraph:
     if n < 1:
         raise DomainError("complete graph needs n >= 1")
+    if n > max_vertices:
+        raise DomainError(f"complete graph on {n} vertices exceeds budget {max_vertices}")
     labels = [f"u{i}" for i in range(1, n + 1)]
     edges = [(a, b) for a, b in itertools.combinations(labels, 2)]
     return TopologyGraph(labels, edges, descriptor=f"complete:{n}")
 
 
-def build_cycle(m: int) -> TopologyGraph:
+def build_cycle(m: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGraph:
     if m < 3:
         raise DomainError("cycle needs m >= 3")
+    if m > max_vertices:
+        raise DomainError(f"cycle on {m} vertices exceeds budget {max_vertices}")
     labels = [f"u{i}" for i in range(1, m + 1)]
     edges = [(labels[i], labels[(i + 1) % m]) for i in range(m)]
     return TopologyGraph(labels, edges, descriptor=f"cycle:{m}")
@@ -133,9 +137,9 @@ def from_descriptor(desc: str, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Top
             n_s, k_s = arg.split(",")
             return build_nk_star(int(n_s), int(k_s), max_vertices)
         if kind == "complete":
-            return build_complete(int(arg))
+            return build_complete(int(arg), max_vertices)
         if kind == "cycle":
-            return build_cycle(int(arg))
+            return build_cycle(int(arg), max_vertices)
     except ValueError as exc:
         raise DomainError(f"bad graph descriptor {desc!r}: {exc}") from None
     if kind == "file":

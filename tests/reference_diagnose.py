@@ -9,7 +9,10 @@ from itertools import combinations
 
 from stardiag.base import BudgetError, DomainError
 from stardiag.faults import good_mask
-from stardiag.syndrome import DEFAULT_DIAGNOSIS_BUDGET, consistent_mask
+from stardiag.syndrome import consistent_mask
+
+#: vertex cap of the 2^N enumeration below
+DEFAULT_DIAGNOSIS_BUDGET = 16
 
 
 def diagnose(

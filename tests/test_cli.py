@@ -283,6 +283,25 @@ def test_simulate_takes_t_from_the_oracle_at_the_gap(capsys):
     assert big["t"] == 4 and big["t_source"] == "formula"
 
 
+def test_simulate_needs_no_diagnosis_cap(capsys):
+    # 20 vertices and no --budget-diag: diagnose has no vertex cap, and the option is ignored
+    argv = ["simulate", "--graph", "nkstar:5,2", "--g", "1", "--model", "pmc", "--trials", "1"]
+    code, report = run_json(capsys, *argv)
+    assert code == 0 and report["unique_diagnoses"] == 1
+    code, capped = run_json(capsys, *argv, "--budget-diag", "4")
+    assert code == 0 and capped == {**report, "elapsed_s": capped["elapsed_s"]}
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_simulate_rejects_nonpositive_trials(capsys, trials):
+    code = main(
+        ["simulate", "--graph", "nkstar:4,2", "--g", "1", "--model", "pmc", "--trials", trials]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and "--trials must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_witness_ambiguity(capsys):
     code, report = run_json(
         capsys,

@@ -197,6 +197,19 @@ def test_pmc_sd_scan_matches_pair_scan():
             assert sd_p == best, (graph.descriptor, g)
 
 
+def test_sd_closure_matches_the_sweep_closure():
+    # the worklist peel against the full-sweep fixpoint loop it replaced,
+    # on every nonempty symmetric difference
+    from conftest import small_graphs
+    from reference_scan import _sd_closure as sweep_closure
+
+    for graph in small_graphs(10):
+        for smask in range(1, graph.full_mask + 1):
+            for g in range(4):
+                want = sweep_closure(graph, smask, g)
+                assert _sd_closure(graph, smask, g) == want, (graph.descriptor, smask, g)
+
+
 def test_pmc_sd_scan_matches_reference_scan():
     # the pruned scan returns the unpruned scan's exact (p, pair), order and
     # tie-breaks included, on every cell small enough to run the reference

@@ -19,7 +19,14 @@ from stardiag import (
 )
 from stardiag import faults
 from stardiag.base import BudgetError, DomainError, NotApplicableError, VerificationError
-from stardiag.faults import _connected_subsets, good_faulty_sets, good_mask, has_min_degree
+from stardiag.faults import (
+    _connected_subsets,
+    g_core,
+    good_faulty_sets,
+    good_mask,
+    has_min_degree,
+)
+from stardiag.graph import _iter_bits
 
 from conftest import random_graph, small_graphs
 
@@ -36,10 +43,12 @@ def test_good_neighbor_basic(s42):
 
 def test_good_mask_is_min_degree_of_the_complement():
     rng = random.Random(3)
+    rng_within = random.Random(4)
     for graph in small_graphs(12):
         full = graph.full_mask
         for _ in range(40):
             fmask = rng.getrandbits(graph.vertex_count)
+            within = rng_within.getrandbits(graph.vertex_count)
             for g in range(4):
                 by_definition = all(
                     len(graph.neighbors(lab) - graph.labels_of(fmask)) >= g
@@ -47,6 +56,31 @@ def test_good_mask_is_min_degree_of_the_complement():
                 )
                 assert good_mask(graph, fmask, g) == by_definition, (graph.descriptor, fmask, g)
                 assert good_mask(graph, fmask, g) == has_min_degree(graph, full & ~fmask, g)
+                # every vertex of the mask has >= g neighbors in `within`
+                in_within = all(
+                    len(graph.neighbors(lab) & graph.labels_of(within)) >= g
+                    for lab in graph.labels_of(full & ~fmask)
+                )
+                assert has_min_degree(graph, full & ~fmask, g, within) == in_within
+
+
+def test_g_core_is_the_union_of_min_degree_subsets():
+    # the largest subset of a region inducing min degree >= g is the union of
+    # all such subsets, found here by walking every submask of the region
+    rng = random.Random(5)
+    for graph in small_graphs(10):
+        nbr = graph.nbr_masks
+        regions = [graph.full_mask] + [rng.getrandbits(graph.vertex_count) for _ in range(3)]
+        for region in regions:
+            union = [0] * 5  # union[g]: every submask of region inducing min degree >= g
+            sub = region
+            while sub:
+                least = min((nbr[v] & sub).bit_count() for v in _iter_bits(sub))
+                for g in range(min(least, 4) + 1):
+                    union[g] |= sub
+                sub = (sub - 1) & region
+            for g in range(5):
+                assert g_core(graph, region, g) == union[g], (graph.descriptor, region, g)
 
 
 def test_good_neighbor_monotone_in_g(c6, s42):

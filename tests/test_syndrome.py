@@ -18,7 +18,7 @@ from stardiag import (
     witness_cycle6,
     witness_for,
 )
-from stardiag.base import BudgetError, DomainError, VerificationError
+from stardiag.base import DomainError, VerificationError
 from stardiag.syndrome import STRATEGIES
 from stardiag.topologies import from_descriptor
 
@@ -122,13 +122,6 @@ def test_diagnose_first_two_stops_early(c6):
     assert len(found) == 2
 
 
-def test_diagnose_budget(s42):
-    assignment = build_assignment(s42, Model.PMC)
-    syn = generate_syndrome(assignment, set(), "zeros")
-    with pytest.raises(BudgetError):
-        diagnose(s42, syn, 1, 1, budget=4)
-
-
 def _witness_cases():
     """(graph, ambiguity syndrome, t, g) for every witness cell on S_{3,2}, S_{4,2} and S_{5,2}."""
     for n in (3, 4, 5):
@@ -162,8 +155,8 @@ def test_diagnose_matches_the_reference_enumeration():
                 cases += [(graph, syn, t, g) for syn in syndromes[: 2 if graph is s52 else None]]
     for graph, syn, t, g in cases:
         want = reference_diagnose(graph, syn, t, g, budget=20)
-        assert diagnose(graph, syn, t, g, budget=20) == want, (graph.descriptor, syn.strategy, t, g)
-        assert diagnose(graph, syn, t, g, first_two=True, budget=20) == want[:2]
+        assert diagnose(graph, syn, t, g) == want, (graph.descriptor, syn.strategy, t, g)
+        assert diagnose(graph, syn, t, g, first_two=True) == want[:2]
 
 
 def test_diagnose_counts_its_search(s42):

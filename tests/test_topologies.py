@@ -111,6 +111,11 @@ def test_vertex_budget_enforced():
         build_nk_star(8, 7)  # 40320 vertices
     with pytest.raises(DomainError):
         build_nk_star(5, 3, max_vertices=50)  # 60 vertices
+    for desc in ("complete:5041", "cycle:5041", "star:8"):
+        with pytest.raises(DomainError, match="5041|40320"):
+            from_descriptor(desc)
+    with pytest.raises(DomainError):
+        build_cycle(60, max_vertices=50)
 
 
 def test_from_descriptor_round_trips(tmp_path):
