@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -34,7 +35,13 @@ from .syndrome import (
     diagnose,
     generate_syndrome,
 )
-from .topologies import descriptor_params, from_descriptor, verify_split
+from .topologies import (
+    DEFAULT_VERTEX_BUDGET,
+    build_nk_star,
+    descriptor_params,
+    from_descriptor,
+    verify_split,
+)
 
 
 def _emit(args, report: dict) -> None:
@@ -57,6 +64,11 @@ def _witness_dict(w) -> dict:
         "checks": w.checks,
         "upper_bound": w.upper_bound,
     }
+
+
+def _held_nk_star(graph):
+    """`graph` when it is an S_{n,k} that a witness can reuse, else None."""
+    return graph if graph.descriptor.startswith("nkstar:") else None
 
 
 def cmd_gen(args) -> int:
@@ -136,7 +148,7 @@ def cmd_tg(args) -> int:
         name = witness_for(*params, args.g, model) if params else None
         if args.method in ("witness", "all") and name:
             if name not in witnesses:
-                witnesses[name] = build_witness(name, *params, args.g)
+                witnesses[name] = build_witness(name, *params, args.g, _held_nk_star(graph))
             entry["witness_upper_bounds"] = {name: witnesses[name].upper_bound}
             values[f"witness:{name}"] = witnesses[name].upper_bound
         if len(set(values.values())) > 1:
@@ -211,8 +223,10 @@ def cmd_table(args) -> int:
     ok = True
     for n in range(args.n_min, args.n_max + 1):
         for k in range(1, n):
+            # one S_{n,k} per row serves its oracle and witness cells
+            graph = build_nk_star(n, k) if math.perm(n, k) <= DEFAULT_VERTEX_BUDGET else None
             for g in range(1, n):
-                check = crosscheck(n, k, g, args.budget)
+                check = crosscheck(n, k, g, args.budget, graph)
                 ok = ok and check.ok
                 for model in Model:
                     entry = check.results[model.value]
@@ -281,8 +295,9 @@ def cmd_simulate(args) -> int:
             raise DomainError(
                 f"no witness construction covers n, k, g = {(*params, args.g)} under {model.value}"
             )
-        wit = build_witness(name, *params, args.g)
-        graph = from_descriptor(wit.descriptor)
+        wit = build_witness(name, *params, args.g, _held_nk_star(graph))
+        if wit.descriptor != graph.descriptor:  # a star:n graph carries its witness on S_{n,n-1}
+            graph = from_descriptor(wit.descriptor)
         assignment = build_assignment(graph, model)
         syn = ambiguity_syndrome(assignment, wit.f1, wit.f2)
         t = max(len(wit.f1), len(wit.f2))

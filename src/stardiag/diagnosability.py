@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .base import BudgetError, DomainError, Model, VerificationError
 from .faults import (
@@ -31,7 +31,6 @@ from .topologies import (
     arrangement_label,
     build_cycle,
     build_nk_star,
-    parse_arrangement,
 )
 
 #: default vertex cap of the exhaustive oracle, under either model
@@ -458,25 +457,33 @@ def _require(ok: bool, what: str):
         raise VerificationError(f"witness self-check failed: {what}")
 
 
-def witness_general(n: int, k: int, g: int) -> WitnessReport:
+def _nk_star(n: int, k: int, graph: TopologyGraph | None) -> TopologyGraph:
+    """The S_{n,k} a caller already holds, checked against its descriptor, else a new build."""
+    if graph is None:
+        return build_nk_star(n, k)
+    if graph.descriptor != f"nkstar:{n},{k}":
+        raise DomainError(f"expected the graph nkstar:{n},{k}, got {graph.descriptor}")
+    return graph
+
+
+def witness_general(n: int, k: int, g: int, graph: TopologyGraph | None = None) -> WitnessReport:
     """Upper-bound pair for S_{n,k} in the range 2<=k<=n-1, n-k<=g<=n-2.
 
     A is the set of vertices whose trailing n-g-1 coordinates are literally
     1..n-g-1 and whose leading coordinates come from the top g+1 symbols;
-    F1 = N(A) and F2 = F1 | A.  |F2| exceeds t_g by exactly one.
+    F1 = N(A) and F2 = F1 | A.  |F2| exceeds t_g by exactly one.  `graph`
+    is S_{n,k} when the caller holds it; otherwise it is built here.
     """
     if n < 4 or not 2 <= k <= n - 1 or not n - k <= g <= n - 2:
         raise DomainError(
             f"general witness needs n>=4, 2<=k<=n-1, n-k<=g<=n-2; got n={n}, k={k}, g={g}"
         )
-    graph = build_nk_star(n, k)
+    graph = _nk_star(n, k, graph)
     tail = tuple(range(1, n - g))  # the n-g-1 fixed trailing symbols
     lead = k - (n - g - 1)
-    a_labels = set()
-    for p in map(lambda lab: parse_arrangement(lab, n), graph.labels):
-        if p[lead:] == tail and all(s > n - g - 1 for s in p[:lead]):
-            a_labels.add(arrangement_label(p, n))
-    a_set = frozenset(a_labels)
+    a_set = frozenset(
+        arrangement_label(head + tail, n) for head in permutations(range(n - g, n + 1), lead)
+    )
     f1 = graph.neighborhood_of_set(a_set)
     f2 = f1 | a_set
 
@@ -508,11 +515,14 @@ def witness_general(n: int, k: int, g: int) -> WitnessReport:
     )
 
 
-def witness_snk2_mm(n: int) -> WitnessReport:
-    """MM* upper-bound pair for S_{n,2}, n>=4: A = N({12,32,42}), F_i = A + one seed."""
+def witness_snk2_mm(n: int, graph: TopologyGraph | None = None) -> WitnessReport:
+    """MM* upper-bound pair for S_{n,2}, n>=4: A = N({12,32,42}), F_i = A + one seed.
+
+    `graph` is S_{n,2} when the caller holds it; otherwise it is built here.
+    """
     if n < 4:
         raise DomainError(f"S_{{n,2}} MM* witness needs n >= 4, got n={n}")
-    graph = build_nk_star(n, 2)
+    graph = _nk_star(n, 2, graph)
     seeds = frozenset(
         arrangement_label(p, n) for p in ((1, 2), (3, 2), (4, 2))
     )
@@ -591,12 +601,18 @@ def witness_for(n: int, k: int, g: int, model: Model) -> str | None:
     return None
 
 
-def build_witness(name: str, n: int, k: int, g: int) -> WitnessReport:
-    """Build the construction `name` that `witness_for` picked for cell (n, k, g)."""
+def build_witness(
+    name: str, n: int, k: int, g: int, graph: TopologyGraph | None = None
+) -> WitnessReport:
+    """Build the construction `name` that `witness_for` picked for cell (n, k, g).
+
+    `graph`, when given, is the S_{n,k} the caller holds; `cycle6` lives on
+    its own six-cycle and ignores it.
+    """
     if name == "general":
-        return witness_general(n, k, g)
+        return witness_general(n, k, g, graph)
     if name == "snk2-mm":
-        return witness_snk2_mm(n)
+        return witness_snk2_mm(n, graph)
     if name == "cycle6":
         return witness_cycle6()
     raise DomainError(f"unknown witness construction {name!r}")
@@ -627,19 +643,24 @@ class CrosscheckReport:
         }
 
 
-def crosscheck(n: int, k: int, g: int, budget: int = DEFAULT_ORACLE_BUDGET) -> CrosscheckReport:
+def crosscheck(
+    n: int, k: int, g: int, budget: int = DEFAULT_ORACLE_BUDGET, graph: TopologyGraph | None = None
+) -> CrosscheckReport:
     """Run every applicable t_g method for both models and compare.
 
-    S_{n,k} is built only when the oracle's `budget` admits it, and the
-    witness that covers the cell is built once, whichever models it serves.
-    Every construction lives on S_{n,k}, so a witness over `build_nk_star`'s
-    vertex cap is skipped and recorded as `witness_skipped`.  Each model's
-    entry records `ok`: its brute-force value and witness bound both match
-    its formula.
+    `graph` is the S_{n,k} the caller holds, if any, so that a row of the
+    table builds it once; without it, S_{n,k} is built when the oracle's
+    `budget` admits it or a witness needs it.  The witness that covers the
+    cell is built once, whichever models it serves.  Every construction
+    lives on S_{n,k}, so a witness over `build_nk_star`'s vertex cap is
+    skipped and recorded as `witness_skipped`.  Each model's entry records
+    `ok`: its brute-force value and witness bound both match its formula.
     """
     report = CrosscheckReport(n=n, k=k, g=g)
     formulas = {model: tg_formula(n, k, g, model) for model in Model}
-    graph = build_nk_star(n, k) if math.perm(n, k) <= budget else None
+    in_budget = math.perm(n, k) <= budget
+    if graph is not None or in_budget:
+        graph = _nk_star(n, k, graph)
     witnesses: dict[str, WitnessReport] = {}
     for model, formula in formulas.items():
         entry: dict = {
@@ -647,7 +668,7 @@ def crosscheck(n: int, k: int, g: int, budget: int = DEFAULT_ORACLE_BUDGET) -> C
             "formula_provenance": formula.provenance or formula.note,
         }
         mismatches = []
-        if graph is None:
+        if not in_budget:
             entry["bruteforce"] = None
             entry["bruteforce_skipped"] = "over budget"
         else:
@@ -662,7 +683,7 @@ def crosscheck(n: int, k: int, g: int, budget: int = DEFAULT_ORACLE_BUDGET) -> C
             entry["witness_skipped"] = "over budget"
         elif name is not None:
             if name not in witnesses:
-                witnesses[name] = build_witness(name, n, k, g)
+                witnesses[name] = build_witness(name, n, k, g, graph)
             bound = witnesses[name].upper_bound
             entry.update(witness=name, witness_upper_bound=bound)
             if bound != formula.value:

@@ -44,6 +44,22 @@ class TopologyGraph:
         self.nbr_masks: tuple[int, ...] = tuple(masks)
         self.full_mask: int = (1 << len(self.labels)) - 1
 
+    @classmethod
+    def from_masks(cls, labels, masks, descriptor: str) -> "TopologyGraph":
+        """Trusted constructor from sorted distinct labels and their neighbour masks.
+
+        Nothing is checked: `masks` must be symmetric and loop-free.  The
+        star-family builders use it; the tests hold their output equal to
+        the edge-list constructor's.
+        """
+        graph = cls.__new__(cls)
+        graph.labels = tuple(labels)
+        graph.descriptor = descriptor
+        graph._index = {lab: i for i, lab in enumerate(graph.labels)}
+        graph.nbr_masks = tuple(masks)
+        graph.full_mask = (1 << len(graph.labels)) - 1
+        return graph
+
     # -- basic accessors -------------------------------------------------
 
     @property

@@ -8,8 +8,11 @@ deterministic lexicographic vertex orderings.
 from __future__ import annotations
 
 import itertools
+import math
 import os
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .base import DomainError, VerificationError
 from .graph import TopologyGraph, _iter_bits
@@ -51,31 +54,53 @@ def _check_nk(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_BUDGET):
         raise DomainError(f"n={n} out of range (need n >= 2)")
     if not 1 <= k <= n - 1:
         raise DomainError(f"k={k} out of range for n={n} (need 1 <= k <= n-1)")
-    count = 1
-    for i in range(n, n - k, -1):
-        count *= i
+    count = math.perm(n, k)
     if count > max_vertices:
         raise DomainError(
             f"S_{{{n},{k}}} has {count} vertices, over the budget of {max_vertices}"
         )
 
 
+def _arrangement_graph(n: int, k: int, descriptor: str) -> TopologyGraph:
+    """The graph on k-arrangements of 1..n, built straight into neighbour masks.
+
+    The arrangements are ranked once in the graph's index order, which
+    sorts their labels as strings (for n >= 10 that is not their numeric
+    order).  Two rules give the edges.  Replace: the arrangements that
+    share p[1:] form a clique, since each is the other with its first
+    symbol replaced by an unused one.  Swap: the first symbol trades places
+    with the one at position j (2 <= j <= k), one `itemgetter` per j.  With
+    k = n no symbol is unused, only the swap rule applies, and the result is
+    the star graph.
+    """
+    verts = arrangements(n, k)
+    # arrangement_label of each, joined from the symbols' strings in the same order
+    symbols = [str(s) for s in range(1, n + 1)]
+    labels = list(map(("" if n <= 9 else "-").join, itertools.permutations(symbols, k)))
+    if n >= 10:
+        labels, verts = zip(*sorted(zip(labels, verts)))
+    rank = {p: i for i, p in enumerate(verts)}
+    masks = [0] * len(verts)
+    if k < n:  # replace rule
+        cliques = defaultdict(int)
+        for i, p in enumerate(verts):
+            cliques[p[1:]] |= 1 << i
+        masks = [cliques[p[1:]] ^ 1 << i for i, p in enumerate(verts)]
+    for j in range(1, k):
+        swap = itemgetter(j, *range(1, j), 0, *range(j + 1, k))
+        for i, q in enumerate(map(rank.__getitem__, map(swap, verts))):
+            masks[i] |= 1 << q
+    return TopologyGraph.from_masks(labels, masks, descriptor)
+
+
 def build_star(n: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGraph:
     """Star graph on all permutations of 1..n; edges swap position 1 with i."""
     if not 2 <= n <= 9:
         raise DomainError(f"n={n} out of range for a full star graph (need 2 <= n <= 9)")
-    perms = arrangements(n, n)
-    if len(perms) > max_vertices:
-        raise DomainError(f"star graph on {len(perms)} vertices exceeds budget {max_vertices}")
-    labels = [arrangement_label(p, n) for p in perms]
-    edges = []
-    for p in perms:
-        lp = arrangement_label(p, n)
-        for i in range(1, n):
-            q = (p[i],) + p[1:i] + (p[0],) + p[i + 1 :]
-            if q > p:
-                edges.append((lp, arrangement_label(q, n)))
-    return TopologyGraph(labels, edges, descriptor=f"star:{n}")
+    count = math.factorial(n)
+    if count > max_vertices:
+        raise DomainError(f"star graph on {count} vertices exceeds budget {max_vertices}")
+    return _arrangement_graph(n, n, f"star:{n}")
 
 
 def build_nk_star(
@@ -88,21 +113,7 @@ def build_nk_star(
     is (n-1)-regular with n!/(n-k)! vertices; k=1 yields the complete graph.
     """
     _check_nk(n, k, max_vertices)
-    verts = arrangements(n, k)
-    labels = [arrangement_label(p, n) for p in verts]
-    alphabet = set(range(1, n + 1))
-    edges = []
-    for p in verts:
-        lp = arrangement_label(p, n)
-        for i in range(1, k):  # swap rule
-            q = (p[i],) + p[1:i] + (p[0],) + p[i + 1 :]
-            if q > p:
-                edges.append((lp, arrangement_label(q, n)))
-        for s in alphabet - set(p):  # replace rule
-            q = (s,) + p[1:]
-            if q > p:
-                edges.append((lp, arrangement_label(q, n)))
-    return TopologyGraph(labels, edges, descriptor=f"nkstar:{n},{k}")
+    return _arrangement_graph(n, k, f"nkstar:{n},{k}")
 
 
 def build_complete(n: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGraph:
@@ -130,18 +141,23 @@ def from_descriptor(desc: str, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Top
     kind, sep, arg = desc.partition(":")
     if not sep:
         raise DomainError(f"bad graph descriptor {desc!r}")
-    try:
-        if kind == "star":
-            return build_star(int(arg), max_vertices)
-        if kind == "nkstar":
-            n_s, k_s = arg.split(",")
-            return build_nk_star(int(n_s), int(k_s), max_vertices)
-        if kind == "complete":
-            return build_complete(int(arg), max_vertices)
-        if kind == "cycle":
-            return build_cycle(int(arg), max_vertices)
-    except ValueError as exc:
-        raise DomainError(f"bad graph descriptor {desc!r}: {exc}") from None
+    builders = {
+        "star": build_star,
+        "nkstar": build_nk_star,
+        "complete": build_complete,
+        "cycle": build_cycle,
+    }
+    if kind in builders:
+        # only a parse failure reads as a bad descriptor; a builder's DomainError passes through
+        try:
+            if kind == "nkstar":
+                n_s, k_s = arg.split(",")
+                params = (int(n_s), int(k_s))
+            else:
+                params = (int(arg),)
+        except ValueError as exc:
+            raise DomainError(f"bad graph descriptor {desc!r}: {exc}") from None
+        return builders[kind](*params, max_vertices)
     if kind == "file":
         if not os.path.exists(arg):
             raise DomainError(f"graph file not found: {arg}")
@@ -201,50 +217,62 @@ def verify_split(
         raise DomainError(f"verify_split needs 2 <= k <= n-1, got n={n}, k={k}")
     base = build_nk_star(n, k, max_vertices)
     split = build_star(n, max_vertices)
-    t = 1
-    for i in range(1, n - k + 1):
-        t *= i
+    t = math.factorial(n - k)
 
-    projection: dict[str, str] = {}
-    fibers: dict[str, int] = {lab: 0 for lab in base.labels}
-    for lab in split.labels:
-        perm = parse_arrangement(lab, n)
-        pref = arrangement_label(perm[:k], n)
-        projection[lab] = pref
-        fibers[pref] |= 1 << split._index[lab]
+    # a star label has one character per symbol (n <= 9), so its k-prefix is a base label
+    projection = {lab: lab[:k] for lab in split.labels}
+    owner = [base._index[lab[:k]] for lab in split.labels]
+    fibers = [0] * base.vertex_count
+    for i, x in enumerate(owner):
+        fibers[x] |= 1 << i
 
     # (i) fiber sizes and independence
-    for pref, fmask in fibers.items():
+    for x, fmask in enumerate(fibers):
         if fmask.bit_count() != t:
             raise VerificationError(
-                f"fiber {pref!r} has {fmask.bit_count()} vertices, expected {t}"
+                f"fiber {base.labels[x]!r} has {fmask.bit_count()} vertices, expected {t}"
             )
         for i in _iter_bits(fmask):
             if split.nbr_masks[i] & fmask:
-                raise VerificationError(f"fiber {pref!r} is not independent in the split graph")
+                raise VerificationError(
+                    f"fiber {base.labels[x]!r} is not independent in the split graph"
+                )
 
     # (ii) perfect matchings across every base edge
-    for x, y in base.edges():
-        fx, fy = fibers[x], fibers[y]
-        matched = 0
-        for i in _iter_bits(fx):
-            link = split.nbr_masks[i] & fy
-            if link.bit_count() != 1:
+    for x, fx in enumerate(fibers):
+        for y in _iter_bits(base.nbr_masks[x] >> (x + 1) << (x + 1)):  # each edge once, x < y
+            fy = fibers[y]
+            matched = 0
+            for i in _iter_bits(fx):
+                link = split.nbr_masks[i] & fy
+                if link.bit_count() != 1:
+                    raise VerificationError(
+                        f"vertex {split.labels[i]!r} has {link.bit_count()} links into "
+                        f"fiber {base.labels[y]!r}; perfect matching violated for edge "
+                        f"{base.labels[x]!r}-{base.labels[y]!r}"
+                    )
+                matched |= link
+            if matched != fy:
                 raise VerificationError(
-                    f"vertex {split.labels[i]!r} has {link.bit_count()} links into "
-                    f"fiber {y!r}; perfect matching violated for edge {x!r}-{y!r}"
+                    f"matching for edge {base.labels[x]!r}-{base.labels[y]!r} misses part "
+                    f"of fiber {base.labels[y]!r}"
                 )
-            matched |= link
-        if matched != fy:
-            raise VerificationError(f"matching for edge {x!r}-{y!r} misses part of fiber {y!r}")
 
-    # (iii) every split edge projects onto a base edge
-    for a, b in split.edges():
-        pa, pb = projection[a], projection[b]
-        ia, ib = base._index[pa], base._index[pb]
-        if not (base.nbr_masks[ia] >> ib) & 1:
+    # (iii) every split edge projects onto a base edge.  After (i) and (ii) each
+    # vertex has one neighbour in every fiber next to its own, so (iii) fails
+    # exactly at the vertices of higher degree than their base vertex; the first
+    # one and its lowest stray neighbour are the first offending edge in sorted order.
+    for a, nbrs in enumerate(split.nbr_masks):
+        x = owner[a]
+        if nbrs.bit_count() != base.nbr_masks[x].bit_count():
+            reach = 0
+            for y in _iter_bits(base.nbr_masks[x]):
+                reach |= fibers[y]
+            stray = nbrs & ~reach
+            b = (stray & -stray).bit_length() - 1
             raise VerificationError(
-                f"split edge {a!r}-{b!r} projects to non-adjacent pair {pa!r},{pb!r}"
+                f"split edge {split.labels[a]!r}-{split.labels[b]!r} projects to "
+                f"non-adjacent pair {base.labels[x]!r},{base.labels[owner[b]]!r}"
             )
 
     return SplitWitness(base=base, split=split, projection=projection, t=t)

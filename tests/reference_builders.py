@@ -1,0 +1,61 @@
+"""The edge-list star-family builders as they stood before the mask kernel, kept as a reference.
+
+`build_nk_star` and `build_star` below label both ends of every edge and
+hand the edge list to the validating `TopologyGraph` constructor; the mask
+kernel in ``stardiag.topologies`` must return the identical labels, neighbour
+masks and descriptor.
+"""
+
+from stardiag.base import DomainError
+from stardiag.graph import TopologyGraph
+from stardiag.topologies import (
+    DEFAULT_VERTEX_BUDGET,
+    _check_nk,
+    arrangement_label,
+    arrangements,
+)
+
+
+def build_star(n: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGraph:
+    """Star graph on all permutations of 1..n; edges swap position 1 with i."""
+    if not 2 <= n <= 9:
+        raise DomainError(f"n={n} out of range for a full star graph (need 2 <= n <= 9)")
+    perms = arrangements(n, n)
+    if len(perms) > max_vertices:
+        raise DomainError(f"star graph on {len(perms)} vertices exceeds budget {max_vertices}")
+    labels = [arrangement_label(p, n) for p in perms]
+    edges = []
+    for p in perms:
+        lp = arrangement_label(p, n)
+        for i in range(1, n):
+            q = (p[i],) + p[1:i] + (p[0],) + p[i + 1 :]
+            if q > p:
+                edges.append((lp, arrangement_label(q, n)))
+    return TopologyGraph(labels, edges, descriptor=f"star:{n}")
+
+
+def build_nk_star(
+    n: int, k: int, max_vertices: int = DEFAULT_VERTEX_BUDGET
+) -> TopologyGraph:
+    """(n,k)-star graph on k-arrangements of 1..n.
+
+    Adjacency: swap the first symbol with the symbol at position i (2<=i<=k),
+    or replace the first symbol by any symbol not already used.  The result
+    is (n-1)-regular with n!/(n-k)! vertices; k=1 yields the complete graph.
+    """
+    _check_nk(n, k, max_vertices)
+    verts = arrangements(n, k)
+    labels = [arrangement_label(p, n) for p in verts]
+    alphabet = set(range(1, n + 1))
+    edges = []
+    for p in verts:
+        lp = arrangement_label(p, n)
+        for i in range(1, k):  # swap rule
+            q = (p[i],) + p[1:i] + (p[0],) + p[i + 1 :]
+            if q > p:
+                edges.append((lp, arrangement_label(q, n)))
+        for s in alphabet - set(p):  # replace rule
+            q = (s,) + p[1:]
+            if q > p:
+                edges.append((lp, arrangement_label(q, n)))
+    return TopologyGraph(labels, edges, descriptor=f"nkstar:{n},{k}")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -326,6 +329,75 @@ def test_error_exit_code(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
+
+
+def test_gen_over_the_cap_is_not_a_bad_descriptor(capsys):
+    code = main(["gen", "--graph", "nkstar:8,7"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: S_{8,7} has 40320 vertices, over the budget of 5040\n"
+    code = main(["gen", "--graph", "nkstar:8,x"])
+    assert code == 2 and capsys.readouterr().err.startswith("error: bad graph descriptor")
+
+
+def _count_nk_star_builds(monkeypatch):
+    """Record the (n, k) of every build_nk_star call, through each module global that holds it."""
+    import stardiag.topologies as topo
+
+    calls = []
+    real = topo.build_nk_star
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stardiag") and getattr(module, "build_nk_star", None) is real:
+            monkeypatch.setattr(module, "build_nk_star", counted)
+    return calls
+
+
+def test_table_builds_each_graph_once_per_row(capsys, monkeypatch):
+    import stardiag.diagnosability as diagnosability
+
+    builds = _count_nk_star_builds(monkeypatch)
+    witnesses = []
+    real = diagnosability.witness_general
+
+    def counted(*args):
+        witnesses.append(args[:3])
+        return real(*args)
+
+    monkeypatch.setattr(diagnosability, "witness_general", counted)
+    code, report = run_json(capsys, "table", "--n-min", "4", "--n-max", "7")
+    assert code == 0 and report["ok"]
+    assert sorted(builds) == [(n, k) for n in range(4, 8) for k in range(1, n)]  # 18 rows
+    assert len(witnesses) == len(set(witnesses)) == 34
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--graph", "nkstar:4,2", "--g", "2", "--model", "pmc", "--witness"],
+        ["simulate", "--graph", "nkstar:4,2", "--g", "1", "--model", "mm", "--witness"],
+        ["tg", "--graph", "nkstar:5,3", "--g", "3"],
+    ],
+)
+def test_witness_reuses_the_graph_of_the_command(capsys, monkeypatch, argv):
+    builds = _count_nk_star_builds(monkeypatch)
+    code, report = run_json(capsys, *argv)
+    assert code == 0 and report["ok"]
+    assert len(builds) == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "stardiag", "split", "--n", "4", "--k", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["ok"]
 
 
 def test_out_flag_writes_report(capsys, tmp_path):

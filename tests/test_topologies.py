@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import reference_builders
 
 from stardiag import (
     build_complete,
@@ -134,6 +135,43 @@ def test_from_descriptor_rejects_garbage():
             from_descriptor(bad)
 
 
+def test_from_descriptor_keeps_the_builders_own_error():
+    # a well-formed descriptor over the cap is not a malformed one
+    for desc, text in (
+        ("nkstar:8,7", "S_{8,7} has 40320 vertices, over the budget of 5040"),
+        ("star:8", "star graph on 40320 vertices exceeds budget 5040"),
+        ("complete:100000", "complete graph on 100000 vertices exceeds budget 5040"),
+        ("nkstar:4,4", "k=4 out of range for n=4"),
+    ):
+        with pytest.raises(DomainError) as info:
+            from_descriptor(desc)
+        assert str(info.value).startswith(text)
+    for desc in ("nkstar:x,y", "nkstar:4", "nkstar:4,2,1", "star:4,2", "cycle:six"):
+        with pytest.raises(DomainError, match="^bad graph descriptor"):
+            from_descriptor(desc)
+
+
+def _same_graph(built, reference):
+    assert built.labels == reference.labels
+    assert built.nbr_masks == reference.nbr_masks
+    assert built.descriptor == reference.descriptor
+
+
+@pytest.mark.parametrize(
+    "n,k",
+    [(n, k) for n in range(2, 8) for k in range(1, n)]
+    # n >= 10 labels are hyphenated and sort as strings, not numerically
+    + [(8, 1), (8, 2), (8, 3), (8, 4), (10, 2), (10, 3), (12, 1), (12, 2)],
+)
+def test_nk_star_kernel_matches_the_edge_list_builder(n, k):
+    _same_graph(build_nk_star(n, k), reference_builders.build_nk_star(n, k))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_star_kernel_matches_the_edge_list_builder(n):
+    _same_graph(build_star(n), reference_builders.build_star(n))
+
+
 def test_descriptor_params():
     assert descriptor_params("nkstar:5,2") == (5, 2)
     assert descriptor_params("star:4") == (4, 3)
@@ -157,6 +195,36 @@ def test_split_relationship(n, k):
 def test_split_rejects_k1():
     with pytest.raises(DomainError):
         verify_split(4, 1)
+
+
+def _damaged_star(topo, edit):
+    """build_star with its edge list passed through `edit` first."""
+    real = topo.build_star
+
+    def damaged(n, max_vertices=topo.DEFAULT_VERTEX_BUDGET):
+        g = real(n, max_vertices)
+        return topo.TopologyGraph(g.labels, edit(g.edges()), descriptor=g.descriptor)
+
+    return damaged
+
+
+def test_split_check_i_catches_an_edge_inside_a_fiber(monkeypatch):
+    import stardiag.topologies as topo
+
+    # 1234 and 1243 share the 2-prefix 12
+    monkeypatch.setattr(topo, "build_star", _damaged_star(topo, lambda es: es + [("1234", "1243")]))
+    with pytest.raises(VerificationError, match="fiber '12' is not independent"):
+        topo.verify_split(4, 2)
+
+
+def test_split_check_ii_catches_a_dropped_split_edge(monkeypatch):
+    import stardiag.topologies as topo
+
+    # 1234-2134 and 1243-2143 match the fibers 12 and 21; drop the first
+    drop = ("1234", "2134")
+    monkeypatch.setattr(topo, "build_star", _damaged_star(topo, lambda es: [e for e in es if e != drop]))
+    with pytest.raises(VerificationError, match="'1234' has 0 links into fiber '21'"):
+        topo.verify_split(4, 2)
 
 
 def test_split_check_actually_bites(monkeypatch):
