@@ -298,6 +298,7 @@ def cmd_simulate(args) -> int:
         wit = build_witness(name, *params, args.g, _held_nk_star(graph))
         if wit.descriptor != graph.descriptor:  # a star:n graph carries its witness on S_{n,n-1}
             graph = from_descriptor(wit.descriptor)
+            report["graph"] = graph.descriptor  # the graph diagnosed below
         assignment = build_assignment(graph, model)
         syn = ambiguity_syndrome(assignment, wit.f1, wit.f2)
         t = max(len(wit.f1), len(wit.f2))

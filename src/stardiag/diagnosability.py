@@ -20,7 +20,7 @@ from .faults import (
     g_core,
     good_faulty_sets,
     has_min_degree,
-    indist_mask,
+    indist_mask,  # noqa: F401  not called here; perfbench/spans.py wraps it by name
     indist_pmc_mask,
     is_g_good_neighbor,
     min_subgraph_size_oracle,
@@ -70,9 +70,11 @@ def _pair_scan(graph, g: int, model: Model):
     the tests call it, to cross-check the symmetric-difference scan.
     """
     good = sorted(good_faulty_sets(graph, g), key=lambda m: (m.bit_count(), m))
+    pmc = model is Model.PMC
     for j, fj in enumerate(good):
-        for fi in good[:j]:
-            if indist_mask(graph, fi, fj, model):
+        for i in range(j):
+            fi = good[i]
+            if indist_pmc_mask(graph, fi, fj) if pmc else not dist_mm_mask(graph, fi, fj):
                 return fj.bit_count(), (fi, fj)
     return None, None
 

@@ -21,8 +21,25 @@ DEFAULT_SEARCH_BUDGET = 20
 
 
 def good_mask(graph: TopologyGraph, fmask: int, g: int) -> bool:
-    """True iff every vertex outside `fmask` keeps >= g neighbors outside it."""
-    return has_min_degree(graph, graph.full_mask & ~fmask, g)
+    """True iff every vertex outside `fmask` keeps >= g neighbors outside it.
+
+    With g at most the minimum degree, a vertex with no neighbor in F keeps
+    its full degree, so only N(F) - F is tested.  Above it every fault-free
+    vertex is, since one far from F can already fall short.  So is every
+    vertex when V - F is at most twice F: the walk over F that finds
+    N(F) then costs about as much as the test it spares.
+    """
+    rest = graph.full_mask & ~fmask
+    if g > graph.min_degree() or rest.bit_count() <= 2 * fmask.bit_count():
+        return has_min_degree(graph, rest, g)
+    nbr = graph.nbr_masks
+    near = 0
+    m = fmask
+    while m:
+        low = m & -m
+        m ^= low
+        near |= nbr[low.bit_length() - 1]
+    return has_min_degree(graph, near & rest, g, rest)
 
 
 def has_min_degree(graph: TopologyGraph, mask: int, g: int, within: int | None = None) -> bool:
@@ -141,22 +158,33 @@ def indist_pmc_mask(graph: TopologyGraph, f1: int, f2: int) -> bool:
 
 
 def dist_mm_mask(graph: TopologyGraph, f1: int, f2: int) -> bool:
-    """MM*-distinguishable: one of the three comparator conditions holds."""
+    """MM*-distinguishable: one of the three comparator conditions holds.
+
+    Each condition needs a fault-free comparator with a neighbor in
+    F1 ^ F2, so only the fault-free neighbors of the difference are looked
+    at, each once.
+    """
+    nbr = graph.nbr_masks
     outside = graph.full_mask & ~(f1 | f2)
-    delta = f1 ^ f2
     only1 = f1 & ~f2
     only2 = f2 & ~f1
-    o = outside
-    while o:
-        low = o & -o
-        o ^= low
-        nb = graph.nbr_masks[low.bit_length() - 1]
-        if (nb & outside) and (nb & delta):
-            return True  # fault-free vertex with a fault-free and a differing neighbor
-        if (nb & only1).bit_count() >= 2:
-            return True  # two F1-only vertices share a fault-free comparator
-        if (nb & only2).bit_count() >= 2:
-            return True
+    unseen = outside
+    d = f1 ^ f2
+    while d:
+        low = d & -d
+        d ^= low
+        c = nbr[low.bit_length() - 1] & unseen
+        unseen ^= c
+        while c:
+            bit = c & -c
+            c ^= bit
+            nb = nbr[bit.bit_length() - 1]
+            if nb & outside:
+                return True  # fault-free vertex with a fault-free and a differing neighbor
+            if (nb & only1).bit_count() >= 2:
+                return True  # two F1-only vertices share a fault-free comparator
+            if (nb & only2).bit_count() >= 2:
+                return True
     return False
 
 

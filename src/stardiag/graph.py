@@ -22,6 +22,8 @@ class TopologyGraph:
     duplicate edges and rejects self-loops.
     """
 
+    _min_degree: int | None = None
+
     def __init__(
         self,
         labels: Iterable[str],
@@ -174,7 +176,10 @@ class TopologyGraph:
         return len(self.component_masks()) == 1
 
     def min_degree(self) -> int:
-        return min(m.bit_count() for m in self.nbr_masks)
+        """Smallest vertex degree, counted on the first call and kept: the graph is immutable."""
+        if self._min_degree is None:
+            self._min_degree = min(map(int.bit_count, self.nbr_masks))
+        return self._min_degree
 
     def edges(self) -> list[tuple[str, str]]:
         out = []

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .base import DomainError, Model, VerificationError
-from .faults import good_mask, has_min_degree
+# good_mask is not called here; perfbench/spans.py wraps syndrome.good_mask by name
+from .faults import good_mask, has_min_degree  # noqa: F401
 from .graph import TopologyGraph, _iter_bits
 from .topologies import descriptor_params
 
@@ -180,7 +181,8 @@ def diagnose(
     has fewer than g neighbors outside the faulty set.  Once min(t, |V|-1)
     vertices are faulty every other vertex is fault-free.  A full
     assignment satisfies every clause, so it is consistent with the
-    syndrome; it is kept when it also passes `good_mask`.
+    syndrome; it is kept when every fault-free vertex has >= g fault-free
+    neighbors, which is `good_mask`.
 
     `stats`, when given, receives the work counters of the search:
     search nodes, assignments forced by the clauses, and full assignments.
@@ -264,11 +266,15 @@ def diagnose(
         if open_ and faulty.bit_count() == limit:
             if settle(faulty, free | open_, 0, open_) is None:
                 continue
-            open_ = 0
-        if not open_:
             leaves += 1
-            if good_mask(graph, faulty, g):
+            # only the vertices just freed are new to the degree test above
+            if has_min_degree(graph, open_, g, rest):
                 found.append(faulty)
+            continue
+        if not open_:
+            # free == rest, so the degree test above has decided good_mask(faulty)
+            leaves += 1
+            found.append(faulty)
             continue
         x = open_ & -open_
         for state in (settle(faulty | x, free, x, 0), settle(faulty, free | x, 0, x)):

@@ -324,6 +324,20 @@ def test_simulate_witness_ambiguity(capsys):
     assert report["diagnosis_stats"]["leaves"] >= len(sets)
 
 
+def test_simulate_witness_names_the_graph_it_diagnoses(capsys):
+    # a star:n graph carries its witness on S_{n,n-1}, and that graph is diagnosed
+    code, report = run_json(
+        capsys, "simulate", "--graph", "star:4", "--g", "2", "--model", "pmc", "--witness"
+    )
+    assert code == 0 and report["ambiguous"]
+    assert report["graph"] == report["witness"]["graph"] == "nkstar:4,3"
+    assert {len(label) for h in report["consistent_hypotheses"] for label in h} == {3}
+    code, report = run_json(
+        capsys, "simulate", "--graph", "nkstar:4,3", "--g", "2", "--model", "pmc", "--witness"
+    )
+    assert code == 0 and report["graph"] == "nkstar:4,3"
+
+
 def test_error_exit_code(capsys):
     code = main(["gen", "--graph", "nkstar:99,2"])
     captured = capsys.readouterr()

@@ -16,17 +16,19 @@ from stardiag import (
     min_subgraph_size_oracle,
     rg_connectivity_bruteforce,
     rg_connectivity_formula,
+    witness_general,
 )
 from stardiag import faults
 from stardiag.base import BudgetError, DomainError, NotApplicableError, VerificationError
 from stardiag.faults import (
     _connected_subsets,
+    dist_mm_mask,
     g_core,
     good_faulty_sets,
     good_mask,
     has_min_degree,
 )
-from stardiag.graph import _iter_bits
+from stardiag.graph import TopologyGraph, _iter_bits
 
 from conftest import random_graph, small_graphs
 
@@ -62,6 +64,32 @@ def test_good_mask_is_min_degree_of_the_complement():
                     for lab in graph.labels_of(full & ~fmask)
                 )
                 assert has_min_degree(graph, full & ~fmask, g, within) == in_within
+
+
+def test_good_mask_checks_every_vertex_above_the_min_degree():
+    # K_4 on a, b, c, d with a pendant p on a: min degree 1.  At g = 2 the
+    # pendant falls short although it has no neighbor in F = {c}
+    edges = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d"), ("a", "p")]
+    graph = TopologyGraph("abcdp", edges)
+    assert graph.min_degree() == 1
+    c = graph.mask_of({"c"})
+    assert good_mask(graph, c, 1)
+    assert not good_mask(graph, c, 2)
+    assert not good_mask(graph, 0, 2)
+    assert good_mask(graph, graph.mask_of({"p"}), 2)
+    assert good_mask(graph, graph.mask_of({"c", "p"}), 2)
+
+
+def test_good_mask_next_to_f_on_s76():
+    # on the 6-regular S_{7,6} only N(F) - F can fall short
+    graph = build_nk_star(7, 6)
+    full = graph.full_mask
+    nv = graph.nbr_masks[0]
+    assert not good_mask(graph, nv, 1)  # vertex 0 keeps no fault-free neighbor
+    for g in range(7):
+        # F = N[0]: a vertex at distance 2 from 0 has exactly one neighbor in N(0)
+        want = g <= 7 - 2
+        assert good_mask(graph, nv | 1, g) == want == has_min_degree(graph, full & ~(nv | 1), g)
 
 
 def test_g_core_is_the_union_of_min_degree_subsets():
@@ -165,6 +193,57 @@ def test_distinguishability_symmetric(s42):
             continue
         assert distinguishable_pmc(s42, f1, f2) == distinguishable_pmc(s42, f2, f1)
         assert distinguishable_mm(s42, f1, f2) == distinguishable_mm(s42, f2, f1)
+
+
+def test_dist_mm_mask_matches_the_all_vertex_loop():
+    # comparators are looked for only next to F1 ^ F2; the reference walks
+    # every fault-free vertex.  The four random graphs are the bridge graphs
+    # of the scan tests
+    from reference_predicates import dist_mm_mask as reference
+
+    rng = random.Random(11)
+    extra = [random_graph(8, 0.5, 1294), random_graph(6, 0.3, 1357)]
+    extra += [random_graph(6, 0.7, 1135), random_graph(7, 0.6, 1177)]
+    seen = set()
+    for graph in small_graphs(12) + extra:
+        n = graph.vertex_count
+        for p in (0.1, 0.3, 0.5):
+            for _ in range(60):
+                f1 = sum(1 << i for i in range(n) if rng.random() < p)
+                f2 = sum(1 << i for i in range(n) if rng.random() < p)
+                want = reference(graph, f1, f2)
+                assert dist_mm_mask(graph, f1, f2) == want, (graph.descriptor, f1, f2)
+                seen.add(want)
+    assert seen == {True, False}
+    # every admissible pair of S_{4,2} for g = 2, 3, and for g = 1 up to the
+    # size t_1 + 1 = 4 that decides t_1 under MM*
+    s42 = build_nk_star(4, 2)
+    for g in (1, 2, 3):
+        good = [m for m in good_faulty_sets(s42, g) if g > 1 or m.bit_count() <= 4]
+        for i, f1 in enumerate(good):
+            for f2 in good[i + 1 :]:
+                assert dist_mm_mask(s42, f1, f2) == reference(s42, f1, f2), (g, f1, f2)
+
+
+def test_dist_mm_mask_on_s76():
+    from reference_predicates import dist_mm_mask as reference
+
+    graph = build_nk_star(7, 6)
+    # breadth-first layers from vertex 0; the last holds the vertices farthest from it
+    layer, reached = 1, 1
+    while True:
+        grown = graph.neighborhood_mask(layer) & ~reached
+        if not grown:
+            break
+        layer, reached = grown, reached | grown
+    far = layer & -layer
+    f1 = graph.nbr_masks[0] | 1
+    f2 = graph.nbr_masks[far.bit_length() - 1] | far
+    assert dist_mm_mask(graph, f1, f2) and reference(graph, f1, f2)
+    for g in range(1, 6):
+        wit = witness_general(7, 6, g, graph)
+        m1, m2 = graph.mask_of(wit.f1), graph.mask_of(wit.f2)
+        assert not dist_mm_mask(graph, m1, m2) and not reference(graph, m1, m2), g
 
 
 # -- connectivity --------------------------------------------------------
