@@ -72,6 +72,7 @@ def _held_nk_star(graph):
 
 
 def cmd_gen(args) -> int:
+    started = time.time()
     graph = from_descriptor(args.graph)
     degrees = {graph.degree(lab) for lab in graph.labels}
     report = {
@@ -81,6 +82,7 @@ def cmd_gen(args) -> int:
         "edges": graph.edge_count,
         "regular": len(degrees) == 1,
         "min_degree": graph.min_degree(),
+        "elapsed_s": round(time.time() - started, 3),
     }
     if args.format == "dot":
         payload = graph.to_dot()
@@ -162,6 +164,7 @@ def cmd_tg(args) -> int:
 
 
 def cmd_kappa(args) -> int:
+    started = time.time()
     graph = from_descriptor(args.graph)
     params = descriptor_params(graph.descriptor)
     report = {"command": "kappa", "graph": graph.descriptor, "g": args.g}
@@ -185,11 +188,13 @@ def cmd_kappa(args) -> int:
         ok = False
         report["disagreement"] = values
     report["ok"] = ok
+    report["elapsed_s"] = round(time.time() - started, 3)
     _emit(args, report)
     return 0 if ok else 1
 
 
 def cmd_witness(args) -> int:
+    started = time.time()
     cell = (args.n, args.k, args.g)
     name = witness_for(*cell, Model.PMC) or witness_for(*cell, Model.MM)
     if args.construction not in ("auto", name):
@@ -197,12 +202,18 @@ def cmd_witness(args) -> int:
     if name is None:
         raise DomainError(f"no witness construction covers n, k, g = {cell}")
     wit = build_witness(name, *cell)
-    report = {"command": "witness", "ok": True, "witness": _witness_dict(wit)}
+    report = {
+        "command": "witness",
+        "ok": True,
+        "witness": _witness_dict(wit),
+        "elapsed_s": round(time.time() - started, 3),
+    }
     _emit(args, report)
     return 0
 
 
 def cmd_split(args) -> int:
+    started = time.time()
     wit = verify_split(args.n, args.k)
     report = {
         "command": "split",
@@ -212,6 +223,7 @@ def cmd_split(args) -> int:
         "t": wit.t,
         "fibers": wit.fiber_count,
         "fiber_size": wit.t,
+        "elapsed_s": round(time.time() - started, 3),
     }
     _emit(args, report)
     return 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -193,10 +194,14 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
     Each U is then cut into (S1, S2, B) with B independent and every b
     with exactly one neighbor per side (g = 1), or at most one (g = 0),
     largest B first.  In (b), ceil(s/2) gives way to a lower bound on the
-    larger side that allows for B: each b keeps >= deg(b) - 2 neighbors
-    in C, so |B| <= maxdeg * |C| / (mindeg - 2) when mindeg > 2, and the
-    larger side has >= ceil((|U| - |B|) / 2) vertices; the generator takes
-    |C| = P - 2, the largest common part that can still beat P.
+    larger side that allows for B.  A bridge b has no neighbor in O and at
+    most one in each side, so its other >= deg(b) - 2 neighbors lie in C:
+    deg(b) <= |C| + 2, and |B| is at most the number of vertices of degree
+    <= |C| + 2.  Counting the edges from B into C also gives
+    |B| <= maxdeg * |C| / (mindeg - 2) when mindeg > 2.  The larger side
+    has >= ceil((|U| - |B|) / 2) vertices.  Neither cap on |B| shrinks as
+    |C| grows, so the generator takes |C| = P - 2, the largest common part
+    that can still beat P.
 
     `stats`, when given, receives the work counters of the scan.
     """
@@ -206,15 +211,16 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
     best_p = m_cap + 1
     best_pair = None
     nodes = yielded = bound_cuts = closures = splits = bridge_sets = 0
-    degrees = [m.bit_count() for m in nbr]
-    lo_deg, hi_deg = min(degrees), max(degrees)
+    by_degree = sorted(m.bit_count() for m in nbr)
+    lo_deg, hi_deg = by_degree[0], by_degree[-1]
     least_s = 2 if g else 1  # |S| >= this whenever B is nonempty
 
     def least_side(u_size, c_size):
         """Lower bound on max(|S1|, |S2|) for |U| = u_size and |C| = c_size."""
         if not bridges:
             return (u_size + 1) // 2
-        b_max = u_size - least_s
+        # a bridge has degree <= |C| + 2, and by_degree counts the vertices that do
+        b_max = min(u_size - least_s, bisect_right(by_degree, c_size + 2))
         if lo_deg > 2:
             b_max = min(b_max, hi_deg * c_size // (lo_deg - 2))
         return (u_size - max(0, b_max) + 1) // 2

@@ -47,10 +47,14 @@ class TopologyGraph:
         self.full_mask: int = (1 << len(self.labels)) - 1
 
     @classmethod
-    def from_masks(cls, labels, masks, descriptor: str) -> "TopologyGraph":
+    def from_masks(
+        cls, labels, masks, descriptor: str, min_degree: int | None = None
+    ) -> "TopologyGraph":
         """Trusted constructor from sorted distinct labels and their neighbour masks.
 
-        Nothing is checked: `masks` must be symmetric and loop-free.  The
+        Nothing is checked: `masks` must be symmetric and loop-free, and
+        `min_degree`, when given, must be their smallest bit count; a
+        builder that knows it saves `min_degree()` the count.  The
         star-family builders use it; the tests hold their output equal to
         the edge-list constructor's.
         """
@@ -60,6 +64,7 @@ class TopologyGraph:
         graph._index = {lab: i for i, lab in enumerate(graph.labels)}
         graph.nbr_masks = tuple(masks)
         graph.full_mask = (1 << len(graph.labels)) - 1
+        graph._min_degree = min_degree
         return graph
 
     # -- basic accessors -------------------------------------------------

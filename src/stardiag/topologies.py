@@ -71,7 +71,8 @@ def _arrangement_graph(n: int, k: int, descriptor: str) -> TopologyGraph:
     symbol replaced by an unused one.  Swap: the first symbol trades places
     with the one at position j (2 <= j <= k), one `itemgetter` per j.  With
     k = n no symbol is unused, only the swap rule applies, and the result is
-    the star graph.
+    the star graph.  Either way each vertex has n - k replace neighbours and
+    k - 1 swap neighbours, so the graph is (n - 1)-regular.
     """
     verts = arrangements(n, k)
     # arrangement_label of each, joined from the symbols' strings in the same order
@@ -90,7 +91,7 @@ def _arrangement_graph(n: int, k: int, descriptor: str) -> TopologyGraph:
         swap = itemgetter(j, *range(1, j), 0, *range(j + 1, k))
         for i, q in enumerate(map(rank.__getitem__, map(swap, verts))):
             masks[i] |= 1 << q
-    return TopologyGraph.from_masks(labels, masks, descriptor)
+    return TopologyGraph.from_masks(labels, masks, descriptor, min_degree=n - 1)
 
 
 def build_star(n: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGraph:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -444,3 +445,24 @@ def test_benchmark_command_lines_parse(monkeypatch):
         argvs += [cell.argv for rung in workload.ladder for cell in rung.cells]
         for argv in argvs:
             parser.parse_args(argv)
+
+
+#: a small command line for each subcommand
+SUBCOMMAND_ARGV = {
+    "gen": ["--graph", "nkstar:4,2"],
+    "tg": ["--graph", "nkstar:4,2", "--g", "2"],
+    "kappa": ["--graph", "nkstar:4,2", "--g", "1"],
+    "witness": ["--n", "4", "--k", "2", "--g", "1"],
+    "split": ["--n", "4", "--k", "2"],
+    "table": ["--n-min", "4"],
+    "simulate": ["--graph", "nkstar:4,2", "--g", "1", "--model", "pmc", "--trials", "1"],
+}
+
+
+def test_every_subcommand_reports_elapsed_s(capsys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(SUBCOMMAND_ARGV) == set(sub.choices)
+    for name, argv in SUBCOMMAND_ARGV.items():
+        code, report = run_json(capsys, name, *argv)
+        assert code == 0 and report["command"] == name
+        assert isinstance(report["elapsed_s"], float) and report["elapsed_s"] >= 0, name

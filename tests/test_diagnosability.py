@@ -28,6 +28,7 @@ from stardiag.faults import (
     is_g_good_neighbor,
     min_subgraph_size_oracle,
 )
+from stardiag.graph import _iter_bits
 from stardiag.topologies import DEFAULT_VERTEX_BUDGET
 
 
@@ -245,17 +246,28 @@ def test_bruteforce_stats_count_the_scan():
     assert pmc.value == 4 and mm.value == 3
 
 
+def _bridge_graphs():
+    """Four random graphs that need bridges the small graphs never do.
+
+    They have a bridge with one neighbor in S (at g = 0), and more than
+    maxdeg * |C| / mindeg bridges in all.
+    """
+    from conftest import random_graph
+
+    return [
+        random_graph(8, 0.5, 1294),
+        random_graph(6, 0.3, 1357),
+        random_graph(6, 0.7, 1135),
+        random_graph(7, 0.6, 1177),
+    ]
+
+
 def test_sd_scan_matches_pair_scan_both_models():
     # the one symmetric-difference oracle against the serial O(M^2) pair scan:
-    # equal values, and a returned pair that really refutes t_g = value + 1.
-    # The four random graphs need bridges the small graphs never do: a
-    # bridge with one neighbor in S (at g = 0), and more than
-    # maxdeg * |C| / mindeg bridges in all
-    from conftest import random_graph, small_graphs
+    # equal values, and a returned pair that really refutes t_g = value + 1
+    from conftest import small_graphs
 
-    extra = [random_graph(8, 0.5, 1294), random_graph(6, 0.3, 1357)]
-    extra += [random_graph(6, 0.7, 1135), random_graph(7, 0.6, 1177)]
-    for graph in small_graphs(12) + extra:
+    for graph in small_graphs(12) + _bridge_graphs():
         for g in range(4):
             for model in Model:
                 res = tg_bruteforce(graph, g, model)
@@ -340,6 +352,47 @@ def test_bridge_characterization_of_mm():
                     if (c | s1) != graph.full_mask:
                         assert good_mask(graph, c | s1, g) and good_mask(graph, c | s2, g)
                         assert not dist_mm_mask(graph, c | s1, c | s2)
+
+
+def test_bridge_degree_is_at_most_the_common_part_plus_two():
+    # the cap the bridged scan puts on |B|: a bridge b has no neighbor in O
+    # and at most one in each side, so its other neighbors lie in F1 & F2
+    from conftest import small_graphs
+
+    slack = set()
+    for graph in small_graphs(8) + _bridge_graphs():
+        degree = [m.bit_count() for m in graph.nbr_masks]
+        for g in (0, 1):
+            good = good_faulty_sets(graph, g)
+            for i, f1 in enumerate(good):
+                for f2 in good[i + 1 :]:
+                    if dist_mm_mask(graph, f1, f2):
+                        continue
+                    common = (f1 & f2).bit_count()
+                    for b in _iter_bits(_bridge_sets(graph, f1, f2)[2]):
+                        assert degree[b] <= common + 2, (graph.descriptor, g, f1, f2)
+                        slack.add(common + 2 - degree[b])
+    # the bound is met, so c + 2 cannot be tightened: on K_4 with F1 = {a, d}
+    # and F2 = {c, d}, the bridge b has degree 3 = |{d}| + 2
+    assert min(slack) == 0
+    k4 = build_complete(4)
+    f1, f2 = k4.mask_of(["u1", "u4"]), k4.mask_of(["u3", "u4"])
+    assert good_mask(k4, f1, 1) and good_mask(k4, f2, 1) and not dist_mm_mask(k4, f1, f2)
+    assert _bridge_sets(k4, f1, f2)[2] == k4.mask_of(["u2"]) and k4.degree("u2") == 3
+
+
+def test_k12_mm_scan_caps_bridges_by_degree():
+    # K_12 under MM*: with deg(b) <= |C| + 2 the g = 1 scan takes a handful of
+    # candidate differences (3798 without the cap), for the same values and pairs
+    k12 = build_nk_star(12, 1)
+    low, high = ("1", "10", "11", "12", "2", "3"), ("4", "5", "6", "7", "8", "9")
+    expected = {1: (5, (high, low)), 6: (5, None), 7: (4, None)}
+    expected.update({g: (5, (low, high)) for g in range(2, 6)})
+    for g, (value, pair) in sorted(expected.items()):
+        res = tg_bruteforce(k12, g, Model.MM)
+        assert (res.value, res.pair) == (value, pair), g
+        if g == 1:
+            assert res.stats["candidates"] <= 10
 
 
 @pytest.mark.parametrize(

@@ -172,6 +172,14 @@ def test_star_kernel_matches_the_edge_list_builder(n):
     _same_graph(build_star(n), reference_builders.build_star(n))
 
 
+def test_kernel_stores_the_min_degree_it_builds():
+    # every arrangement graph is (n - 1)-regular, so the kernel hands that
+    # value to the graph instead of having min_degree() count it
+    graphs = [build_nk_star(n, k) for n in range(2, 8) for k in range(1, n)]
+    for graph in graphs + [build_star(n) for n in range(2, 8)]:
+        assert graph._min_degree == min(map(int.bit_count, graph.nbr_masks)), graph.descriptor
+
+
 def test_descriptor_params():
     assert descriptor_params("nkstar:5,2") == (5, 2)
     assert descriptor_params("star:4") == (4, 3)
