@@ -230,6 +230,10 @@ def cmd_split(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.n_min < 3:
+        raise DomainError(f"the table starts at n = 3, got --n-min {args.n_min}")
+    if args.n_max < args.n_min:
+        raise DomainError(f"--n-max {args.n_max} is below --n-min {args.n_min}")
     started = time.time()
     rows = []
     ok = True

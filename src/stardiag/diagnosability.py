@@ -164,7 +164,7 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
     C = _sd_closure(S), all of V - S but the `g_core` of V - S - N(S), the
     best pair for S is (C | (S - T), C | T) for the largest admissible
     side T of at most s/2 vertices (the numerically largest on ties), else
-    (C | S, C).  Three facts cut the work and leave the result unchanged:
+    (C | S, C).  Four facts cut the work and leave the result unchanged:
 
     (a) P starts at the bound m_cap + 1: both sets of an admissible pair
         are admissible, so its max size is at most m_cap.
@@ -181,6 +181,12 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
         S in descending order and for |T| from s/2 down: its first
         admissible T is the one the descending walk over all submasks of
         S would keep, since a larger side always gives a smaller max size.
+    (d) On a vertex-transitive graph only S through vertex 0 are tried.
+        The best max size for S is invariant under automorphisms, and an
+        automorphism carries the least vertex of any S to 0.  Every S
+        through 0 comes before every S without it in `combinations`
+        order, so the first S of the least size that reaches the least P
+        goes through 0, and the value and pair are unchanged.
 
     With `bridges` (MM*, g <= 1) the scan also admits bridge vertices.
     Write S1 = F1 - F2, S2 = F2 - F1 and O = V - (F1 | F2).  By
@@ -201,7 +207,8 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
     |B| <= maxdeg * |C| / (mindeg - 2) when mindeg > 2.  The larger side
     has >= ceil((|U| - |B|) / 2) vertices.  Neither cap on |B| shrinks as
     |C| grows, so the generator takes |C| = P - 2, the largest common part
-    that can still beat P.
+    that can still beat P.  The best cut of U is automorphism-invariant
+    too, so (d) holds for U as for S.
 
     `stats`, when given, receives the work counters of the scan.
     """
@@ -225,8 +232,11 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
             b_max = min(b_max, hi_deg * c_size // (lo_deg - 2))
         return (u_size - max(0, b_max) + 1) // 2
 
-    def subsets(order, size, least):
-        """Yield each `size`-subset of `order` inducing min degree >= g, in combinations order."""
+    def subsets(order, size, least, anchored=False):
+        """Yield each `size`-subset of `order` inducing min degree >= g, in combinations order.
+
+        With `anchored`, only the subsets that contain order[0].
+        """
         after = [0] * (len(order) + 1)  # after[j]: the vertices order[j:]
         for j in range(len(order) - 1, -1, -1):
             after[j] = after[j + 1] | 1 << order[j]
@@ -249,7 +259,8 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
             # minus chosen is out for good
             nonlocal nodes
             nodes += 1
-            for j in range(i, len(order) - left + 1):
+            stop = 1 if anchored and not chosen else len(order) - left + 1
+            for j in range(i, stop):
                 u = order[j]
                 rest = after[j + 1]
                 nu = nbr[u]
@@ -322,7 +333,7 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
         if min(c + least_side(s_size, c) for c in range(max(1, best_p - 1))) >= best_p:
             break
         least = least_side(s_size, best_p - 2)
-        for smask in subsets(range(n), s_size, least):
+        for smask in subsets(range(n), s_size, least, graph.vertex_transitive):
             yielded += 1
             closures += 1
             c = _sd_closure(graph, smask, g)

@@ -106,13 +106,20 @@ def rg_connectivity_bruteforce(
     """Minimum size of a g-good-neighbor cut, or None when no cut exists.
 
     Enumerates candidate sets in increasing size, so the cost is governed
-    by the answer rather than by 2^|V| whenever a cut exists.
+    by the answer rather than by 2^|V| whenever a cut exists.  On a
+    vertex-transitive graph only sets through vertex 0 are tried: an
+    automorphism carries any cut to one through 0.
     """
+    if g < 0:
+        raise DomainError("g must be nonnegative")
     n = graph.vertex_count
     if n > budget:
         raise BudgetError(f"{n} vertices over the brute-force budget of {budget}")
     for size in range(n):
-        for combo in combinations(range(n), size):
+        combos = combinations(range(n), size)
+        if graph.vertex_transitive and size:
+            combos = ((0, *rest) for rest in combinations(range(1, n), size - 1))
+        for combo in combos:
             fmask = 0
             for i in combo:
                 fmask |= 1 << i

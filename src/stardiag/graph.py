@@ -19,10 +19,13 @@ class TopologyGraph:
     """Simple undirected graph bound to a family descriptor string.
 
     Instances are immutable after construction.  Construction collapses
-    duplicate edges and rejects self-loops.
+    duplicate edges and rejects self-loops.  Only the family builders set
+    `vertex_transitive`, on graphs where an automorphism carries any
+    vertex to vertex 0; every other graph leaves it False.
     """
 
     _min_degree: int | None = None
+    vertex_transitive: bool = False
 
     def __init__(
         self,
@@ -48,15 +51,21 @@ class TopologyGraph:
 
     @classmethod
     def from_masks(
-        cls, labels, masks, descriptor: str, min_degree: int | None = None
+        cls,
+        labels,
+        masks,
+        descriptor: str,
+        min_degree: int | None = None,
+        vertex_transitive: bool = False,
     ) -> "TopologyGraph":
         """Trusted constructor from sorted distinct labels and their neighbour masks.
 
-        Nothing is checked: `masks` must be symmetric and loop-free, and
-        `min_degree`, when given, must be their smallest bit count; a
-        builder that knows it saves `min_degree()` the count.  The
-        star-family builders use it; the tests hold their output equal to
-        the edge-list constructor's.
+        Nothing is checked: `masks` must be symmetric and loop-free,
+        `min_degree`, when given, must be their smallest bit count (a
+        builder that knows it saves `min_degree()` the count), and
+        `vertex_transitive` must hold of the graph.  The star-family
+        builders use it; the tests hold their output equal to the
+        edge-list constructor's.
         """
         graph = cls.__new__(cls)
         graph.labels = tuple(labels)
@@ -65,6 +74,7 @@ class TopologyGraph:
         graph.nbr_masks = tuple(masks)
         graph.full_mask = (1 << len(graph.labels)) - 1
         graph._min_degree = min_degree
+        graph.vertex_transitive = vertex_transitive
         return graph
 
     # -- basic accessors -------------------------------------------------

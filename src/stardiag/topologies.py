@@ -72,7 +72,9 @@ def _arrangement_graph(n: int, k: int, descriptor: str) -> TopologyGraph:
     with the one at position j (2 <= j <= k), one `itemgetter` per j.  With
     k = n no symbol is unused, only the swap rule applies, and the result is
     the star graph.  Either way each vertex has n - k replace neighbours and
-    k - 1 swap neighbours, so the graph is (n - 1)-regular.
+    k - 1 swap neighbours, so the graph is (n - 1)-regular.  It is also
+    vertex-transitive: renaming the symbols maps the graph onto itself and
+    carries any arrangement to any other.
     """
     verts = arrangements(n, k)
     # arrangement_label of each, joined from the symbols' strings in the same order
@@ -91,7 +93,9 @@ def _arrangement_graph(n: int, k: int, descriptor: str) -> TopologyGraph:
         swap = itemgetter(j, *range(1, j), 0, *range(j + 1, k))
         for i, q in enumerate(map(rank.__getitem__, map(swap, verts))):
             masks[i] |= 1 << q
-    return TopologyGraph.from_masks(labels, masks, descriptor, min_degree=n - 1)
+    return TopologyGraph.from_masks(
+        labels, masks, descriptor, min_degree=n - 1, vertex_transitive=True
+    )
 
 
 def build_star(n: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGraph:
@@ -124,7 +128,9 @@ def build_complete(n: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Topolog
         raise DomainError(f"complete graph on {n} vertices exceeds budget {max_vertices}")
     labels = [f"u{i}" for i in range(1, n + 1)]
     edges = [(a, b) for a, b in itertools.combinations(labels, 2)]
-    return TopologyGraph(labels, edges, descriptor=f"complete:{n}")
+    graph = TopologyGraph(labels, edges, descriptor=f"complete:{n}")
+    graph.vertex_transitive = True
+    return graph
 
 
 def build_cycle(m: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGraph:
@@ -134,7 +140,9 @@ def build_cycle(m: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGr
         raise DomainError(f"cycle on {m} vertices exceeds budget {max_vertices}")
     labels = [f"u{i}" for i in range(1, m + 1)]
     edges = [(labels[i], labels[(i + 1) % m]) for i in range(m)]
-    return TopologyGraph(labels, edges, descriptor=f"cycle:{m}")
+    graph = TopologyGraph(labels, edges, descriptor=f"cycle:{m}")
+    graph.vertex_transitive = True  # rotations carry any vertex to any other
+    return graph
 
 
 def from_descriptor(desc: str, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGraph:

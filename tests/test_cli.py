@@ -131,6 +131,23 @@ def test_kappa_no_cut(capsys):
     assert report["bruteforce"] == "no cut"
 
 
+def test_kappa_rejects_negative_g(capsys):
+    for method in ("all", "brute"):
+        code = main(["kappa", "--graph", "nkstar:4,2", "--g", "-1", "--method", method])
+        assert code == 2
+        assert "g must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n_min, n_max, message",
+    [("5", "4", "below --n-min"), ("0", "1", "starts at n = 3"), ("2", "4", "starts at n = 3")],
+)
+def test_table_rejects_an_empty_or_short_range(capsys, n_min, n_max, message):
+    code = main(["table", "--n-min", n_min, "--n-max", n_max])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_witness_subcommand(capsys):
     code, report = run_json(
         capsys, "witness", "--n", "5", "--k", "3", "--g", "2"

@@ -8,6 +8,7 @@ from stardiag import (
     build_complete,
     build_cycle,
     build_nk_star,
+    build_star,
     build_witness,
     crosscheck,
     tg_bruteforce,
@@ -27,8 +28,9 @@ from stardiag.faults import (
     indist_pmc_mask,
     is_g_good_neighbor,
     min_subgraph_size_oracle,
+    rg_connectivity_bruteforce,
 )
-from stardiag.graph import _iter_bits
+from stardiag.graph import TopologyGraph, _iter_bits
 from stardiag.topologies import DEFAULT_VERTEX_BUDGET
 
 
@@ -286,6 +288,34 @@ def test_sd_scan_matches_pair_scan_both_models():
                 assert m1 != graph.full_mask and m2 != graph.full_mask, where
                 assert indist_mask(graph, m1, m2, model), where
                 assert max(m1.bit_count(), m2.bit_count()) == res.value + 1, where
+
+
+def test_orbit_scan_matches_the_full_scan():
+    # on a vertex-transitive graph the oracles only try sets through vertex 0;
+    # an unflagged copy tries every set and must give the same answers
+    from conftest import small_graphs
+
+    graphs = [g for g in small_graphs(12) if g.vertex_transitive]
+    graphs += [build_nk_star(4, 3), build_nk_star(5, 2), build_nk_star(6, 2), build_star(4)]
+    for graph in graphs:
+        full = TopologyGraph(graph.labels, graph.edges(), graph.descriptor)
+        assert graph.vertex_transitive and not full.vertex_transitive
+        degree = graph.min_degree()
+        for g in range(degree + 2):
+            for model in Model:
+                orbit = tg_bruteforce(graph, g, model, budget=30)
+                every = tg_bruteforce(full, g, model, budget=30)
+                where = (graph.descriptor, g, model)
+                assert (orbit.value, orbit.pair, orbit.note) == (
+                    every.value, every.pair, every.note
+                ), where
+                assert orbit.stats.get("search_nodes", 0) <= every.stats.get("search_nodes", 0)
+            # these graphs are regular: from g = min degree on no cut exists,
+            # and the search walks all 2^|V| sets
+            if g < degree or graph.vertex_count <= 12:
+                assert rg_connectivity_bruteforce(graph, g, 30) == rg_connectivity_bruteforce(
+                    full, g, 30
+                ), (graph.descriptor, g)
 
 
 def _bridge_sets(graph, f1, f2):

@@ -255,6 +255,13 @@ def test_kappa_bruteforce_cycle_and_complete(c6):
     assert rg_connectivity_bruteforce(build_complete(4), 0) is None
 
 
+def test_kappa_bruteforce_tries_every_set_off_the_family_builders():
+    # an edge-list path a-b-c is not flagged vertex-transitive: its one
+    # minimum cut {b} misses vertex 0, and the search must still find it
+    path = TopologyGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    assert rg_connectivity_bruteforce(path, 0) == 1
+
+
 def test_kappa_bruteforce_budget(s42):
     with pytest.raises(BudgetError):
         rg_connectivity_bruteforce(s42, 1, budget=10)

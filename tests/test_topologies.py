@@ -13,6 +13,7 @@ from stardiag import (
     verify_split,
 )
 from stardiag.base import DomainError, VerificationError
+from stardiag.graph import TopologyGraph
 from stardiag.topologies import (
     arrangement_label,
     descriptor_params,
@@ -178,6 +179,72 @@ def test_kernel_stores_the_min_degree_it_builds():
     graphs = [build_nk_star(n, k) for n in range(2, 8) for k in range(1, n)]
     for graph in graphs + [build_star(n) for n in range(2, 8)]:
         assert graph._min_degree == min(map(int.bit_count, graph.nbr_masks)), graph.descriptor
+
+
+def test_only_family_builders_claim_vertex_transitivity(tmp_path):
+    flagged = [build_nk_star(5, 2), build_nk_star(12, 1), build_star(4), build_complete(5)]
+    flagged += [build_cycle(7)]
+    flagged += [from_descriptor(d) for d in ("nkstar:4,3", "star:3", "complete:3", "cycle:6")]
+    for graph in flagged:
+        assert graph.vertex_transitive is True, graph.descriptor
+    path = tmp_path / "c5.edges"
+    path.write_text(build_cycle(5).to_edgelist())
+    s42 = build_nk_star(4, 2)
+    unflagged = [
+        from_descriptor(f"file:{path}"),
+        TopologyGraph(s42.labels, s42.edges(), s42.descriptor),
+        TopologyGraph.from_edgelist_text(s42.to_edgelist()),
+        s42.induced_subgraph(s42.labels),
+        s42.delete_vertices([]),
+    ]
+    for graph in unflagged:
+        assert graph.vertex_transitive is False, graph.descriptor
+
+
+def _automorphism_to(graph, v):
+    """Vertex map of an automorphism of a family graph that sends vertex 0 to `v`.
+
+    Symbol relabelling for S_{n,k} and S_n, rotation for C_m and a
+    transposition for K_m.
+    """
+    kind, _, arg = graph.descriptor.partition(":")
+    labels = graph.labels
+    if kind in ("nkstar", "star"):
+        n = int(arg.split(",")[0])
+        src = parse_arrangement(labels[0], n)
+        dst = parse_arrangement(labels[v], n)
+        spare = iter(s for s in range(1, n + 1) if s not in dst)
+        sigma = {a: b for a, b in zip(src, dst)}
+        sigma.update({s: next(spare) for s in range(1, n + 1) if s not in src})
+        image = [arrangement_label(tuple(sigma[s] for s in parse_arrangement(lab, n)), n)
+                 for lab in labels]
+    elif kind == "cycle":
+        m = len(labels)
+        shift = int(labels[v][1:]) - int(labels[0][1:])
+        image = [f"u{(int(lab[1:]) - 1 + shift) % m + 1}" for lab in labels]
+    else:
+        image = list(labels)
+        image[0], image[v] = labels[v], labels[0]
+    index = {lab: i for i, lab in enumerate(labels)}
+    return [index[lab] for lab in image]
+
+
+def test_flagged_graphs_map_vertex_0_to_every_vertex():
+    # the orbit lemma's premise: an automorphism carries vertex 0 to any vertex
+    from conftest import small_graphs
+
+    graphs = [g for g in small_graphs(24) if g.vertex_transitive]
+    graphs += [build_star(3), build_star(4)]
+    assert {g.descriptor.partition(":")[0] for g in graphs} == {
+        "nkstar", "star", "cycle", "complete"
+    }
+    for graph in graphs:
+        for v in range(graph.vertex_count):
+            phi = _automorphism_to(graph, v)
+            assert phi[0] == v and sorted(phi) == list(range(graph.vertex_count))
+            for i, nbrs in enumerate(graph.nbr_masks):
+                moved = sum(1 << phi[j] for j in range(graph.vertex_count) if nbrs >> j & 1)
+                assert moved == graph.nbr_masks[phi[i]], (graph.descriptor, v, i)
 
 
 def test_descriptor_params():
