@@ -474,6 +474,8 @@ def main(argv=None) -> int:
     if getattr(args, "n_max", 0) is None:
         args.n_max = args.n_min
     try:
+        if getattr(args, "g", 0) < 0:
+            raise DomainError("g must be nonnegative")
         return args.func(args)
     except StardiagError as exc:
         print(f"error: {exc}", file=sys.stderr)

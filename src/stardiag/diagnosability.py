@@ -159,61 +159,61 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
 
     Returns (P, (F1, F2)) for the first pair of smallest max size in the
     order below, or (None, None) when every admissible pair is
-    distinguishable.  Each candidate symmetric difference S is taken in
-    increasing size and, within a size, in `combinations` order; with
-    C = _sd_closure(S), all of V - S but the `g_core` of V - S - N(S), the
-    best pair for S is (C | (S - T), C | T) for the largest admissible
-    side T of at most s/2 vertices (the numerically largest on ties), else
+    distinguishable.  Write S1 = F1 - F2, S2 = F2 - F1, S = S1 | S2 and
+    O = V - (F1 | F2).  By Sengupta-Dahbura a pair is MM*-indistinguishable
+    iff every vertex b of the bridge set B = O & N(S) has no neighbor in O
+    and at most one in each of S1 and S2; F1 and F2 being g-good-neighbor,
+    each b also has >= g neighbors in each side and each vertex of S_i has
+    >= g neighbors in S_i | B.  PMC-indistinguishability is B empty, and
+    so is MM* for g >= 2, so bridges are admitted only with `bridges`
+    (MM*, g <= 1).
+
+    Each candidate U = S | B is taken in increasing size and, within a
+    size, in `combinations` order.  With C = _sd_closure(U), all of V - U
+    but the `g_core` of V - U - N(U), N(U) - U lies in C since B has no
+    neighbor in O.  The one cut of U tries B largest first, independent and
+    drawn from the vertices with exactly one neighbor per side (g = 1), or
+    at most one (g = 0); without bridges B is empty.  For each B it takes
+    the first side T = S2, from |T| = floor(s/2) down, that leaves S - T
+    with >= g neighbors in S - T | B and gives each two-neighbor bridge one
+    neighbor in T, and returns (C | (S - T), C | T); T empty gives
     (C | S, C).  Four facts cut the work and leave the result unchanged:
 
     (a) P starts at the bound m_cap + 1: both sets of an admissible pair
         are admissible, so its max size is at most m_cap.
-    (b) Only S inducing min degree >= g are generated: a vertex of F2 - F1
-        is fault-free under F1, and by Dahbura-Masson none of its >= g
-        fault-free neighbors lies outside F1 | F2, so each side of S, and
-        hence S, induces min degree >= g.  A branch is cut when a chosen
-        vertex can no longer reach g chosen neighbors, or when the
-        neighbors of the chosen set that cannot all join it (those passed
-        over, and those ahead beyond the slots left) plus ceil(s/2) reach
-        P: they lie in N(S) - S, inside C, so every pair for S has max
-        size >= |C| + ceil(s/2) >= P.
-    (c) T comes from the same generator restricted to S, over the bits of
-        S in descending order and for |T| from s/2 down: its first
-        admissible T is the one the descending walk over all submasks of
-        S would keep, since a larger side always gives a smaller max size.
-    (d) On a vertex-transitive graph only S through vertex 0 are tried.
-        The best max size for S is invariant under automorphisms, and an
-        automorphism carries the least vertex of any S to 0.  Every S
-        through 0 comes before every S without it in `combinations`
-        order, so the first S of the least size that reaches the least P
-        goes through 0, and the value and pair are unchanged.
-
-    With `bridges` (MM*, g <= 1) the scan also admits bridge vertices.
-    Write S1 = F1 - F2, S2 = F2 - F1 and O = V - (F1 | F2).  By
-    Sengupta-Dahbura a pair is MM*-indistinguishable iff every vertex b of
-    the bridge set B = O & N(S) has no neighbor in O and at most one in
-    each of S1 and S2; F1 and F2 being g-good-neighbor, each b also has
-    >= g neighbors in each side and each vertex of S_i has >= g neighbors
-    in S_i | B.  So B is empty for g >= 2 (MM* is PMC there), and the scan
-    enumerates U = S | B, which again induces min degree >= g, with
-    C = _sd_closure(U): N(U) - U lies in C because B has no neighbor in O.
-    Each U is then cut into (S1, S2, B) with B independent and every b
-    with exactly one neighbor per side (g = 1), or at most one (g = 0),
-    largest B first.  In (b), ceil(s/2) gives way to a lower bound on the
-    larger side that allows for B.  A bridge b has no neighbor in O and at
-    most one in each side, so its other >= deg(b) - 2 neighbors lie in C:
-    deg(b) <= |C| + 2, and |B| is at most the number of vertices of degree
-    <= |C| + 2.  Counting the edges from B into C also gives
-    |B| <= maxdeg * |C| / (mindeg - 2) when mindeg > 2.  The larger side
-    has >= ceil((|U| - |B|) / 2) vertices.  Neither cap on |B| shrinks as
-    |C| grows, so the generator takes |C| = P - 2, the largest common part
-    that can still beat P.  The best cut of U is automorphism-invariant
-    too, so (d) holds for U as for S.
+    (b) Only U inducing min degree >= g are generated: a vertex of S2 is
+        fault-free under F1, so its >= g fault-free neighbors lie in U.  A
+        branch is cut when a chosen vertex can no longer reach g chosen
+        neighbors, or when the neighbors of the chosen set that cannot all
+        join it (those passed over, and those ahead beyond the slots left)
+        plus a lower bound on the larger side reach P: they lie in C, so
+        every pair for U has max size >= |C| + max(|S1|, |S2|) >= P.  The
+        larger side has >= ceil((|U| - |B|) / 2) vertices.  A bridge has
+        no neighbor in O and at most one in each side, so its other
+        >= deg(b) - 2 neighbors lie in C: deg(b) <= |C| + 2, and |B| is at
+        most the number of vertices of degree <= |C| + 2.  Counting the
+        edges from B into C also gives |B| <= maxdeg * |C| / (mindeg - 2)
+        when mindeg > 2.  Neither cap shrinks as |C| grows, so the
+        generator takes |C| = P - 2, the largest common part that can
+        still beat P.
+    (c) T comes from the same generator restricted to S, with B counted
+        toward each vertex's g, and the first admissible T of the largest
+        size wins, since a larger side always gives a smaller max size.
+        The order of S's bits only breaks ties within a size: descending
+        without bridges, which keeps the numerically largest T as the walk
+        over all submasks of S in tests/reference_scan.py does, and
+        ascending with them, which keeps the MM* pairs as first reported
+        (the K_12 test pins one).  Either order gives the same P.
+    (d) On a vertex-transitive graph only U through vertex 0 are tried.
+        The best cut of U is invariant under automorphisms, and an
+        automorphism carries the least vertex of any U to 0.  Every U
+        through 0 comes before every U without it in `combinations` order,
+        so the first U of the least size that reaches the least P goes
+        through 0, and the value and pair are unchanged.
 
     `stats`, when given, receives the work counters of the scan.
     """
     n = graph.vertex_count
-    full = graph.full_mask
     nbr = graph.nbr_masks
     best_p = m_cap + 1
     best_pair = None
@@ -222,22 +222,30 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
     lo_deg, hi_deg = by_degree[0], by_degree[-1]
     least_s = 2 if g else 1  # |S| >= this whenever B is nonempty
 
+    def bridge_cap(u_size, c_size):
+        """Upper bound on |B| for |U| = u_size and |C| = c_size; 0 without bridges."""
+        if not bridges:
+            return 0
+        # a bridge has degree <= |C| + 2, and by_degree counts the vertices that do
+        cap = min(u_size - least_s, bisect_right(by_degree, c_size + 2))
+        if lo_deg > 2:
+            cap = min(cap, hi_deg * c_size // (lo_deg - 2))
+        return max(0, cap)
+
     def least_side(u_size, c_size):
         """Lower bound on max(|S1|, |S2|) for |U| = u_size and |C| = c_size."""
-        if not bridges:
-            return (u_size + 1) // 2
-        # a bridge has degree <= |C| + 2, and by_degree counts the vertices that do
-        b_max = min(u_size - least_s, bisect_right(by_degree, c_size + 2))
-        if lo_deg > 2:
-            b_max = min(b_max, hi_deg * c_size // (lo_deg - 2))
-        return (u_size - max(0, b_max) + 1) // 2
+        return (u_size - bridge_cap(u_size, c_size) + 1) // 2
 
-    def subsets(order, size, least, anchored=False):
+    def subsets(order, size, least, anchored=False, support=0):
         """Yield each `size`-subset of `order` inducing min degree >= g, in combinations order.
 
-        With `anchored`, only the subsets that contain order[0].
+        With `anchored`, only the subsets that contain order[0].  A vertex's
+        neighbors in `support` count toward its g as well.
         """
-        after = [0] * (len(order) + 1)  # after[j]: the vertices order[j:]
+        if not size:
+            yield 0
+            return
+        after = [0] * len(order) + [support]  # after[j]: the vertices order[j:], and support
         for j in range(len(order) - 1, -1, -1):
             after[j] = after[j + 1] | 1 << order[j]
 
@@ -270,7 +278,7 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
                 ):
                     if left > 1:
                         yield from grow(j + 1, grown, reach | nu, left - 1)
-                    elif has_min_degree(graph, grown, g):
+                    elif has_min_degree(graph, grown, g, grown | support):
                         yield grown
                 # u is out from here on: has_min_degree(graph, nu & chosen, g, chosen | rest),
                 # written inline because the call costs the scan about 5%
@@ -285,17 +293,14 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
 
         yield from grow(0, 0, 0, size)
 
-    def bridge_cut(umask, c, base):
+    def cut(umask, c, base):
         """Best (S1, S2, B) cut of U that beats P, updating best_p and best_pair."""
         nonlocal best_p, best_pair, bridge_sets, splits
         u_size = umask.bit_count()
-        in_u = {v: (nbr[v] & umask).bit_count() for v in _iter_bits(umask)}
+        in_u = {v: (nbr[v] & umask).bit_count() for v in _iter_bits(umask)} if bridges else {}
         # a bridge has one neighbor per side (g = 1), or at most one (g = 0)
         cands = [v for v, d in in_u.items() if d == 2 or (g == 0 and d == 1)]
-        b_top = min(len(cands), u_size - least_s)
-        if lo_deg > 2:
-            b_top = min(b_top, hi_deg * base // (lo_deg - 2))
-        for b_size in range(max(0, b_top), -1, -1):
+        for b_size in range(min(len(cands), bridge_cap(u_size, base)), -1, -1):
             s_size = u_size - b_size
             if base + (s_size + 1) // 2 >= best_p:
                 break
@@ -308,19 +313,16 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
                 bridge_sets += b_size > 0
                 smask = umask ^ bmask
                 pairs = [nbr[b] for b in combo if in_u[b] == 2]
-                s_bits = list(_iter_bits(smask))
+                order = sorted(_iter_bits(smask), reverse=not bridges)  # see (c)
+                # a side of t vertices scores base + s - t; only scores below P matter
                 for t_size in range(s_size // 2, max(-1, base + s_size - best_p), -1):
                     if t_size == 0 and pairs:
                         break  # a bridge with two neighbors needs one on each side
                     found = None
-                    for tc in combinations(s_bits, t_size):
-                        splits += 1
-                        t = 0
-                        for v in tc:
-                            t |= 1 << v
-                        # each vertex of a side keeps >= g neighbors in its side and B
-                        if all((p & t).bit_count() == 1 for p in pairs) and all(
-                            has_min_degree(graph, side, g, side | bmask) for side in (smask ^ t, t)
+                    for t in subsets(order, t_size, None, support=bmask):
+                        splits += t > 0  # T empty splits nothing
+                        if all((p & t).bit_count() == 1 for p in pairs) and has_min_degree(
+                            graph, smask ^ t, g, (smask ^ t) | bmask
                         ):
                             found = t
                             break
@@ -333,34 +335,13 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
         if min(c + least_side(s_size, c) for c in range(max(1, best_p - 1))) >= best_p:
             break
         least = least_side(s_size, best_p - 2)
-        for smask in subsets(range(n), s_size, least, graph.vertex_transitive):
+        for umask in subsets(range(n), s_size, least, graph.vertex_transitive):
             yielded += 1
             closures += 1
-            c = _sd_closure(graph, smask, g)
+            c = _sd_closure(graph, umask, g)
             base = c.bit_count()
-            if base + least_side(s_size, base) >= best_p:
-                continue
-            if bridges:
-                bridge_cut(smask, c, base)
-                continue
-            cand_pair = None
-            # a side of t vertices scores base + s - t; only scores below P matter
-            descending = sorted(_iter_bits(smask), reverse=True)
-            for t_size in range(s_size // 2, max(0, base + s_size - best_p), -1):
-                for t in subsets(descending, t_size, None):
-                    splits += 1
-                    if has_min_degree(graph, smask ^ t, g):
-                        cand = base + s_size - t_size
-                        cand_pair = (c | (smask ^ t), c | t)
-                        break
-                if cand_pair is not None:
-                    break
-            if cand_pair is None and base + s_size < best_p and (c | smask) != full:
-                cand = base + s_size
-                cand_pair = (c | smask, c)
-            if cand_pair is not None:
-                best_p = cand
-                best_pair = cand_pair
+            if base + least_side(s_size, base) < best_p:
+                cut(umask, c, base)
     if stats is not None:
         stats.update(
             search_nodes=nodes,
@@ -485,6 +466,36 @@ def _nk_star(n: int, k: int, graph: TopologyGraph | None) -> TopologyGraph:
     return graph
 
 
+def _certified(construction, graph, g, a_set, f1, f2, claims, formula) -> WitnessReport:
+    """The report for the pair (F1, F2) on `graph`, once its self-checks pass.
+
+    Both sets must be g-good-neighbor and the pair indistinguishable under
+    each model in `claims`.  The other model's status is recorded only, as
+    is whether max(|F1|, |F2|) - 1 equals the closed form `formula`.
+    """
+    _require(is_g_good_neighbor(graph, f1, g), f"F1 not {g}-good-neighbor")
+    _require(is_g_good_neighbor(graph, f2, g), f"F2 not {g}-good-neighbor")
+    m1, m2 = graph.mask_of(f1), graph.mask_of(f2)
+    indist = {Model.PMC: indist_pmc_mask(graph, m1, m2), Model.MM: not dist_mm_mask(graph, m1, m2)}
+    for model in claims:
+        _require(indist[model], f"pair distinguishable under {model.value}")
+    return WitnessReport(
+        construction=construction,
+        descriptor=graph.descriptor,
+        a_set=a_set,
+        f1=f1,
+        f2=f2,
+        sizes={"A": len(a_set), "F1": len(f1), "F2": len(f2)},
+        checks={
+            "f1_good": True,
+            "f2_good": True,
+            "indistinguishable_pmc": indist[Model.PMC],
+            "indistinguishable_mm": indist[Model.MM],
+            "sizes_match_formula": max(len(f1), len(f2)) - 1 == formula,
+        },
+    )
+
+
 def witness_general(n: int, k: int, g: int, graph: TopologyGraph | None = None) -> WitnessReport:
     """Upper-bound pair for S_{n,k} in the range 2<=k<=n-1, n-k<=g<=n-2.
 
@@ -493,7 +504,7 @@ def witness_general(n: int, k: int, g: int, graph: TopologyGraph | None = None) 
     F1 = N(A) and F2 = F1 | A.  |F2| exceeds t_g by exactly one.  `graph`
     is S_{n,k} when the caller holds it; otherwise it is built here.
     """
-    if n < 4 or not 2 <= k <= n - 1 or not n - k <= g <= n - 2:
+    if witness_for(n, k, g, Model.PMC) != "general":
         raise DomainError(
             f"general witness needs n>=4, 2<=k<=n-1, n-k<=g<=n-2; got n={n}, k={k}, g={g}"
         )
@@ -510,28 +521,9 @@ def witness_general(n: int, k: int, g: int, graph: TopologyGraph | None = None) 
     _require(len(a_set) == size_a, f"|A|={len(a_set)}, expected {size_a}")
     _require(len(f1) == size_a * (n - g - 1), f"|F1|={len(f1)}, expected {size_a * (n - g - 1)}")
     _require(len(f2) == size_a * (n - g), f"|F2|={len(f2)}, expected {size_a * (n - g)}")
-    _require(is_g_good_neighbor(graph, f1, g), "F1 not g-good-neighbor")
-    _require(is_g_good_neighbor(graph, f2, g), "F2 not g-good-neighbor")
-    m1, m2 = graph.mask_of(f1), graph.mask_of(f2)
-    _require(indist_pmc_mask(graph, m1, m2), "pair distinguishable under PMC")
-    _require(not dist_mm_mask(graph, m1, m2), "pair distinguishable under MM*")
     formula = tg_formula(n, k, g, Model.PMC).value
     _require(len(f2) - 1 == formula, f"|F2|-1={len(f2) - 1} != formula {formula}")
-    return WitnessReport(
-        construction="general",
-        descriptor=graph.descriptor,
-        a_set=a_set,
-        f1=f1,
-        f2=f2,
-        sizes={"A": len(a_set), "F1": len(f1), "F2": len(f2)},
-        checks={
-            "f1_good": True,
-            "f2_good": True,
-            "indistinguishable_pmc": True,
-            "indistinguishable_mm": True,
-            "sizes_match_formula": True,
-        },
-    )
+    return _certified("general", graph, g, a_set, f1, f2, (Model.PMC, Model.MM), formula)
 
 
 def witness_snk2_mm(n: int, graph: TopologyGraph | None = None) -> WitnessReport:
@@ -550,56 +542,16 @@ def witness_snk2_mm(n: int, graph: TopologyGraph | None = None) -> WitnessReport
     f2 = a_set | {arrangement_label((3, 2), n)}
     _require(len(a_set) == n - 1, f"|A|={len(a_set)}, expected {n - 1}")
     _require(len(f1) == n and len(f2) == n, "|F1| or |F2| != n")
-    _require(is_g_good_neighbor(graph, f1, 1), "F1 not 1-good-neighbor")
-    _require(is_g_good_neighbor(graph, f2, 1), "F2 not 1-good-neighbor")
-    m1, m2 = graph.mask_of(f1), graph.mask_of(f2)
-    _require(not dist_mm_mask(graph, m1, m2), "pair distinguishable under MM*")
-    # no PMC claim is made for this pair; its status is recorded only
-    pmc_indist = indist_pmc_mask(graph, m1, m2)
     formula = tg_formula(n, 2, 1, Model.MM).value
-    return WitnessReport(
-        construction="snk2-mm",
-        descriptor=graph.descriptor,
-        a_set=a_set,
-        f1=f1,
-        f2=f2,
-        sizes={"A": len(a_set), "F1": len(f1), "F2": len(f2)},
-        checks={
-            "f1_good": True,
-            "f2_good": True,
-            "indistinguishable_pmc": pmc_indist,
-            "indistinguishable_mm": True,
-            "sizes_match_formula": max(len(f1), len(f2)) - 1 == formula,
-        },
-    )
+    return _certified("snk2-mm", graph, 1, a_set, f1, f2, (Model.MM,), formula)
 
 
 def witness_cycle6() -> WitnessReport:
     """The six-cycle MM* pair {u1,u2} vs {u4,u5}, certifying t_1 <= 1."""
-    graph = build_cycle(6)
     f1 = frozenset({"u1", "u2"})
     f2 = frozenset({"u4", "u5"})
-    _require(is_g_good_neighbor(graph, f1, 1), "F1 not 1-good-neighbor")
-    _require(is_g_good_neighbor(graph, f2, 1), "F2 not 1-good-neighbor")
-    m1, m2 = graph.mask_of(f1), graph.mask_of(f2)
-    _require(not dist_mm_mask(graph, m1, m2), "pair distinguishable under MM*")
-    pmc_indist = indist_pmc_mask(graph, m1, m2)
     formula = tg_formula(3, 2, 1, Model.MM).value
-    return WitnessReport(
-        construction="cycle6",
-        descriptor=graph.descriptor,
-        a_set=frozenset(),
-        f1=f1,
-        f2=f2,
-        sizes={"A": 0, "F1": 2, "F2": 2},
-        checks={
-            "f1_good": True,
-            "f2_good": True,
-            "indistinguishable_pmc": pmc_indist,
-            "indistinguishable_mm": True,
-            "sizes_match_formula": max(len(f1), len(f2)) - 1 == formula,
-        },
-    )
+    return _certified("cycle6", build_cycle(6), 1, frozenset(), f1, f2, (Model.MM,), formula)
 
 
 def witness_for(n: int, k: int, g: int, model: Model) -> str | None:

@@ -106,7 +106,10 @@ def rg_connectivity_bruteforce(
     """Minimum size of a g-good-neighbor cut, or None when no cut exists.
 
     Enumerates candidate sets in increasing size, so the cost is governed
-    by the answer rather than by 2^|V| whenever a cut exists.  On a
+    by the answer rather than by 2^|V| whenever a cut exists.  Each of the
+    >= 2 components a g-good-neighbor cut leaves induces min degree >= g,
+    so has >= s = `min_subgraph_size_oracle` vertices: sizes above
+    |V| - 2s are not tried, and none at all when no such set exists.  On a
     vertex-transitive graph only sets through vertex 0 are tried: an
     automorphism carries any cut to one through 0.
     """
@@ -115,7 +118,10 @@ def rg_connectivity_bruteforce(
     n = graph.vertex_count
     if n > budget:
         raise BudgetError(f"{n} vertices over the brute-force budget of {budget}")
-    for size in range(n):
+    smallest = min_subgraph_size_oracle(graph, g, budget=n)
+    if smallest is None:
+        return None
+    for size in range(n - 2 * smallest + 1):
         combos = combinations(range(n), size)
         if graph.vertex_transitive and size:
             combos = ((0, *rest) for rest in combinations(range(1, n), size - 1))

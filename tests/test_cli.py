@@ -69,7 +69,7 @@ def test_tg_surfaces_the_known_disagreement(capsys):
 
 
 def test_tg_rejects_negative_g(capsys):
-    for method in ("all", "brute"):
+    for method in ("all", "brute", "witness", "formula"):
         code = main(["tg", "--graph", "nkstar:4,2", "--g", "-1", "--method", method])
         assert code == 2
         assert "error:" in capsys.readouterr().err
@@ -132,7 +132,7 @@ def test_kappa_no_cut(capsys):
 
 
 def test_kappa_rejects_negative_g(capsys):
-    for method in ("all", "brute"):
+    for method in ("all", "brute", "formula"):
         code = main(["kappa", "--graph", "nkstar:4,2", "--g", "-1", "--method", method])
         assert code == 2
         assert "g must be nonnegative" in capsys.readouterr().err

@@ -262,6 +262,20 @@ def test_kappa_bruteforce_tries_every_set_off_the_family_builders():
     assert rg_connectivity_bruteforce(path, 0) == 1
 
 
+def test_kappa_bruteforce_matches_the_naive_minimum():
+    # the search stops at |V| - 2s, s the least size of a set inducing min
+    # degree >= g; a naive minimum over every proper subset must agree
+    for graph in small_graphs(10):
+        for g in range(5):
+            cuts = [
+                m.bit_count()
+                for m in range(graph.full_mask)
+                if is_g_good_neighbor_cut(graph, graph.labels_of(m), g)
+            ]
+            want = min(cuts, default=None)
+            assert rg_connectivity_bruteforce(graph, g) == want, (graph.descriptor, g)
+
+
 def test_kappa_bruteforce_budget(s42):
     with pytest.raises(BudgetError):
         rg_connectivity_bruteforce(s42, 1, budget=10)
