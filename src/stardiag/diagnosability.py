@@ -217,7 +217,7 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
     nbr = graph.nbr_masks
     best_p = m_cap + 1
     best_pair = None
-    nodes = yielded = bound_cuts = closures = splits = bridge_sets = 0
+    nodes = yielded = bound_cuts = splits = bridge_sets = 0
     by_degree = sorted(m.bit_count() for m in nbr)
     lo_deg, hi_deg = by_degree[0], by_degree[-1]
     least_s = 2 if g else 1  # |S| >= this whenever B is nonempty
@@ -337,7 +337,6 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
         least = least_side(s_size, best_p - 2)
         for umask in subsets(range(n), s_size, least, graph.vertex_transitive):
             yielded += 1
-            closures += 1
             c = _sd_closure(graph, umask, g)
             base = c.bit_count()
             if base + least_side(s_size, base) < best_p:
@@ -347,7 +346,6 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
             search_nodes=nodes,
             candidates=yielded,
             bound_cuts=bound_cuts,
-            closures=closures,
             splits=splits,
         )
         if bridges:
@@ -531,7 +529,7 @@ def witness_snk2_mm(n: int, graph: TopologyGraph | None = None) -> WitnessReport
 
     `graph` is S_{n,2} when the caller holds it; otherwise it is built here.
     """
-    if n < 4:
+    if witness_for(n, 2, 1, Model.MM) != "snk2-mm":
         raise DomainError(f"S_{{n,2}} MM* witness needs n >= 4, got n={n}")
     graph = _nk_star(n, 2, graph)
     seeds = frozenset(

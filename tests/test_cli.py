@@ -83,7 +83,7 @@ def test_tg_settles_s43_by_brute_force(capsys):
     entry = report["results"]["pmc"]
     assert entry["bruteforce"] == entry["formula"] == 11
     assert entry["witness_upper_bounds"]["general"] == 11
-    assert entry["bruteforce_stats"]["closures"] > 0
+    assert entry["bruteforce_stats"]["candidates"] > 0
 
 
 def test_tg_settles_s52_mm_by_brute_force(capsys):
@@ -450,18 +450,36 @@ def test_budget_spellings_set_one_value():
     assert parse(["kappa", "--graph", "nkstar:4,2", "--g", "1", "--budget-pair", "9"]).budget == 9
 
 
-def test_benchmark_command_lines_parse(monkeypatch):
-    # the benchmark drives the CLI with --budget-pair, --budget-sd and --workers
+def test_benchmark_command_lines_parse(monkeypatch, capsys):
+    # the benchmark drives the CLI with --budget-pair, --budget-sd and --workers,
+    # many times in one process: main builds its parser once, and no call
+    # leaves anything behind for the next
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench.workloads import WORKLOADS, build
 
-    parser = build_parser()
+    build_parser.cache_clear()
+    argvs = []
     for name in WORKLOADS:
         workload = build(name, seed=1)
-        argvs = [item.argv for item in workload.items]
+        argvs += [item.argv for item in workload.items]
         argvs += [cell.argv for rung in workload.ladder for cell in rung.cells]
-        for argv in argvs:
-            parser.parse_args(argv)
+    shared = build_parser()
+    for argv in argvs + argvs[::-1]:
+        assert vars(shared.parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
+
+    with pytest.raises(SystemExit) as exc:
+        main(["tg", "--graph", "nkstar:4,2"])  # no --g
+    assert exc.value.code == 2
+    code, report = run_json(capsys, "tg", "--graph", "nkstar:4,2", "--g", "1", "--budget", "30")
+    assert code == 0 and report["results"]["mm"]["bruteforce"] == 3
+    kappa = ["kappa", "--graph", "nkstar:4,2", "--g", "1"]
+    assert shared.parse_args(kappa).budget == 20
+    code, report = run_json(capsys, *kappa)
+    assert code == 0 and report["bruteforce"] == 3
+    assert run(capsys, "table", "--n-min", "4", "--n-max", "7")[0] == 0
+    code, report = run_json(capsys, "table", "--n-min", "5")
+    assert code == 0 and {row["n"] for row in report["rows"]} == {5}
+    assert build_parser.cache_info().misses == 1
 
 
 #: a small command line for each subcommand

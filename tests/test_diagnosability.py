@@ -233,16 +233,14 @@ def test_pmc_sd_scan_matches_reference_scan():
 
 def test_bruteforce_stats_count_the_scan():
     s42 = build_nk_star(4, 2)
-    scan_keys = {
-        "m_cap_s", "scan_s", "search_nodes", "candidates", "bound_cuts", "closures", "splits"
-    }
+    scan_keys = {"m_cap_s", "scan_s", "search_nodes", "candidates", "bound_cuts", "splits"}
     pmc = tg_bruteforce(s42, 1, Model.PMC)
     assert set(pmc.stats) == scan_keys
     # only candidate differences inducing min degree >= 1 get a closure
-    assert 0 < pmc.stats["candidates"] == pmc.stats["closures"] < 2**12
+    assert 0 < pmc.stats["candidates"] < 2**12
     mm = tg_bruteforce(s42, 1, Model.MM)
     assert set(mm.stats) == scan_keys | {"bridge_sets"}
-    assert 0 < mm.stats["bridge_sets"] and 0 < mm.stats["closures"] < 2**12
+    assert 0 < mm.stats["bridge_sets"] and 0 < mm.stats["candidates"] < 2**12
     # no bridge exists for g >= 2, so MM* runs the plain PMC scan there
     assert set(tg_bruteforce(s42, 2, Model.MM).stats) == scan_keys
     assert pmc.value == 4 and mm.value == 3
@@ -562,9 +560,13 @@ def test_witness_for_gives_no_cell_two_constructions():
         assert len(names) <= 1, (n, k, g, names)
         for name in names:
             covered.setdefault(name, set()).add((n, k, g))
+        # each builder's guard agrees with the rule
         if "general" not in names:
             with pytest.raises(DomainError):
-                witness_general(n, k, g)  # the builder's guard agrees with the rule
+                witness_general(n, k, g)
+        if (k, g) == (2, 1) and "snk2-mm" not in names:
+            with pytest.raises(DomainError):
+                witness_snk2_mm(n)
     assert covered["cycle6"] == {(3, 2, 1)}
     assert covered["snk2-mm"] == {(n, 2, 1) for n in range(4, 13)}
     assert witness_for(5, 2, 1, Model.PMC) is None
