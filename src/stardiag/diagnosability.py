@@ -20,10 +20,10 @@ from .faults import (
     dist_mm_mask,
     g_core,
     good_faulty_sets,
+    good_mask,
     has_min_degree,
     indist_mask,  # noqa: F401  not called here; perfbench/spans.py wraps it by name
     indist_pmc_mask,
-    is_g_good_neighbor,
     min_subgraph_size_oracle,
 )
 from .graph import LabelSet, TopologyGraph, _iter_bits
@@ -464,26 +464,27 @@ def _nk_star(n: int, k: int, graph: TopologyGraph | None) -> TopologyGraph:
     return graph
 
 
-def _certified(construction, graph, g, a_set, f1, f2, claims, formula) -> WitnessReport:
-    """The report for the pair (F1, F2) on `graph`, once its self-checks pass.
+def _certified(construction, graph, g, a_mask, m1, m2, claims, formula) -> WitnessReport:
+    """The report for the pair of masks (F1, F2) on `graph`, once its self-checks pass.
 
     Both sets must be g-good-neighbor and the pair indistinguishable under
     each model in `claims`.  The other model's status is recorded only, as
-    is whether max(|F1|, |F2|) - 1 equals the closed form `formula`.
+    is whether max(|F1|, |F2|) - 1 equals the closed form `formula`.  The
+    report holds A, F1 and F2 as label sets.
     """
-    _require(is_g_good_neighbor(graph, f1, g), f"F1 not {g}-good-neighbor")
-    _require(is_g_good_neighbor(graph, f2, g), f"F2 not {g}-good-neighbor")
-    m1, m2 = graph.mask_of(f1), graph.mask_of(f2)
+    _require(good_mask(graph, m1, g), f"F1 not {g}-good-neighbor")
+    _require(good_mask(graph, m2, g), f"F2 not {g}-good-neighbor")
     indist = {Model.PMC: indist_pmc_mask(graph, m1, m2), Model.MM: not dist_mm_mask(graph, m1, m2)}
     for model in claims:
         _require(indist[model], f"pair distinguishable under {model.value}")
+    f1, f2 = graph.labels_of(m1), graph.labels_of(m2)
     return WitnessReport(
         construction=construction,
         descriptor=graph.descriptor,
-        a_set=a_set,
+        a_set=graph.labels_of(a_mask),
         f1=f1,
         f2=f2,
-        sizes={"A": len(a_set), "F1": len(f1), "F2": len(f2)},
+        sizes={"A": a_mask.bit_count(), "F1": len(f1), "F2": len(f2)},
         checks={
             "f1_good": True,
             "f2_good": True,
@@ -509,19 +510,20 @@ def witness_general(n: int, k: int, g: int, graph: TopologyGraph | None = None) 
     graph = _nk_star(n, k, graph)
     tail = tuple(range(1, n - g))  # the n-g-1 fixed trailing symbols
     lead = k - (n - g - 1)
-    a_set = frozenset(
+    a_mask = graph.mask_of(
         arrangement_label(head + tail, n) for head in permutations(range(n - g, n + 1), lead)
     )
-    f1 = graph.neighborhood_of_set(a_set)
-    f2 = f1 | a_set
+    f1 = graph.neighborhood_mask(a_mask)
+    f2 = f1 | a_mask
 
     size_a = math.factorial(g + 1) // math.factorial(n - k)
-    _require(len(a_set) == size_a, f"|A|={len(a_set)}, expected {size_a}")
-    _require(len(f1) == size_a * (n - g - 1), f"|F1|={len(f1)}, expected {size_a * (n - g - 1)}")
-    _require(len(f2) == size_a * (n - g), f"|F2|={len(f2)}, expected {size_a * (n - g)}")
+    n_a, n_f1, n_f2 = a_mask.bit_count(), f1.bit_count(), f2.bit_count()
+    _require(n_a == size_a, f"|A|={n_a}, expected {size_a}")
+    _require(n_f1 == size_a * (n - g - 1), f"|F1|={n_f1}, expected {size_a * (n - g - 1)}")
+    _require(n_f2 == size_a * (n - g), f"|F2|={n_f2}, expected {size_a * (n - g)}")
     formula = tg_formula(n, k, g, Model.PMC).value
-    _require(len(f2) - 1 == formula, f"|F2|-1={len(f2) - 1} != formula {formula}")
-    return _certified("general", graph, g, a_set, f1, f2, (Model.PMC, Model.MM), formula)
+    _require(n_f2 - 1 == formula, f"|F2|-1={n_f2 - 1} != formula {formula}")
+    return _certified("general", graph, g, a_mask, f1, f2, (Model.PMC, Model.MM), formula)
 
 
 def witness_snk2_mm(n: int, graph: TopologyGraph | None = None) -> WitnessReport:
@@ -532,24 +534,21 @@ def witness_snk2_mm(n: int, graph: TopologyGraph | None = None) -> WitnessReport
     if witness_for(n, 2, 1, Model.MM) != "snk2-mm":
         raise DomainError(f"S_{{n,2}} MM* witness needs n >= 4, got n={n}")
     graph = _nk_star(n, 2, graph)
-    seeds = frozenset(
-        arrangement_label(p, n) for p in ((1, 2), (3, 2), (4, 2))
-    )
-    a_set = graph.neighborhood_of_set(seeds)
-    f1 = a_set | {arrangement_label((1, 2), n)}
-    f2 = a_set | {arrangement_label((3, 2), n)}
-    _require(len(a_set) == n - 1, f"|A|={len(a_set)}, expected {n - 1}")
-    _require(len(f1) == n and len(f2) == n, "|F1| or |F2| != n")
+    s12, s32, s42 = (graph.mask_of([arrangement_label(p, n)]) for p in ((1, 2), (3, 2), (4, 2)))
+    a_mask = graph.neighborhood_mask(s12 | s32 | s42)
+    f1, f2 = a_mask | s12, a_mask | s32
+    _require(a_mask.bit_count() == n - 1, f"|A|={a_mask.bit_count()}, expected {n - 1}")
+    _require(f1.bit_count() == n and f2.bit_count() == n, "|F1| or |F2| != n")
     formula = tg_formula(n, 2, 1, Model.MM).value
-    return _certified("snk2-mm", graph, 1, a_set, f1, f2, (Model.MM,), formula)
+    return _certified("snk2-mm", graph, 1, a_mask, f1, f2, (Model.MM,), formula)
 
 
 def witness_cycle6() -> WitnessReport:
     """The six-cycle MM* pair {u1,u2} vs {u4,u5}, certifying t_1 <= 1."""
-    f1 = frozenset({"u1", "u2"})
-    f2 = frozenset({"u4", "u5"})
+    c6 = build_cycle(6)
+    f1, f2 = c6.mask_of(("u1", "u2")), c6.mask_of(("u4", "u5"))
     formula = tg_formula(3, 2, 1, Model.MM).value
-    return _certified("cycle6", build_cycle(6), 1, frozenset(), f1, f2, (Model.MM,), formula)
+    return _certified("cycle6", c6, 1, 0, f1, f2, (Model.MM,), formula)
 
 
 def witness_for(n: int, k: int, g: int, model: Model) -> str | None:

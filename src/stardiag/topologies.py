@@ -204,12 +204,17 @@ class SplitWitness:
 
     base: TopologyGraph
     split: TopologyGraph
-    projection: dict[str, str]
     t: int
 
     @property
     def fiber_count(self) -> int:
         return self.base.vertex_count
+
+    @property
+    def projection(self) -> dict[str, str]:
+        """Each split label mapped to its k-prefix, built anew on each read."""
+        k = len(self.base.labels[0])  # n <= 9: one character per symbol
+        return {lab: lab[:k] for lab in self.split.labels}
 
 
 def verify_split(
@@ -221,15 +226,61 @@ def verify_split(
     independent in S_n; (ii) the S_n edges between the fibers of each
     S_{n,k} edge form a perfect matching; (iii) every S_n edge projects
     onto an S_{n,k} edge.  Any failure raises VerificationError.
+
+    The check runs on whole masks.  The labels are sorted, so their
+    k-prefixes come out sorted too, and once every fiber has t = (n-k)!
+    vertices fiber x is the index block [x*t, (x+1)*t).  Let E[x] be the
+    union of the blocks of x's base neighbours.  Then (i)-(iii) hold iff
+    the split masks of block x add up to E[x] for every x and their bit
+    counts add up to t times the base masks' bit counts.  Adding masks
+    carries wherever two of them overlap, so the sum has at most as many
+    bits as its terms together, and exactly as many only when they are
+    disjoint.  The bit counts therefore give sum |N(i)| >= sum |E[x]| =
+    t * sum deg(x), and equality forces the masks of each fiber to be
+    disjoint with union E[x].  Both graphs have symmetric, loop-free masks
+    (`from_masks` trusts its builders for that, the edge-list constructor
+    makes it so), whence:
+
+    (i) E[x] misses block x, so each fiber is independent;
+    (ii) for a base edge x-y, the fiber of x covers the block of y with
+    disjoint neighbourhoods, so each vertex of y has exactly one neighbour
+    in x; the same holds with x and y swapped, a perfect matching;
+    (iii) every neighbour of a vertex in x lies in a block of E[x], a
+    fiber next to x.
+
+    Conversely (i)-(iii) give each vertex exactly one neighbour in each
+    fiber next to its own and no other, so the sums and counts hold.  Only
+    when they fail does the per-vertex walk run, to name the first fault.
     """
     if not 2 <= k <= n - 1:
         raise DomainError(f"verify_split needs 2 <= k <= n-1, got n={n}, k={k}")
     base = build_nk_star(n, k, max_vertices)
     split = build_star(n, max_vertices)
     t = math.factorial(n - k)
+    if not _block_sums_match(base, split, k, t):
+        _walk_split(base, split, k, t)
+    return SplitWitness(base=base, split=split, t=t)
 
+
+def _block_sums_match(base: TopologyGraph, split: TopologyGraph, k: int, t: int) -> bool:
+    """The whole-mask test of `verify_split`: True iff (i)-(iii) hold."""
     # a star label has one character per symbol (n <= 9), so its k-prefix is a base label
-    projection = {lab: lab[:k] for lab in split.labels}
+    if [lab[:k] for lab in split.labels] != [x for x in base.labels for _ in range(t)]:
+        return False  # some fiber is not its block
+    if t == 1:  # E = B
+        return split.nbr_masks == base.nbr_masks
+    masks = split.nbr_masks
+    if sum(map(int.bit_count, masks)) != t * sum(map(int.bit_count, base.nbr_masks)):
+        return False
+    block = (1 << t) - 1
+    return all(
+        sum(masks[x * t : x * t + t]) == sum(block << y * t for y in _iter_bits(nbrs))
+        for x, nbrs in enumerate(base.nbr_masks)
+    )
+
+
+def _walk_split(base: TopologyGraph, split: TopologyGraph, k: int, t: int):
+    """Checks (i)-(iii) vertex by vertex; raises VerificationError at the first fault."""
     owner = [base._index[lab[:k]] for lab in split.labels]
     fibers = [0] * base.vertex_count
     for i, x in enumerate(owner):
@@ -283,5 +334,3 @@ def verify_split(
                 f"split edge {split.labels[a]!r}-{split.labels[b]!r} projects to "
                 f"non-adjacent pair {base.labels[x]!r},{base.labels[owner[b]]!r}"
             )
-
-    return SplitWitness(base=base, split=split, projection=projection, t=t)

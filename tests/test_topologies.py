@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import pytest
 import reference_builders
@@ -15,6 +17,8 @@ from stardiag import (
 from stardiag.base import DomainError, VerificationError
 from stardiag.graph import TopologyGraph
 from stardiag.topologies import (
+    _block_sums_match,
+    _walk_split,
     arrangement_label,
     descriptor_params,
     parse_arrangement,
@@ -256,7 +260,10 @@ def test_descriptor_params():
     assert descriptor_params("file:whatever") is None
 
 
-@pytest.mark.parametrize("n,k", [(4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (6, 4), (6, 5)])
+@pytest.mark.parametrize(
+    "n,k",
+    [(4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (6, 4), (6, 5), (7, 2), (7, 3), (7, 4), (7, 5), (7, 6)],
+)
 def test_split_relationship(n, k):
     wit = verify_split(n, k)
     assert wit.t == math.factorial(n - k)
@@ -300,6 +307,84 @@ def test_split_check_ii_catches_a_dropped_split_edge(monkeypatch):
     monkeypatch.setattr(topo, "build_star", _damaged_star(topo, lambda es: [e for e in es if e != drop]))
     with pytest.raises(VerificationError, match="'1234' has 0 links into fiber '21'"):
         topo.verify_split(4, 2)
+
+
+def test_split_check_iii_catches_a_stray_split_edge(monkeypatch):
+    import stardiag.topologies as topo
+
+    # 12 and 34 are not adjacent in S_{4,2}
+    monkeypatch.setattr(topo, "build_star", _damaged_star(topo, lambda es: es + [("1234", "3412")]))
+    message = "split edge '1234'-'3412' projects to non-adjacent pair '12','34'"
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        topo.verify_split(4, 2)
+
+
+def test_split_check_ii_catches_a_moved_split_edge(monkeypatch):
+    import stardiag.topologies as topo
+
+    # 1243-2143 moved to 1234-2143: both vertices of fiber 21, 2134 and
+    # 2143, then have 1234 as a neighbour, so their masks overlap and carry
+    def move(es):
+        return [e for e in es if e != ("1243", "2143")] + [("1234", "2143")]
+
+    monkeypatch.setattr(topo, "build_star", _damaged_star(topo, move))
+    message = (
+        "vertex '1234' has 2 links into fiber '21'; perfect matching violated for edge '12'-'21'"
+    )
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        topo.verify_split(4, 2)
+
+
+def _edit_edges(rng, labels, edges, k):
+    """`edges` with one random edit: an edge added, dropped or moved, or two edges' ends swapped.
+
+    A swap trades the ends of two edges that join the same two k-prefixes,
+    so on the split graph it leaves every matching between fibers perfect.
+    """
+    edges = list(edges)
+    present = set(edges) | {(b, a) for a, b in edges}
+    kind = rng.choice(["add", "drop", "move", "swap"])
+    a, b = edges.pop(rng.randrange(len(edges)))
+    if kind == "add":
+        edges.append((a, b))
+    if kind in ("add", "move"):
+        edges.append((a, rng.choice([x for x in labels if x != a and (a, x) not in present])))
+    elif kind == "swap":
+        same = [(c, d) for c, d in edges if (c[:k], d[:k]) == (a[:k], b[:k])]
+        if not same:
+            return edges + [(a, b)]  # no edge to swap with: leave the graph as it was
+        c, d = rng.choice(same)
+        edges.remove((c, d))
+        if a == d or c == b or (a, d) in present or (c, b) in present:
+            return edges + [(a, b), (c, d)]
+        edges += [(a, d), (c, b)]
+    return edges
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (4, 3), (5, 2), (5, 3)])
+def test_split_block_sums_agree_with_the_walk(n, k):
+    # the whole-mask test accepts exactly the graphs the per-vertex walk accepts
+    rng = random.Random(n * 10 + k)
+    base, star = build_nk_star(n, k), build_star(n)
+    t = math.factorial(n - k)
+    verdicts = set()
+    for trial in range(60):
+        split_edges, base_edges = star.edges(), base.edges()
+        for _ in range(rng.randint(1, 2)):
+            if rng.random() < 0.2:
+                base_edges = _edit_edges(rng, base.labels, base_edges, k)
+            else:
+                split_edges = _edit_edges(rng, star.labels, split_edges, k)
+        b = TopologyGraph(base.labels, base_edges)
+        s = TopologyGraph(star.labels, split_edges)
+        try:
+            _walk_split(b, s, k, t)
+            walk = True
+        except VerificationError:
+            walk = False
+        assert _block_sums_match(b, s, k, t) == walk, (trial, base_edges, split_edges)
+        verdicts.add(walk)
+    assert verdicts == {True, False}
 
 
 def test_split_check_actually_bites(monkeypatch):
