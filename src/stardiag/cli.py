@@ -1,7 +1,8 @@
 """Command-line front door: generation, t_g computation, and simulation.
 
-Every subcommand emits a machine-readable JSON report (stdout or --out)
-and exits 0 exactly when all requested verifications pass.
+Each `cmd_*` returns its report body.  `main` stamps it with `command` and
+`elapsed_s`, emits it as JSON (stdout or --out) and exits 0 when its `ok`
+holds, 1 when it does not, and 2 when the input is rejected.
 """
 
 from __future__ import annotations
@@ -46,12 +47,21 @@ from .topologies import (
 
 
 def _emit(args, report: dict) -> None:
+    """Write the report to --out, else to `args.report_file` (stdout when None)."""
     text = json.dumps(report, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, file=args.report_file)
+
+
+def _agree(report: dict, values: dict) -> bool:
+    """True when the methods' values agree; else they are recorded as `disagreement`."""
+    if len(set(values.values())) > 1:
+        report["disagreement"] = values
+        return False
+    return True
 
 
 def _witness_dict(w) -> dict:
@@ -72,46 +82,37 @@ def _held_nk_star(graph):
     return graph if graph.descriptor.startswith("nkstar:") else None
 
 
-def cmd_gen(args) -> int:
-    started = time.perf_counter()
+def cmd_gen(args) -> dict:
+    """Graph stats; a --format payload takes --out or stdout, and the report the other stream."""
     graph = from_descriptor(args.graph)
     degrees = {graph.degree(lab) for lab in graph.labels}
     report = {
-        "command": "gen",
+        "ok": True,
         "graph": graph.descriptor,
         "vertices": graph.vertex_count,
         "edges": graph.edge_count,
         "regular": len(degrees) == 1,
         "min_degree": graph.min_degree(),
-        "elapsed_s": round(time.perf_counter() - started, 3),
     }
-    if args.format == "dot":
-        payload = graph.to_dot()
-    elif args.format == "edgelist":
-        payload = graph.to_edgelist()
+    if args.format == "text":
+        return report
+    payload = graph.to_dot() if args.format == "dot" else graph.to_edgelist()
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(payload)
+        report["written"] = args.out
+        args.out = None  # so main's _emit prints the report to stdout
     else:
-        payload = None
-    if payload is not None:
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload)
-            report["written"] = args.out
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            sys.stdout.write(payload)
-            print(json.dumps(report, indent=2, sort_keys=True), file=sys.stderr)
-    else:
-        _emit(args, report)
-    return 0
+        sys.stdout.write(payload)
+        args.report_file = sys.stderr
+    return report
 
 
-def cmd_tg(args) -> int:
-    started = time.perf_counter()
+def cmd_tg(args) -> dict:
     graph = from_descriptor(args.graph)
     params = descriptor_params(graph.descriptor)
     models = [Model.PMC, Model.MM] if args.model == "both" else [Model.parse(args.model)]
     report = {
-        "command": "tg",
         "graph": graph.descriptor,
         "g": args.g,
         "method": args.method,
@@ -154,22 +155,16 @@ def cmd_tg(args) -> int:
                 witnesses[name] = build_witness(name, *params, args.g, _held_nk_star(graph))
             entry["witness_upper_bounds"] = {name: witnesses[name].upper_bound}
             values[f"witness:{name}"] = witnesses[name].upper_bound
-        if len(set(values.values())) > 1:
-            ok = False
-            entry["disagreement"] = values
+        ok &= _agree(entry, values)
         report["results"][model.value] = entry
     report["ok"] = ok
-    report["elapsed_s"] = round(time.perf_counter() - started, 3)
-    _emit(args, report)
-    return 0 if ok else 1
+    return report
 
 
-def cmd_kappa(args) -> int:
-    started = time.perf_counter()
+def cmd_kappa(args) -> dict:
     graph = from_descriptor(args.graph)
     params = descriptor_params(graph.descriptor)
-    report = {"command": "kappa", "graph": graph.descriptor, "g": args.g}
-    ok = True
+    report = {"graph": graph.descriptor, "g": args.g}
     values = {}
     if args.method in ("formula", "all"):
         if params is None:
@@ -185,17 +180,11 @@ def cmd_kappa(args) -> int:
         report["bruteforce"] = brute if brute is not None else "no cut"
         if brute is not None:
             values["bruteforce"] = brute
-    if len(set(values.values())) > 1:
-        ok = False
-        report["disagreement"] = values
-    report["ok"] = ok
-    report["elapsed_s"] = round(time.perf_counter() - started, 3)
-    _emit(args, report)
-    return 0 if ok else 1
+    report["ok"] = _agree(report, values)
+    return report
 
 
-def cmd_witness(args) -> int:
-    started = time.perf_counter()
+def cmd_witness(args) -> dict:
     cell = (args.n, args.k, args.g)
     name = witness_for(*cell, Model.PMC) or witness_for(*cell, Model.MM)
     if args.construction not in ("auto", name):
@@ -203,42 +192,30 @@ def cmd_witness(args) -> int:
     if name is None:
         raise DomainError(f"no witness construction covers n, k, g = {cell}")
     wit = build_witness(name, *cell)
-    report = {
-        "command": "witness",
-        "ok": True,
-        "witness": _witness_dict(wit),
-        "elapsed_s": round(time.perf_counter() - started, 3),
-    }
-    _emit(args, report)
-    return 0
+    return {"ok": True, "witness": _witness_dict(wit)}
 
 
-def cmd_split(args) -> int:
-    started = time.perf_counter()
+def cmd_split(args) -> dict:
     wit = verify_split(args.n, args.k)
-    report = {
-        "command": "split",
+    return {
         "ok": True,
         "base": wit.base.descriptor,
         "split": wit.split.descriptor,
         "t": wit.t,
         "fibers": wit.fiber_count,
         "fiber_size": wit.t,
-        "elapsed_s": round(time.perf_counter() - started, 3),
     }
-    _emit(args, report)
-    return 0
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> dict:
+    n_max = args.n_min if args.n_max is None else args.n_max
     if args.n_min < 3:
         raise DomainError(f"the table starts at n = 3, got --n-min {args.n_min}")
-    if args.n_max < args.n_min:
-        raise DomainError(f"--n-max {args.n_max} is below --n-min {args.n_min}")
-    started = time.perf_counter()
+    if n_max < args.n_min:
+        raise DomainError(f"--n-max {n_max} is below --n-min {args.n_min}")
     rows = []
     ok = True
-    for n in range(args.n_min, args.n_max + 1):
+    for n in range(args.n_min, n_max + 1):
         for k in range(1, n):
             # one S_{n,k} per row serves its oracle and witness cells
             graph = build_nk_star(n, k) if math.perm(n, k) <= DEFAULT_VERTEX_BUDGET else None
@@ -264,14 +241,7 @@ def cmd_table(args) -> int:
                     if not entry["ok"]:
                         row["status"] = "DISAGREE"
                     rows.append(row)
-    report = {
-        "command": "table",
-        "ok": ok,
-        "rows": rows,
-        "elapsed_s": round(time.perf_counter() - started, 3),
-    }
-    _emit(args, report)
-    return 0 if ok else 1
+    return {"ok": ok, "rows": rows}
 
 
 def _random_good_set(graph, g, max_size, rng, attempts=20000):
@@ -289,15 +259,13 @@ def _random_good_set(graph, g, max_size, rng, attempts=20000):
     )
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     if args.trials < 1:
         raise DomainError(f"--trials must be at least 1, got {args.trials}")
-    started = time.perf_counter()
     graph = from_descriptor(args.graph)
     params = descriptor_params(graph.descriptor)
     model = Model.parse(args.model)
     report = {
-        "command": "simulate",
         "graph": graph.descriptor,
         "g": args.g,
         "model": model.value,
@@ -335,9 +303,7 @@ def cmd_simulate(args) -> int:
                 "ok": ambiguous,
             }
         )
-        report["elapsed_s"] = round(time.perf_counter() - started, 3)
-        _emit(args, report)
-        return 0 if ambiguous else 1
+        return report
 
     # the oracle's value wherever it runs: the closed form has a known gap at S_{3,2}
     if params is None or graph.vertex_count <= args.budget:
@@ -370,7 +336,6 @@ def cmd_simulate(args) -> int:
                 "unique": unique,
             }
         )
-    ok = successes == args.trials
     report.update(
         {
             "mode": "injection",
@@ -380,13 +345,11 @@ def cmd_simulate(args) -> int:
             "trials": args.trials,
             "unique_diagnoses": successes,
             "diagnosis_stats": dict(totals),
-            "ok": ok,
+            "ok": successes == args.trials,
             "trial_log": trials if args.trials <= 10 else trials[:10],
         }
     )
-    report["elapsed_s"] = round(time.perf_counter() - started, 3)
-    _emit(args, report)
-    return 0 if ok else 1
+    return report
 
 
 def _add_common(p, graph=True):
@@ -408,6 +371,7 @@ def _add_common(p, graph=True):
         "--budget-diag", type=int, default=None, help="ignored; diagnose has no vertex cap"
     )
     p.add_argument("--out", default=None)
+    p.set_defaults(report_file=None)  # cmd_gen moves the report to stderr
 
 
 @functools.cache
@@ -476,17 +440,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "n_max", 0) is None:
-        args.n_max = args.n_min
+    """Run one subcommand and emit its report, stamped with `command` and `elapsed_s`."""
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
         if getattr(args, "g", 0) < 0:
             raise DomainError("g must be nonnegative")
-        return args.func(args)
+        report = args.func(args)
     except StardiagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report["command"] = args.subcommand
+    report["elapsed_s"] = round(time.perf_counter() - started, 3)
+    _emit(args, report)
+    return 0 if report["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -50,6 +50,7 @@ def canonical_vertex_enumeration(n: int, k: int) -> list[str]:
 
 
 def _check_nk(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_BUDGET):
+    # max_vertices stays for tests/reference_builders.py, the one caller that passes it
     if n < 2:
         raise DomainError(f"n={n} out of range (need n >= 2)")
     if not 1 <= k <= n - 1:
@@ -98,34 +99,32 @@ def _arrangement_graph(n: int, k: int, descriptor: str) -> TopologyGraph:
     )
 
 
-def build_star(n: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGraph:
+def build_star(n: int) -> TopologyGraph:
     """Star graph on all permutations of 1..n; edges swap position 1 with i."""
     if not 2 <= n <= 9:
         raise DomainError(f"n={n} out of range for a full star graph (need 2 <= n <= 9)")
     count = math.factorial(n)
-    if count > max_vertices:
-        raise DomainError(f"star graph on {count} vertices exceeds budget {max_vertices}")
+    if count > DEFAULT_VERTEX_BUDGET:
+        raise DomainError(f"star graph on {count} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
     return _arrangement_graph(n, n, f"star:{n}")
 
 
-def build_nk_star(
-    n: int, k: int, max_vertices: int = DEFAULT_VERTEX_BUDGET
-) -> TopologyGraph:
+def build_nk_star(n: int, k: int) -> TopologyGraph:
     """(n,k)-star graph on k-arrangements of 1..n.
 
     Adjacency: swap the first symbol with the symbol at position i (2<=i<=k),
     or replace the first symbol by any symbol not already used.  The result
     is (n-1)-regular with n!/(n-k)! vertices; k=1 yields the complete graph.
     """
-    _check_nk(n, k, max_vertices)
+    _check_nk(n, k)
     return _arrangement_graph(n, k, f"nkstar:{n},{k}")
 
 
-def build_complete(n: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGraph:
+def build_complete(n: int) -> TopologyGraph:
     if n < 1:
         raise DomainError("complete graph needs n >= 1")
-    if n > max_vertices:
-        raise DomainError(f"complete graph on {n} vertices exceeds budget {max_vertices}")
+    if n > DEFAULT_VERTEX_BUDGET:
+        raise DomainError(f"complete graph on {n} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
     labels = [f"u{i}" for i in range(1, n + 1)]
     edges = [(a, b) for a, b in itertools.combinations(labels, 2)]
     graph = TopologyGraph(labels, edges, descriptor=f"complete:{n}")
@@ -133,11 +132,11 @@ def build_complete(n: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Topolog
     return graph
 
 
-def build_cycle(m: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGraph:
+def build_cycle(m: int) -> TopologyGraph:
     if m < 3:
         raise DomainError("cycle needs m >= 3")
-    if m > max_vertices:
-        raise DomainError(f"cycle on {m} vertices exceeds budget {max_vertices}")
+    if m > DEFAULT_VERTEX_BUDGET:
+        raise DomainError(f"cycle on {m} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
     labels = [f"u{i}" for i in range(1, m + 1)]
     edges = [(labels[i], labels[(i + 1) % m]) for i in range(m)]
     graph = TopologyGraph(labels, edges, descriptor=f"cycle:{m}")
@@ -145,7 +144,7 @@ def build_cycle(m: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGr
     return graph
 
 
-def from_descriptor(desc: str, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGraph:
+def from_descriptor(desc: str) -> TopologyGraph:
     """Parse 'star:n', 'nkstar:n,k', 'complete:n', 'cycle:m' or 'file:<path>'."""
     kind, sep, arg = desc.partition(":")
     if not sep:
@@ -166,7 +165,7 @@ def from_descriptor(desc: str, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Top
                 params = (int(arg),)
         except ValueError as exc:
             raise DomainError(f"bad graph descriptor {desc!r}: {exc}") from None
-        return builders[kind](*params, max_vertices)
+        return builders[kind](*params)
     if kind == "file":
         if not os.path.exists(arg):
             raise DomainError(f"graph file not found: {arg}")
@@ -217,9 +216,7 @@ class SplitWitness:
         return {lab: lab[:k] for lab in self.split.labels}
 
 
-def verify_split(
-    n: int, k: int, max_vertices: int = DEFAULT_VERTEX_BUDGET
-) -> SplitWitness:
+def verify_split(n: int, k: int) -> SplitWitness:
     """Build S_n and S_{n,k} and verify the (n-k)!-split relationship.
 
     Checks, exhaustively: (i) every fiber has (n-k)! vertices and is
@@ -254,8 +251,8 @@ def verify_split(
     """
     if not 2 <= k <= n - 1:
         raise DomainError(f"verify_split needs 2 <= k <= n-1, got n={n}, k={k}")
-    base = build_nk_star(n, k, max_vertices)
-    split = build_star(n, max_vertices)
+    base = build_nk_star(n, k)
+    split = build_star(n)
     t = math.factorial(n - k)
     if not _block_sums_match(base, split, k, t):
         _walk_split(base, split, k, t)
@@ -281,7 +278,12 @@ def _block_sums_match(base: TopologyGraph, split: TopologyGraph, k: int, t: int)
 
 def _walk_split(base: TopologyGraph, split: TopologyGraph, k: int, t: int):
     """Checks (i)-(iii) vertex by vertex; raises VerificationError at the first fault."""
-    owner = [base._index[lab[:k]] for lab in split.labels]
+    owner = [base._index.get(lab[:k]) for lab in split.labels]
+    if None in owner:
+        lab = split.labels[owner.index(None)]
+        raise VerificationError(
+            f"split vertex {lab!r} has prefix {lab[:k]!r}, which names no base vertex"
+        )
     fibers = [0] * base.vertex_count
     for i, x in enumerate(owner):
         fibers[x] |= 1 << i

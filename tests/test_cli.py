@@ -499,5 +499,17 @@ def test_every_subcommand_reports_elapsed_s(capsys):
     assert set(SUBCOMMAND_ARGV) == set(sub.choices)
     for name, argv in SUBCOMMAND_ARGV.items():
         code, report = run_json(capsys, name, *argv)
-        assert code == 0 and report["command"] == name
+        assert code == 0 and report["ok"] is True and report["command"] == name, name
         assert isinstance(report["elapsed_s"], float) and report["elapsed_s"] >= 0, name
+    # the known PMC gap at S_{3,2}: a report that is not ok exits 1
+    code, report = run_json(capsys, "tg", "--graph", "nkstar:3,2", "--g", "1", "--model", "pmc")
+    assert code == 1 and report["ok"] is False and report["command"] == "tg"
+
+
+def test_gen_edgelist_to_stdout_sends_the_report_to_stderr(capsys):
+    code = main(["gen", "--graph", "nkstar:4,2", "--format", "edgelist"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert len(captured.out.splitlines()) == 18
+    report = json.loads(captured.err)
+    assert report["ok"] is True and report["command"] == "gen" and report["edges"] == 18

@@ -115,13 +115,13 @@ def test_builders_reject_bad_parameters():
 def test_vertex_budget_enforced():
     with pytest.raises(DomainError):
         build_nk_star(8, 7)  # 40320 vertices
-    with pytest.raises(DomainError):
-        build_nk_star(5, 3, max_vertices=50)  # 60 vertices
+    with pytest.raises(DomainError, match="6720 vertices, over the budget of 5040"):
+        from_descriptor("nkstar:8,5")
     for desc in ("complete:5041", "cycle:5041", "star:8"):
         with pytest.raises(DomainError, match="5041|40320"):
             from_descriptor(desc)
-    with pytest.raises(DomainError):
-        build_cycle(60, max_vertices=50)
+    with pytest.raises(DomainError, match="cycle on 5041 vertices exceeds budget 5040"):
+        build_cycle(5041)
 
 
 def test_from_descriptor_round_trips(tmp_path):
@@ -283,8 +283,8 @@ def _damaged_star(topo, edit):
     """build_star with its edge list passed through `edit` first."""
     real = topo.build_star
 
-    def damaged(n, max_vertices=topo.DEFAULT_VERTEX_BUDGET):
-        g = real(n, max_vertices)
+    def damaged(n):
+        g = real(n)
         return topo.TopologyGraph(g.labels, edit(g.edges()), descriptor=g.descriptor)
 
     return damaged
@@ -393,12 +393,30 @@ def test_split_check_actually_bites(monkeypatch):
 
     real = topo.build_nk_star
 
-    def broken(n, k, max_vertices=topo.DEFAULT_VERTEX_BUDGET):
-        g = real(n, k, max_vertices)
+    def broken(n, k):
+        g = real(n, k)
         a, b = g.edges()[0]
         keep = [e for e in g.edges() if e != (a, b)]
         return topo.TopologyGraph(g.labels, keep, descriptor=g.descriptor)
 
     monkeypatch.setattr(topo, "build_nk_star", broken)
     with pytest.raises(VerificationError):
+        topo.verify_split(4, 2)
+
+
+def test_split_check_names_a_prefix_missing_from_the_base(monkeypatch):
+    # sabotage the base graph by dropping vertex 43: its fiber has no base vertex to map to
+    import stardiag.topologies as topo
+
+    real = topo.build_nk_star
+
+    def shrunk(n, k):
+        g = real(n, k)
+        keep = [lab for lab in g.labels if lab != "43"]
+        edges = [e for e in g.edges() if "43" not in e]
+        return topo.TopologyGraph(keep, edges, descriptor=g.descriptor)
+
+    monkeypatch.setattr(topo, "build_nk_star", shrunk)
+    message = "split vertex '4312' has prefix '43', which names no base vertex"
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
         topo.verify_split(4, 2)
