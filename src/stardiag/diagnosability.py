@@ -22,9 +22,9 @@ from .faults import (
     good_faulty_sets,
     good_mask,
     has_min_degree,
-    indist_mask,  # noqa: F401  not called here; perfbench/spans.py wraps it by name
+    indist_mask,
     indist_pmc_mask,
-    min_subgraph_size_oracle,
+    least_subgraph_mask,
 )
 from .graph import LabelSet, TopologyGraph, _iter_bits
 from .topologies import (
@@ -95,7 +95,9 @@ def tg_bruteforce(
     the proper admissible sets are exactly the nonempty sets inducing min
     degree >= g.  Both models take P from the symmetric-difference scan;
     MM* with g <= 1 admits bridge vertices there, and for g >= 2 it is the
-    PMC scan unchanged.  Graphs are capped at `budget` vertices.
+    PMC scan unchanged.  The scan starts from the pair `_start_pair` builds
+    on the least set, when that pair checks out.  Graphs are capped at
+    `budget` vertices.
     """
     if g < 0:
         raise DomainError("g must be nonnegative")
@@ -104,9 +106,9 @@ def tg_bruteforce(
         raise BudgetError(f"{n} vertices over the brute-force budget of {budget}")
     stats: dict = {}
     started = time.perf_counter()
-    smallest = min_subgraph_size_oracle(graph, g, budget=n)
+    least = least_subgraph_mask(graph, g, budget=n, stats=stats)
     stats["m_cap_s"] = round(time.perf_counter() - started, 6)
-    if smallest is None:
+    if not least:
         return DiagnosabilityResult(
             value=None,
             model=model,
@@ -115,11 +117,12 @@ def tg_bruteforce(
             note=f"no admissible g-good-neighbor faulty set exists for g={g}",
             stats=stats,
         )
-    m_cap = n - smallest
+    m_cap = n - least.bit_count()
 
     started = time.perf_counter()
     bridges = model is Model.MM and g <= 1
-    p_val, pair_masks = _pmc_sd_scan(graph, g, m_cap, stats, bridges=bridges)
+    start = _start_pair(graph, g, model, least)
+    p_val, pair_masks = _pmc_sd_scan(graph, g, m_cap, stats, bridges, start)
     stats["scan_s"] = round(time.perf_counter() - started, 6)
 
     if p_val is None:
@@ -142,6 +145,20 @@ def tg_bruteforce(
     )
 
 
+def _start_pair(graph, g: int, model: Model, a_mask: int):
+    """(N(A), N(A) | A) as masks when it is an indistinguishable admissible pair, else None.
+
+    Both sets must be g-good-neighbor and N(A) | A a proper subset of V.
+    The pair is checked here, not taken from the closed form, so the oracle
+    stays independent of it.
+    """
+    f1 = graph.neighborhood_mask(a_mask)
+    f2 = f1 | a_mask
+    if f2 == graph.full_mask or not (good_mask(graph, f1, g) and good_mask(graph, f2, g)):
+        return None
+    return (f1, f2) if indist_mask(graph, f1, f2, model) else None
+
+
 def _sd_closure(graph, smask: int, g: int) -> int:
     """Smallest shared-fault set forced by symmetric difference `smask`.
 
@@ -154,7 +171,9 @@ def _sd_closure(graph, smask: int, g: int) -> int:
     return outside & ~g_core(graph, outside & ~graph.neighborhood_mask(smask), g)
 
 
-def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: bool = False):
+def _pmc_sd_scan(
+    graph, g: int, m_cap: int, stats: dict | None = None, bridges: bool = False, start=None
+):
     """Exact P via enumeration of candidate symmetric differences.
 
     Returns (P, (F1, F2)) for the first pair of smallest max size in the
@@ -177,10 +196,10 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
     the first side T = S2, from |T| = floor(s/2) down, that leaves S - T
     with >= g neighbors in S - T | B and gives each two-neighbor bridge one
     neighbor in T, and returns (C | (S - T), C | T); T empty gives
-    (C | S, C).  Four facts cut the work and leave the result unchanged:
+    (C | S, C).  Six facts cut the work and leave the result unchanged:
 
-    (a) P starts at the bound m_cap + 1: both sets of an admissible pair
-        are admissible, so its max size is at most m_cap.
+    (a) Without `start`, P starts at the bound m_cap + 1: both sets of an
+        admissible pair are admissible, so its max size is at most m_cap.
     (b) Only U inducing min degree >= g are generated: a vertex of S2 is
         fault-free under F1, so its >= g fault-free neighbors lie in U.  A
         branch is cut when a chosen vertex can no longer reach g chosen
@@ -210,13 +229,31 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
         through 0 comes before every U without it in `combinations` order,
         so the first U of the least size that reaches the least P goes
         through 0, and the value and pair are unchanged.
+    (e) `start`, a checked indistinguishable admissible pair (F1, F2),
+        starts P at max(|F1|, |F2|) + 1 instead.  That is still above the
+        least P, and a bound only cuts what cannot beat it strictly, so
+        the first U that reaches the least P and its first best cut are
+        still found.  Finding no pair then is a broken invariant and
+        raises VerificationError.
+    (f) Without bridges a nonempty side has >= s_g = |V| - m_cap vertices:
+        a vertex of S2 is fault-free under F1, its >= g fault-free
+        neighbors all lie in S2, since none lies in O, so S2 induces min
+        degree >= g.  For |U| < 2 s_g one side is therefore empty, and the
+        larger side is all of U.  This bound feeds the generator's bound
+        and the test of each candidate, but not the stop rule of the size
+        loop: it is not monotone in |U|, since from |U| = 2 s_g on both
+        sides can be nonempty again, so the stop rule keeps the half-of-S
+        bound.
 
-    `stats`, when given, receives the work counters of the scan.
+    `stats`, when given, receives the work counters of the scan and
+    `start_p`, the P it started from.
     """
     n = graph.vertex_count
     nbr = graph.nbr_masks
-    best_p = m_cap + 1
+    best_p = m_cap + 1 if start is None else max(m.bit_count() for m in start) + 1
+    start_p = best_p
     best_pair = None
+    s_g = n - m_cap  # the least nonempty set inducing min degree >= g, see (f)
     nodes = yielded = bound_cuts = splits = bridge_sets = 0
     by_degree = sorted(m.bit_count() for m in nbr)
     lo_deg, hi_deg = by_degree[0], by_degree[-1]
@@ -232,9 +269,13 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
             cap = min(cap, hi_deg * c_size // (lo_deg - 2))
         return max(0, cap)
 
-    def least_side(u_size, c_size):
-        """Lower bound on max(|S1|, |S2|) for |U| = u_size and |C| = c_size."""
+    def half_side(u_size, c_size):
+        """Lower bound on max(|S1|, |S2|) for |U| = u_size and |C| = c_size; grows with |U|."""
         return (u_size - bridge_cap(u_size, c_size) + 1) // 2
+
+    def least_side(u_size, c_size):
+        """`half_side`, or all of U where one side must be empty, see (f)."""
+        return u_size if not bridges and u_size < 2 * s_g else half_side(u_size, c_size)
 
     def subsets(order, size, least, anchored=False, support=0):
         """Yield each `size`-subset of `order` inducing min degree >= g, in combinations order.
@@ -332,7 +373,7 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
                         break
 
     for s_size in range(1, n + 1):
-        if min(c + least_side(s_size, c) for c in range(max(1, best_p - 1))) >= best_p:
+        if min(c + half_side(s_size, c) for c in range(max(1, best_p - 1))) >= best_p:
             break
         least = least_side(s_size, best_p - 2)
         for umask in subsets(range(n), s_size, least, graph.vertex_transitive):
@@ -347,10 +388,13 @@ def _pmc_sd_scan(graph, g: int, m_cap: int, stats: dict | None = None, bridges: 
             candidates=yielded,
             bound_cuts=bound_cuts,
             splits=splits,
+            start_p=start_p,
         )
         if bridges:
             stats["bridge_sets"] = bridge_sets
     if best_pair is None:
+        if start is not None:
+            raise VerificationError("the scan found no pair below its checked start pair")
         return None, None
     return best_p, best_pair
 

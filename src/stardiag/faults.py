@@ -230,11 +230,12 @@ def indist_mask(graph: TopologyGraph, f1: int, f2: int, model: Model) -> bool:
 # -- minimum subgraph size oracle ----------------------------------------
 
 
-def _connected_subsets(graph: TopologyGraph, region: int, size: int):
+def _connected_subsets(graph: TopologyGraph, region: int, size: int, anchored: bool = False):
     """Masks of connected vertex sets of exactly `size` inside `region`.
 
     Each set is produced once: sets are anchored at their lowest vertex and
     candidates already tried at a node are banned from its later branches.
+    With `anchored`, only the sets through the lowest vertex of `region`.
     """
     if size <= 0:
         return
@@ -258,16 +259,21 @@ def _connected_subsets(graph: TopologyGraph, region: int, size: int):
         v_bit = r & -r
         r ^= v_bit
         yield from grow(v_bit, nbr[v_bit.bit_length() - 1] & r, r, size - 1)
+        if anchored:
+            return
 
 
-def min_subgraph_size_oracle(
-    graph: TopologyGraph, g: int, budget: int = DEFAULT_SEARCH_BUDGET
-) -> int | None:
-    """Minimum |A| over nonempty A whose induced subgraph has min degree >= g.
+def least_subgraph_mask(
+    graph: TopologyGraph, g: int, budget: int = DEFAULT_SEARCH_BUDGET, stats: dict | None = None
+) -> int:
+    """The first least nonempty set inducing min degree >= g, as a mask; 0 when none exists.
 
-    Returns None when no such set exists.  Any qualifying set lives inside
-    the g-core and a minimum one is connected, so the search seeds on each
-    core vertex and grows connected sets of increasing size.
+    Any qualifying set lives inside the g-core and a least one is connected,
+    so the search seeds on each core vertex and grows connected sets of
+    increasing size.  On a vertex-transitive graph it seeds on vertex 0
+    only: an automorphism carries a least set to one through 0, and 0 is
+    seeded first anyway, so the set found is the same.  `stats`, when
+    given, receives `m_cap_sets`, the number of sets tested.
     """
     if g < 0:
         raise DomainError("g must be nonnegative")
@@ -275,20 +281,36 @@ def min_subgraph_size_oracle(
         raise BudgetError(
             f"{graph.vertex_count} vertices over the brute-force budget of {budget}"
         )
+    tested = found = 0
+    core = g_core(graph, graph.full_mask, g) if g else 0
+    comps = graph.component_masks(core) if core else []
     if g == 0:
-        return 1
-    core = g_core(graph, graph.full_mask, g)
-    if core == 0:
-        return None
-    comps = graph.component_masks(core)
-    if all(
-        (graph.nbr_masks[i] & core).bit_count() == g for i in _iter_bits(core)
-    ):
+        found = 1  # vertex 0 alone
+    elif all((graph.nbr_masks[i] & core).bit_count() == g for i in _iter_bits(core)):
         # in a g-regular core every qualifying set is a union of components
-        return min(c.bit_count() for c in comps)
-    top = min(c.bit_count() for c in comps)
-    for size in range(g + 1, top + 1):
-        for mask in _connected_subsets(graph, core, size):
-            if has_min_degree(graph, mask, g):
-                return size
-    raise VerificationError("g-core exists but no qualifying subset was found")
+        found = min(comps, key=int.bit_count, default=0)
+    else:
+        top = min(c.bit_count() for c in comps)
+        for size in range(g + 1, top + 1):
+            for mask in _connected_subsets(graph, core, size, graph.vertex_transitive):
+                tested += 1
+                if has_min_degree(graph, mask, g):
+                    found = mask
+                    break
+            if found:
+                break
+        else:
+            raise VerificationError("g-core exists but no qualifying subset was found")
+    if stats is not None:
+        stats["m_cap_sets"] = tested
+    return found
+
+
+def min_subgraph_size_oracle(
+    graph: TopologyGraph, g: int, budget: int = DEFAULT_SEARCH_BUDGET
+) -> int | None:
+    """Minimum |A| over nonempty A whose induced subgraph has min degree >= g.
+
+    Returns None when no such set exists; `least_subgraph_mask` finds A.
+    """
+    return least_subgraph_mask(graph, g, budget).bit_count() or None

@@ -18,15 +18,18 @@ from stardiag import (
     witness_general,
     witness_snk2_mm,
 )
-from stardiag.base import BudgetError, DomainError
-from stardiag.diagnosability import _pair_scan, _pmc_sd_scan, _sd_closure
+from stardiag import diagnosability
+from stardiag.base import BudgetError, DomainError, VerificationError
+from stardiag.diagnosability import _pair_scan, _pmc_sd_scan, _sd_closure, _start_pair
 from stardiag.faults import (
     dist_mm_mask,
     good_faulty_sets,
     good_mask,
+    has_min_degree,
     indist_mask,
     indist_pmc_mask,
     is_g_good_neighbor,
+    least_subgraph_mask,
     min_subgraph_size_oracle,
     rg_connectivity_bruteforce,
 )
@@ -233,7 +236,8 @@ def test_pmc_sd_scan_matches_reference_scan():
 
 def test_bruteforce_stats_count_the_scan():
     s42 = build_nk_star(4, 2)
-    scan_keys = {"m_cap_s", "scan_s", "search_nodes", "candidates", "bound_cuts", "splits"}
+    scan_keys = {"m_cap_s", "m_cap_sets", "scan_s", "start_p"}
+    scan_keys |= {"search_nodes", "candidates", "bound_cuts", "splits"}
     pmc = tg_bruteforce(s42, 1, Model.PMC)
     assert set(pmc.stats) == scan_keys
     # only candidate differences inducing min degree >= 1 get a closure
@@ -244,6 +248,102 @@ def test_bruteforce_stats_count_the_scan():
     # no bridge exists for g >= 2, so MM* runs the plain PMC scan there
     assert set(tg_bruteforce(s42, 2, Model.MM).stats) == scan_keys
     assert pmc.value == 4 and mm.value == 3
+    # the least set of S_{4,2} at g = 1 is an edge, tested first from vertex 0;
+    # (N(A), N(A) | A) has sizes 4 and 6, so the scan starts at P = 7, not 11
+    assert pmc.stats["m_cap_sets"] == 1
+    assert pmc.stats["start_p"] == mm.stats["start_p"] == 7
+
+
+def test_start_pair_keeps_the_result_and_cuts_the_work(monkeypatch):
+    # the scan started from the checked pair (N(A), N(A) | A) against the scan
+    # started from m_cap + 1: the same value, pair and note, and no more work
+    graphs = [build_nk_star(n, k) for n, k in ((12, 1), (4, 2), (5, 2), (4, 3), (6, 2))]
+    cells = [(gr, g, model) for gr in graphs for g in range(gr.min_degree() + 1) for model in Model]
+    started = [tg_bruteforce(*cell, budget=30) for cell in cells]
+    monkeypatch.setattr(diagnosability, "_start_pair", lambda *args: None)
+    lower = 0
+    for (graph, g, model), res in zip(cells, started):
+        plain = tg_bruteforce(graph, g, model, budget=30)
+        where = (graph.descriptor, g, model)
+        assert (res.value, res.pair, res.note) == (plain.value, plain.pair, plain.note), where
+        if not res.applicable:
+            continue
+        smallest = min_subgraph_size_oracle(graph, g, budget=30)
+        assert plain.stats["start_p"] == graph.vertex_count - smallest + 1, where
+        assert res.stats["start_p"] <= plain.stats["start_p"], where
+        assert res.stats["search_nodes"] <= plain.stats["search_nodes"], where
+        lower += res.stats["start_p"] < plain.stats["start_p"]
+    assert lower == 30  # of the 62 cells; on the other 32, N(A) | A is all of V
+
+
+def test_scan_that_finds_nothing_below_its_start_pair_raises(monkeypatch):
+    # a checked start pair promises a pair no larger than itself; a scan that
+    # ends with none has a broken invariant, while without a start pair the
+    # same empty scan just means every pair is distinguishable
+    s42 = build_nk_star(4, 2)
+    start = _start_pair(s42, 2, Model.PMC, least_subgraph_mask(s42, 2))
+    assert start is not None
+    monkeypatch.setattr(diagnosability, "has_min_degree", lambda *args: False)
+    assert _pmc_sd_scan(s42, 2, 6) == (None, None)
+    with pytest.raises(VerificationError):
+        _pmc_sd_scan(s42, 2, 6, start=start)
+    with pytest.raises(VerificationError):
+        tg_bruteforce(s42, 2, Model.PMC)
+
+
+def _submasks(mask):
+    """Every submask of `mask`, the empty one first."""
+    yield 0
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
+def test_indistinguishable_sides_have_at_least_s_g_vertices():
+    # fact (f) of the scan: in a PMC-indistinguishable admissible pair, and in
+    # an MM*-indistinguishable one for g >= 2, each nonempty side F2 - F1
+    # induces min degree >= g, so it has at least s_g vertices.  Every side of
+    # every such pair is reached: for each admissible F1, each nonempty S2 of
+    # V - F1 that passes the model's necessary test is checked once some S1 of
+    # F1 makes F2 = (F1 - S1) | S2 an admissible, indistinguishable partner.
+    # At g = 0 the fact is empty (s_0 = 1), so it is left out.
+    from conftest import small_graphs
+
+    checked = dict.fromkeys(Model, 0)
+    for graph in small_graphs(12) + _bridge_graphs():
+        nbr = graph.nbr_masks
+        near = [0] * (graph.full_mask + 1)  # near[m]: the neighbors of m's vertices
+        for m in range(1, graph.full_mask + 1):
+            low = m & -m
+            near[m] = near[m ^ low] | nbr[low.bit_length() - 1]
+        for g in (1, 2, 3):
+            s_g = min_subgraph_size_oracle(graph, g, budget=12)
+            good = good_faulty_sets(graph, g)
+            admissible = set(good)
+            for f1 in good:
+                rest = graph.full_mask & ~f1
+                s2 = rest
+                while s2:
+                    o = rest & ~s2
+                    # PMC: S2 has no neighbor in O; MM*: a comparator next to
+                    # S2 has no neighbor in O and at most one in S2
+                    comparators = near[s2] & o
+                    models = [Model.PMC] if not comparators else []
+                    if g >= 2 and not near[comparators] & o and all(
+                        (nbr[c] & s2).bit_count() <= 1 for c in _iter_bits(comparators)
+                    ):
+                        models.append(Model.MM)
+                    for model in models:
+                        f2s = ((f1 & ~s1) | s2 for s1 in _submasks(f1))
+                        if any(f2 in admissible and indist_mask(graph, f1, f2, model)
+                               for f2 in f2s):
+                            where = (graph.descriptor, g, model, f1, s2)
+                            assert has_min_degree(graph, s2, g), where
+                            assert s2.bit_count() >= s_g, where
+                            checked[model] += 1
+                    s2 = (s2 - 1) & rest
+    assert min(checked.values()) > 10**4, checked
 
 
 def _bridge_graphs():
@@ -308,6 +408,7 @@ def test_orbit_scan_matches_the_full_scan():
                     every.value, every.pair, every.note
                 ), where
                 assert orbit.stats.get("search_nodes", 0) <= every.stats.get("search_nodes", 0)
+            assert least_subgraph_mask(graph, g, 30) == least_subgraph_mask(full, g, 30)
             assert rg_connectivity_bruteforce(graph, g, 30) == rg_connectivity_bruteforce(
                 full, g, 30
             ), (graph.descriptor, g)

@@ -336,7 +336,9 @@ def test_min_subgraph_rejects_negative_g(c6):
 def test_min_subgraph_invariant_raises_verification_error(s42, monkeypatch):
     # a non-regular g-core always holds a qualifying connected set; if the
     # search finds none, the oracle reports a broken invariant
-    monkeypatch.setattr(faults, "_connected_subsets", lambda graph, region, size: iter(()))
+    monkeypatch.setattr(
+        faults, "_connected_subsets", lambda graph, region, size, anchored=False: iter(())
+    )
     with pytest.raises(VerificationError):
         min_subgraph_size_oracle(s42, 1)
 
@@ -372,3 +374,6 @@ def test_connected_subsets_match_reference():
                 if len(graph.component_masks(sum(1 << i for i in combo))) == 1
             )
             assert got == want
+            # anchored: only the sets through the lowest vertex of the region
+            anchored = sorted(_connected_subsets(graph, region, size, anchored=True))
+            assert anchored == [m for m in want if m & 1]
