@@ -111,13 +111,17 @@ def rg_connectivity_bruteforce(
     so has >= s = `min_subgraph_size_oracle` vertices: sizes above
     |V| - 2s are not tried, and none at all when no such set exists.  On a
     vertex-transitive graph only sets through vertex 0 are tried: an
-    automorphism carries any cut to one through 0.
+    automorphism carries any cut to one through 0.  A complete graph has
+    no cut at all: whatever C is, V - C induces a complete graph, which is
+    connected.
     """
     if g < 0:
         raise DomainError("g must be nonnegative")
     n = graph.vertex_count
     if n > budget:
         raise BudgetError(f"{n} vertices over the brute-force budget of {budget}")
+    if graph.min_degree() == n - 1:
+        return None
     smallest = min_subgraph_size_oracle(graph, g, budget=n)
     if smallest is None:
         return None

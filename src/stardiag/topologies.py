@@ -10,9 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .base import DomainError, VerificationError
 from .graph import TopologyGraph, _iter_bits
@@ -62,37 +60,95 @@ def _check_nk(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_BUDGET):
         )
 
 
+def _swap_arrays(n: int, k: int) -> list[list[int]]:
+    """[σ_1, ..., σ_{k-1}] as index arrays over A(n, k); see `_arrangement_graph`."""
+    if k < 2:
+        return []
+    run = math.perm(n - 2, k - 2)
+    block = (n - 1) * run  # the arrangements that share their first symbol
+    s1 = []
+    for a in range(n):
+        for b in range(n):
+            if b != a:  # the run that starts (a, b) onto the run that starts (b, a)
+                start = b * block + (a - (a > b)) * run
+                s1.extend(range(start, start + run))
+    sigmas = [s1]
+    for sub in _swap_arrays(n - 1, k - 1):  # sub is σ_{j-1} of A(n-1, k-1), tau is τ_j
+        tau = [start + i for start in range(0, n * block, block) for i in sub]
+        sigmas.append(list(map(s1.__getitem__, map(tau.__getitem__, s1))))
+    return sigmas
+
+
+def _unrotate(sigmas: list[list[int]], count: int) -> list[int]:
+    """ρ⁻¹ = σ_{k-1} ∘ ... ∘ σ_1 as an index array: entry r is the arrangement ρ sends to r."""
+    runs = list(range(count))
+    for s in sigmas:  # σ_1 applied first: each σ_j is its own inverse
+        runs = list(map(s.__getitem__, runs))
+    return runs
+
+
 def _arrangement_graph(n: int, k: int, descriptor: str) -> TopologyGraph:
     """The graph on k-arrangements of 1..n, built straight into neighbour masks.
 
-    The arrangements are ranked once in the graph's index order, which
-    sorts their labels as strings (for n >= 10 that is not their numeric
-    order).  Two rules give the edges.  Replace: the arrangements that
-    share p[1:] form a clique, since each is the other with its first
-    symbol replaced by an unused one.  Swap: the first symbol trades places
-    with the one at position j (2 <= j <= k), one `itemgetter` per j.  With
-    k = n no symbol is unused, only the swap rule applies, and the result is
-    the star graph.  Either way each vertex has n - k replace neighbours and
-    k - 1 swap neighbours, so the graph is (n - 1)-regular.  It is also
-    vertex-transitive: renaming the symbols maps the graph onto itself and
-    carries any arrangement to any other.
+    Two rules give the edges.  Swap: σ_j trades the symbols at positions 0
+    and j (1 <= j < k).  Replace: the arrangements that share p[1:] form a
+    clique, since each is the other with its first symbol replaced by an
+    unused one.  With k = n no symbol is unused, only the swap rule applies,
+    and the result is the star graph.  Either way each vertex has n - k
+    replace neighbours and k - 1 swap neighbours, so the graph is
+    (n - 1)-regular.  It is also vertex-transitive: renaming the symbols
+    maps the graph onto itself and carries any arrangement to any other.
+
+    No arrangement is built or hashed.  Let A(n, k) list the arrangements
+    in lexicographic order and P(n, k) = n!/(n-k)! count them; each rule
+    is an index array over that order, by four facts.
+
+    1. σ_1 is a list of runs.  The arrangements that start (a, b) are the
+       P(n-2, k-2) consecutive indices whose tails are the arrangements of
+       [n] - {a, b} in order; so are those that start (b, a), whence σ_1
+       maps the one run onto the other in order.
+    2. σ_j = σ_1 ∘ τ_j ∘ σ_1 for 2 <= j < k, where τ_j swaps positions 1
+       and j: σ_1 moves p[0] to position 1, τ_j trades it with p[j], and
+       σ_1 brings p[j] to the front and p[1] back to position 1.  τ_j keeps
+       the first symbol a, and inside a's block of P(n-1, k-1) indices it
+       is σ_{j-1} of A(n-1, k-1) shifted by the block's start: renaming
+       [n] - {a} onto [n-1] in order keeps lexicographic order and commutes
+       with swapping positions.  So σ_j comes from the same arrays one
+       size down.
+    3. The replace cliques are runs after a rotation.  ρ(p) = p[1:] + p[:1]
+       is σ_{k-1}, then σ_{k-2}, ..., then σ_1: σ_{k-1} parks p[0] at
+       position k-1, and each later σ_j sets the front symbol p[j+1] down
+       at position j and brings p[j] to the front.  The arrangements
+       sharing p[1:] = q go to q + (x,) for the n - k + 1 unused x, one
+       run.  Each clique mask is built once from its run; a vertex's mask
+       is its clique mask with its own bit cleared, OR one bit per σ_j.
+    4. For n >= 10 the graph's index order sorts the labels as strings,
+       which is not their numeric order ("1-10" comes before "1-2").  It is
+       the lexicographic order after renaming every symbol by the rank of
+       its string: at the first position where two arrangements differ,
+       their labels compare as those two symbol strings do, since a string
+       that is a prefix of the other is followed by "-" or the end of its
+       label, both below any digit.  Renaming the symbols is an
+       automorphism, so the masks built over A(n, k) are already the masks
+       of the sorted labels; only the labels need sorting.
     """
-    verts = arrangements(n, k)
-    # arrangement_label of each, joined from the symbols' strings in the same order
+    # arrangement_label of each, joined from the symbols' strings in lexicographic order
     symbols = [str(s) for s in range(1, n + 1)]
     labels = list(map(("" if n <= 9 else "-").join, itertools.permutations(symbols, k)))
-    if n >= 10:
-        labels, verts = zip(*sorted(zip(labels, verts)))
-    rank = {p: i for i, p in enumerate(verts)}
-    masks = [0] * len(verts)
-    if k < n:  # replace rule
-        cliques = defaultdict(int)
-        for i, p in enumerate(verts):
-            cliques[p[1:]] |= 1 << i
-        masks = [cliques[p[1:]] ^ 1 << i for i, p in enumerate(verts)]
-    for j in range(1, k):
-        swap = itemgetter(j, *range(1, j), 0, *range(j + 1, k))
-        for i, q in enumerate(map(rank.__getitem__, map(swap, verts))):
+    count = len(labels)
+    sigmas = _swap_arrays(n, k)
+    runs = _unrotate(sigmas, count) if k < n else []
+    if n >= 10:  # fact 4
+        labels.sort()
+    masks = [0] * count
+    width = n - k + 1
+    for r in range(0, len(runs), width):
+        clique = runs[r : r + width]
+        mask = sum(map((1).__lshift__, clique))
+        for i in clique:
+            masks[i] = mask ^ 1 << i
+    for s in sigmas:  # in place: a second list of masks would double the peak memory
+        for i, q in enumerate(s):
             masks[i] |= 1 << q
     return TopologyGraph.from_masks(
         labels, masks, descriptor, min_degree=n - 1, vertex_transitive=True

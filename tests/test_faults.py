@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -253,6 +254,16 @@ def test_kappa_bruteforce_cycle_and_complete(c6):
     assert rg_connectivity_bruteforce(c6, 0) == 2  # two antipodal vertices
     assert rg_connectivity_bruteforce(c6, 1) == 2
     assert rg_connectivity_bruteforce(build_complete(4), 0) is None
+
+
+def test_kappa_bruteforce_answers_at_once_on_complete_graphs():
+    # whatever C is, V - C induces a complete graph, which is connected: no cut
+    for m in range(1, 9):
+        for g in range(m + 1):
+            assert rg_connectivity_bruteforce(build_complete(m), g) is None, (m, g)
+    start = time.perf_counter()
+    assert rg_connectivity_bruteforce(build_nk_star(21, 1), 1, budget=30) is None
+    assert time.perf_counter() - start < 1  # the full set scan took several seconds
 
 
 def test_kappa_bruteforce_tries_every_set_off_the_family_builders():

@@ -18,8 +18,11 @@ from stardiag.base import DomainError, VerificationError
 from stardiag.graph import TopologyGraph
 from stardiag.topologies import (
     _block_sums_match,
+    _swap_arrays,
+    _unrotate,
     _walk_split,
     arrangement_label,
+    arrangements,
     descriptor_params,
     parse_arrangement,
 )
@@ -166,7 +169,9 @@ def _same_graph(built, reference):
     "n,k",
     [(n, k) for n in range(2, 8) for k in range(1, n)]
     # n >= 10 labels are hyphenated and sort as strings, not numerically
-    + [(8, 1), (8, 2), (8, 3), (8, 4), (10, 2), (10, 3), (12, 1), (12, 2)],
+    + [(8, 1), (8, 2), (8, 3), (8, 4), (9, 3), (9, 4), (10, 2), (10, 3), (11, 3), (12, 1), (12, 2)]
+    # wide replace cliques near the vertex cap
+    + [(20, 2), (70, 2)],
 )
 def test_nk_star_kernel_matches_the_edge_list_builder(n, k):
     _same_graph(build_nk_star(n, k), reference_builders.build_nk_star(n, k))
@@ -175,6 +180,23 @@ def test_nk_star_kernel_matches_the_edge_list_builder(n, k):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_star_kernel_matches_the_edge_list_builder(n):
     _same_graph(build_star(n), reference_builders.build_star(n))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(1, n + 1)])
+def test_kernel_index_arrays_match_the_arrangements(n, k):
+    # the swap arrays and the rotation, held against the arrangements themselves
+    verts = arrangements(n, k)
+    rank = {p: i for i, p in enumerate(verts)}
+    sigmas = _swap_arrays(n, k)
+    assert len(sigmas) == k - 1
+    for j, sigma in enumerate(sigmas, 1):
+        assert sigma == [rank[p[j : j + 1] + p[1:j] + p[:1] + p[j + 1 :]] for p in verts], j
+        assert all(sigma[q] == i != q for i, q in enumerate(sigma)), j  # no fixed point
+    runs = _unrotate(sigmas, len(verts))  # runs[r] is the arrangement that ρ sends to r
+    assert [runs[rank[p[1:] + p[:1]]] for p in verts] == list(range(len(verts)))
+    width = n - k + 1
+    for r in range(0, len(verts), width):
+        assert len({verts[i][1:] for i in runs[r : r + width]}) == 1, r
 
 
 def test_kernel_stores_the_min_degree_it_builds():
