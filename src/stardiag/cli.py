@@ -19,6 +19,8 @@ from collections import Counter
 from .base import BudgetError, DomainError, Model, NotApplicableError, StardiagError
 from .diagnosability import (
     DEFAULT_ORACLE_BUDGET,
+    _agree,
+    _held_nk_star,
     build_witness,
     crosscheck,
     tg_bruteforce,
@@ -56,14 +58,6 @@ def _emit(args, report: dict) -> None:
         print(text, file=args.report_file)
 
 
-def _agree(report: dict, values: dict) -> bool:
-    """True when the methods' values agree; else they are recorded as `disagreement`."""
-    if len(set(values.values())) > 1:
-        report["disagreement"] = values
-        return False
-    return True
-
-
 def _witness_dict(w) -> dict:
     return {
         "construction": w.construction,
@@ -75,11 +69,6 @@ def _witness_dict(w) -> dict:
         "checks": w.checks,
         "upper_bound": w.upper_bound,
     }
-
-
-def _held_nk_star(graph):
-    """`graph` when it is an S_{n,k} that a witness can reuse, else None."""
-    return graph if graph.descriptor.startswith("nkstar:") else None
 
 
 def cmd_gen(args) -> dict:
@@ -110,55 +99,16 @@ def cmd_gen(args) -> dict:
 
 def cmd_tg(args) -> dict:
     graph = from_descriptor(args.graph)
-    params = descriptor_params(graph.descriptor)
-    models = [Model.PMC, Model.MM] if args.model == "both" else [Model.parse(args.model)]
-    report = {
+    models = tuple(Model) if args.model == "both" else (Model.parse(args.model),)
+    ok, results = crosscheck(graph, args.g, models, args.method, args.budget)
+    return {
         "graph": graph.descriptor,
         "g": args.g,
         "method": args.method,
         "seed": args.seed,
-        "results": {},
+        "results": results,
+        "ok": ok,
     }
-    ok = True
-    witnesses = {}  # built once, whichever models a construction serves
-    for model in models:
-        entry: dict = {}
-        values = {}
-        if args.method in ("formula", "all"):
-            if params is None:
-                entry["formula"] = None
-                entry["formula_note"] = "formula needs a star-family graph descriptor"
-            else:
-                res = tg_formula(params[0], params[1], args.g, model)
-                entry["formula"] = res.value
-                entry["formula_provenance"] = res.provenance or res.note
-                if res.applicable:
-                    values["formula"] = res.value
-        if args.method in ("brute", "all"):
-            try:
-                res = tg_bruteforce(graph, args.g, model, args.budget)
-                entry["bruteforce"] = res.value
-                entry["bruteforce_note"] = res.note
-                entry["bruteforce_stats"] = res.stats
-                if res.pair:
-                    entry["bruteforce_pair"] = [list(p) for p in res.pair]
-                if res.applicable:
-                    values["bruteforce"] = res.value
-            except BudgetError as exc:
-                if args.method == "brute":
-                    raise
-                entry["bruteforce"] = None
-                entry["bruteforce_skipped"] = str(exc)
-        name = witness_for(*params, args.g, model) if params else None
-        if args.method in ("witness", "all") and name:
-            if name not in witnesses:
-                witnesses[name] = build_witness(name, *params, args.g, _held_nk_star(graph))
-            entry["witness_upper_bounds"] = {name: witnesses[name].upper_bound}
-            values[f"witness:{name}"] = witnesses[name].upper_bound
-        ok &= _agree(entry, values)
-        report["results"][model.value] = entry
-    report["ok"] = ok
-    return report
 
 
 def cmd_kappa(args) -> dict:
@@ -176,10 +126,17 @@ def cmd_kappa(args) -> dict:
                 report["formula_note"] = str(exc)
         report["formula"] = values.get("formula")
     if args.method in ("brute", "all"):
-        brute = rg_connectivity_bruteforce(graph, args.g, budget=args.budget)
-        report["bruteforce"] = brute if brute is not None else "no cut"
-        if brute is not None:
-            values["bruteforce"] = brute
+        try:
+            brute = rg_connectivity_bruteforce(graph, args.g, budget=args.budget)
+        except BudgetError as exc:
+            if args.method == "brute":
+                raise
+            report["bruteforce"] = None
+            report["bruteforce_skipped"] = str(exc)
+        else:
+            report["bruteforce"] = brute if brute is not None else "no cut"
+            if brute is not None:
+                values["bruteforce"] = brute
     report["ok"] = _agree(report, values)
     return report
 
@@ -207,6 +164,19 @@ def cmd_split(args) -> dict:
     }
 
 
+def _table_fields(entry: dict) -> dict:
+    """A table row's values and status, read off a `crosscheck` entry."""
+    fields = {"formula": entry["formula"], "status": "formula-only"}
+    if "bruteforce_skipped" not in entry:
+        fields.update(bruteforce=entry["bruteforce"], status="brute-verified")
+    elif "witness_upper_bounds" in entry:
+        (bound,) = entry["witness_upper_bounds"].values()
+        fields.update(witness_upper_bound=bound, status="witness+formula")
+    if "disagreement" in entry:
+        fields["status"] = "DISAGREE"
+    return fields
+
+
 def cmd_table(args) -> dict:
     n_max = args.n_min if args.n_max is None else args.n_max
     if args.n_min < 3:
@@ -220,27 +190,16 @@ def cmd_table(args) -> dict:
             # one S_{n,k} per row serves its oracle and witness cells
             graph = build_nk_star(n, k) if math.perm(n, k) <= DEFAULT_VERTEX_BUDGET else None
             for g in range(1, n):
-                check = crosscheck(n, k, g, args.budget, graph)
-                ok = ok and check.ok
+                if graph is not None:
+                    cell_ok, results = crosscheck(graph, g, budget=args.budget)
+                    ok = ok and cell_ok
                 for model in Model:
-                    entry = check.results[model.value]
-                    row = {
-                        "n": n,
-                        "k": k,
-                        "g": g,
-                        "model": model.value,
-                        "formula": entry["formula"],
-                        "status": "formula-only",
-                    }
-                    if "bruteforce_skipped" not in entry:
-                        row["bruteforce"] = entry["bruteforce"]
-                        row["status"] = "brute-verified"
-                    elif "witness" in entry:
-                        row["witness_upper_bound"] = entry["witness_upper_bound"]
-                        row["status"] = "witness+formula"
-                    if not entry["ok"]:
-                        row["status"] = "DISAGREE"
-                    rows.append(row)
+                    if graph is None:  # over the vertex cap: the closed form alone
+                        formula = tg_formula(n, k, g, model).value
+                        fields = {"formula": formula, "status": "formula-only"}
+                    else:
+                        fields = _table_fields(results[model.value])
+                    rows.append({"n": n, "k": k, "g": g, "model": model.value, **fields})
     return {"ok": ok, "rows": rows}
 
 

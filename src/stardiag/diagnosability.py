@@ -3,8 +3,9 @@
 t_g is computed by an exhaustive oracle over faulty-set pairs, by a
 piecewise closed-form evaluator covering the full (k, g, model) case
 table, and bounded from above by explicit witness-pair constructions.
-The crosscheck entry point runs every applicable method and compares;
-`witness_for` is the one rule for which construction covers a cell.
+`crosscheck` is the one check of a cell: it runs the selected methods
+under each model and records where they disagree.  `witness_for` is the
+one rule for which construction covers a cell.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ from .faults import (
     least_subgraph_mask,
 )
 from .graph import LabelSet, TopologyGraph, _iter_bits
-from .topologies import (
-    DEFAULT_VERTEX_BUDGET,
-    arrangement_label,
-    build_cycle,
-    build_nk_star,
-)
+from .topologies import arrangement_label, build_cycle, build_nk_star, descriptor_params
 
 #: default vertex cap of the exhaustive oracle, under either model
 DEFAULT_ORACLE_BUDGET = 16
@@ -106,7 +102,7 @@ def tg_bruteforce(
         raise BudgetError(f"{n} vertices over the brute-force budget of {budget}")
     stats: dict = {}
     started = time.perf_counter()
-    least = least_subgraph_mask(graph, g, budget=n, stats=stats)
+    least = least_subgraph_mask(graph, g, stats=stats)
     stats["m_cap_s"] = round(time.perf_counter() - started, 6)
     if not least:
         return DiagnosabilityResult(
@@ -633,79 +629,76 @@ def build_witness(
 # -- crosscheck ----------------------------------------------------------
 
 
-@dataclass
-class CrosscheckReport:
-    """Per-model agreement between formula, brute force, and witnesses."""
+def _held_nk_star(graph: TopologyGraph) -> TopologyGraph | None:
+    """`graph` when it is an S_{n,k} that a witness can reuse, else None."""
+    return graph if graph.descriptor.startswith("nkstar:") else None
 
-    n: int
-    k: int
-    g: int
-    results: dict[str, dict] = field(default_factory=dict)
-    ok: bool = True
-    notes: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "g": self.g,
-            "ok": self.ok,
-            "results": self.results,
-            "notes": self.notes,
-        }
+def _agree(entry: dict, values: dict) -> bool:
+    """True when the methods' values agree; else they are recorded as `disagreement`."""
+    if len(set(values.values())) > 1:
+        entry["disagreement"] = values
+        return False
+    return True
 
 
 def crosscheck(
-    n: int, k: int, g: int, budget: int = DEFAULT_ORACLE_BUDGET, graph: TopologyGraph | None = None
-) -> CrosscheckReport:
-    """Run every applicable t_g method for both models and compare.
+    graph: TopologyGraph,
+    g: int,
+    models: tuple[Model, ...] = tuple(Model),
+    method: str = "all",
+    budget: int = DEFAULT_ORACLE_BUDGET,
+) -> tuple[bool, dict[str, dict]]:
+    """Run the t_g methods that `method` selects on `graph` for each model, and compare.
 
-    `graph` is the S_{n,k} the caller holds, if any, so that a row of the
-    table builds it once; without it, S_{n,k} is built when the oracle's
-    `budget` admits it or a witness needs it.  The witness that covers the
-    cell is built once, whichever models it serves.  Every construction
-    lives on S_{n,k}, so a witness over `build_nk_star`'s vertex cap is
-    skipped and recorded as `witness_skipped`.  Each model's entry records
-    `ok`: its brute-force value and witness bound both match its formula.
+    `method` is "formula", "brute", "witness" or "all".  Returns (ok,
+    results), where results maps each model's value to its entry: the
+    closed form, which needs a star-family descriptor; the oracle's value,
+    note, counters and refuting pair; and the bound of the witness that
+    `witness_for` names.  Under "all" an oracle over `budget` is recorded
+    as `bruteforce_skipped`; under "brute" its BudgetError propagates.  An
+    entry whose applicable values differ records them as `disagreement`,
+    and ok is then False.  The witness is built once, whichever models it
+    serves, and on `graph` itself when that is an S_{n,k}.
     """
-    report = CrosscheckReport(n=n, k=k, g=g)
-    formulas = {model: tg_formula(n, k, g, model) for model in Model}
-    in_budget = math.perm(n, k) <= budget
-    if graph is not None or in_budget:
-        graph = _nk_star(n, k, graph)
+    params = descriptor_params(graph.descriptor)
+    ok = True
+    results = {}
     witnesses: dict[str, WitnessReport] = {}
-    for model, formula in formulas.items():
-        entry: dict = {
-            "formula": formula.value,
-            "formula_provenance": formula.provenance or formula.note,
-        }
-        mismatches = []
-        if not in_budget:
-            entry["bruteforce"] = None
-            entry["bruteforce_skipped"] = "over budget"
-        else:
-            brute = tg_bruteforce(graph, g, model, budget)
-            entry["bruteforce"] = brute.value
-            if brute.pair:
-                entry["bruteforce_pair"] = [list(p) for p in brute.pair]
-            if formula.applicable and brute.value != formula.value:
-                mismatches.append(f"brute force {brute.value}")
-        name = witness_for(n, k, g, model)
-        if name is not None and math.perm(n, k) > DEFAULT_VERTEX_BUDGET:
-            entry["witness_skipped"] = "over budget"
-        elif name is not None:
+    for model in models:
+        entry: dict = {}
+        values = {}
+        if method in ("formula", "all"):
+            if params is None:
+                entry["formula"] = None
+                entry["formula_note"] = "formula needs a star-family graph descriptor"
+            else:
+                res = tg_formula(*params, g, model)
+                entry["formula"] = res.value
+                entry["formula_provenance"] = res.provenance or res.note
+                if res.applicable:
+                    values["formula"] = res.value
+        if method in ("brute", "all"):
+            try:
+                res = tg_bruteforce(graph, g, model, budget)
+                entry["bruteforce"] = res.value
+                entry["bruteforce_note"] = res.note
+                entry["bruteforce_stats"] = res.stats
+                if res.pair:
+                    entry["bruteforce_pair"] = [list(p) for p in res.pair]
+                if res.applicable:
+                    values["bruteforce"] = res.value
+            except BudgetError as exc:
+                if method == "brute":
+                    raise
+                entry["bruteforce"] = None
+                entry["bruteforce_skipped"] = str(exc)
+        name = witness_for(*params, g, model) if params else None
+        if method in ("witness", "all") and name:
             if name not in witnesses:
-                witnesses[name] = build_witness(name, n, k, g, graph)
-            bound = witnesses[name].upper_bound
-            entry.update(witness=name, witness_upper_bound=bound)
-            if bound != formula.value:
-                mismatches.append(f"{name} witness bound {bound}")
-        entry["ok"] = not mismatches
-        report.notes += [f"{model.value}: {m} != formula {formula.value}" for m in mismatches]
-        report.results[model.value] = entry
-    report.ok = not report.notes
-    report.results["witnesses"] = {
-        name: {"sizes": w.sizes, "upper_bound": w.upper_bound, "checks": w.checks}
-        for name, w in witnesses.items()
-    }
-    return report
+                witnesses[name] = build_witness(name, *params, g, _held_nk_star(graph))
+            entry["witness_upper_bounds"] = {name: witnesses[name].upper_bound}
+            values[f"witness:{name}"] = witnesses[name].upper_bound
+        ok &= _agree(entry, values)
+        results[model.value] = entry
+    return ok, results

@@ -108,7 +108,7 @@ def rg_connectivity_bruteforce(
     Enumerates candidate sets in increasing size, so the cost is governed
     by the answer rather than by 2^|V| whenever a cut exists.  Each of the
     >= 2 components a g-good-neighbor cut leaves induces min degree >= g,
-    so has >= s = `min_subgraph_size_oracle` vertices: sizes above
+    so has >= s = |`least_subgraph_mask`| vertices: sizes above
     |V| - 2s are not tried, and none at all when no such set exists.  On a
     vertex-transitive graph only sets through vertex 0 are tried: an
     automorphism carries any cut to one through 0.  A complete graph has
@@ -122,8 +122,8 @@ def rg_connectivity_bruteforce(
         raise BudgetError(f"{n} vertices over the brute-force budget of {budget}")
     if graph.min_degree() == n - 1:
         return None
-    smallest = min_subgraph_size_oracle(graph, g, budget=n)
-    if smallest is None:
+    smallest = least_subgraph_mask(graph, g).bit_count()
+    if not smallest:
         return None
     for size in range(n - 2 * smallest + 1):
         combos = combinations(range(n), size)
@@ -267,9 +267,7 @@ def _connected_subsets(graph: TopologyGraph, region: int, size: int, anchored: b
             return
 
 
-def least_subgraph_mask(
-    graph: TopologyGraph, g: int, budget: int = DEFAULT_SEARCH_BUDGET, stats: dict | None = None
-) -> int:
+def least_subgraph_mask(graph: TopologyGraph, g: int, stats: dict | None = None) -> int:
     """The first least nonempty set inducing min degree >= g, as a mask; 0 when none exists.
 
     Any qualifying set lives inside the g-core and a least one is connected,
@@ -281,10 +279,6 @@ def least_subgraph_mask(
     """
     if g < 0:
         raise DomainError("g must be nonnegative")
-    if graph.vertex_count > budget:
-        raise BudgetError(
-            f"{graph.vertex_count} vertices over the brute-force budget of {budget}"
-        )
     tested = found = 0
     core = g_core(graph, graph.full_mask, g) if g else 0
     comps = graph.component_masks(core) if core else []
@@ -316,5 +310,10 @@ def min_subgraph_size_oracle(
     """Minimum |A| over nonempty A whose induced subgraph has min degree >= g.
 
     Returns None when no such set exists; `least_subgraph_mask` finds A.
+    Graphs are capped at `budget` vertices.
     """
-    return least_subgraph_mask(graph, g, budget).bit_count() or None
+    if graph.vertex_count > budget:
+        raise BudgetError(
+            f"{graph.vertex_count} vertices over the brute-force budget of {budget}"
+        )
+    return least_subgraph_mask(graph, g).bit_count() or None

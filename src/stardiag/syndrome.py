@@ -154,14 +154,12 @@ def diagnose(
     syndrome: Syndrome,
     t: int,
     g: int,
-    first_two: bool = False,
     stats: dict | None = None,
 ) -> list[frozenset]:
     """All proper g-good-neighbor hypotheses of size <= t consistent with the syndrome.
 
-    Hypotheses come in increasing size then lexicographic label order;
-    with first_two=True only the first two are returned.  An empty result
-    means the true fault count exceeded t.
+    Hypotheses come in increasing size then lexicographic label order.
+    An empty result means the true fault count exceeded t.
 
     A depth-first search assigns each vertex a status, faulty or
     fault-free, and after every step closes the assignment under the
@@ -283,8 +281,6 @@ def diagnose(
     if stats is not None:
         stats.update(search_nodes=nodes, forced=forced, leaves=leaves)
     found.sort(key=lambda fmask: (fmask.bit_count(), tuple(_iter_bits(fmask))))
-    if first_two:
-        found = found[:2]
     return [graph.labels_of(fmask) for fmask in found]
 
 

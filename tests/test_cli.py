@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,17 @@ def test_kappa_no_cut(capsys):
     assert report["bruteforce"] == "no cut"
 
 
+def test_kappa_reports_the_formula_over_the_oracle_budget(capsys):
+    # S_{6,3} has 120 vertices, over kappa's brute-force budget of 20
+    kappa = ["kappa", "--graph", "nkstar:6,3", "--g", "3"]
+    code, report = run_json(capsys, *kappa)
+    assert code == 0 and report["ok"]
+    assert report["formula"] == 8 and report["bruteforce"] is None
+    assert report["bruteforce_skipped"] == "120 vertices over the brute-force budget of 20"
+    assert main([*kappa, "--method", "brute"]) == 2
+    assert "over the brute-force budget" in capsys.readouterr().err
+
+
 def test_kappa_rejects_negative_g(capsys):
     for method in ("all", "brute", "formula"):
         code = main(["kappa", "--graph", "nkstar:4,2", "--g", "-1", "--method", method])
@@ -247,6 +259,35 @@ def test_table_leaves_over_cap_witnesses_formula_only(capsys):
     assert code == 0 and report["ok"] and len(report["rows"]) == 98
     assert {row["status"] for row in report["rows"] if row["k"] >= 5} == {"formula-only"}
     assert any(row["status"] == "witness+formula" for row in report["rows"] if row["k"] == 4)
+
+
+def test_table_rows_match_tg_cell_by_cell(capsys):
+    code, table = run_json(capsys, "table", "--n-min", "3", "--n-max", "6", "--budget", "30")
+    assert code == 1 and not table["ok"]  # the PMC gap at S_{3,2}, g = 1
+    rows = {(r["n"], r["k"], r["g"], r["model"]): r for r in table["rows"]}
+    cells = sorted({key[:3] for key in rows})
+    assert len(rows) == 2 * len(cells) == 2 * (4 + 9 + 16 + 25)
+    statuses = Counter()
+    for n, k, g in cells:
+        argv = ["tg", "--graph", f"nkstar:{n},{k}", "--g", str(g), "--budget", "30"]
+        code, tg = run_json(capsys, *argv)
+        disagree = any(rows[n, k, g, m]["status"] == "DISAGREE" for m in ("pmc", "mm"))
+        assert code == (1 if disagree else 0)
+        for model, entry in tg["results"].items():
+            want = {"n": n, "k": k, "g": g, "model": model, "formula": entry["formula"]}
+            if "bruteforce_skipped" not in entry:
+                want.update(bruteforce=entry["bruteforce"], status="brute-verified")
+            elif "witness_upper_bounds" in entry:
+                (bound,) = entry["witness_upper_bounds"].values()
+                want.update(witness_upper_bound=bound, status="witness+formula")
+            else:
+                want["status"] = "formula-only"
+            if "disagreement" in entry:
+                want["status"] = "DISAGREE"
+            assert rows[n, k, g, model] == want
+            statuses[want["status"]] += 1
+    assert statuses["DISAGREE"] == 1
+    assert statuses["brute-verified"] and statuses["witness+formula"] and statuses["formula-only"]
 
 
 def test_simulate_injection_unique_diagnoses(capsys):

@@ -408,7 +408,7 @@ def test_orbit_scan_matches_the_full_scan():
                     every.value, every.pair, every.note
                 ), where
                 assert orbit.stats.get("search_nodes", 0) <= every.stats.get("search_nodes", 0)
-            assert least_subgraph_mask(graph, g, 30) == least_subgraph_mask(full, g, 30)
+            assert least_subgraph_mask(graph, g) == least_subgraph_mask(full, g)
             assert rg_connectivity_bruteforce(graph, g, 30) == rg_connectivity_bruteforce(
                 full, g, 30
             ), (graph.descriptor, g)
@@ -601,10 +601,6 @@ def test_witnesses_take_the_graph_their_caller_holds():
         for wrong in (build_nk_star(n, k - 1), build_complete(5)):
             with pytest.raises(DomainError, match=f"expected the graph nkstar:{n},{k}"):
                 build_witness(name, n, k, g, wrong)
-    held = build_nk_star(4, 2)
-    assert crosscheck(4, 2, 2, graph=held).to_dict() == crosscheck(4, 2, 2).to_dict()
-    with pytest.raises(DomainError):
-        crosscheck(4, 2, 2, graph=build_nk_star(4, 3))
 
 
 def test_witness_cycle6():
@@ -679,32 +675,31 @@ def test_witness_for_gives_no_cell_two_constructions():
 
 
 def test_crosscheck_agreeing_case():
-    report = crosscheck(4, 2, 2)
-    assert report.ok
-    assert report.results["pmc"]["formula"] == 5
-    assert report.results["pmc"]["bruteforce"] == 5
-    assert report.results["mm"]["bruteforce"] == 5
-    assert "general" in report.results["witnesses"]
+    ok, results = crosscheck(build_nk_star(4, 2), 2)
+    assert ok and set(results) == {"pmc", "mm"}
+    assert results["pmc"]["formula"] == 5
+    assert results["pmc"]["bruteforce"] == 5
+    assert results["mm"]["bruteforce"] == 5
     for model in ("pmc", "mm"):
-        assert report.results[model]["witness_upper_bound"] == 5
-        assert report.results[model]["ok"]
-    d = report.to_dict()
-    assert d["ok"] and d["n"] == 4
+        assert results[model]["witness_upper_bounds"] == {"general": 5}
+        assert "disagreement" not in results[model]
 
 
-def test_crosscheck_skips_a_witness_over_the_vertex_cap():
-    # the general witness of S_{8,5} needs 6720 vertices, over build_nk_star's cap
-    report = crosscheck(8, 5, 3)
-    assert report.ok and report.results["witnesses"] == {}
-    for model in ("pmc", "mm"):
-        entry = report.results[model]
-        assert entry["witness_skipped"] == "over budget" and "witness" not in entry
+def test_crosscheck_skips_the_oracle_over_budget_only_under_all():
+    s52 = build_nk_star(5, 2)
+    ok, results = crosscheck(s52, 3, (Model.PMC,))
+    assert ok and list(results) == ["pmc"]
+    entry = results["pmc"]
+    assert entry["bruteforce"] is None
+    assert entry["bruteforce_skipped"] == "20 vertices over the brute-force budget of 16"
+    assert entry["formula"] == entry["witness_upper_bounds"]["general"] == 7
+    with pytest.raises(BudgetError):
+        crosscheck(s52, 3, method="brute")
 
 
 def test_crosscheck_reports_known_pmc_gap_at_3_2_1():
-    report = crosscheck(3, 2, 1)
-    assert not report.ok
-    assert report.results["pmc"]["bruteforce"] == 2
-    assert report.results["pmc"]["formula"] == 3
-    assert report.results["mm"]["bruteforce"] == 1 == report.results["mm"]["formula"]
-    assert any("pmc" in note for note in report.notes)
+    ok, results = crosscheck(build_nk_star(3, 2), 1)
+    assert not ok
+    assert results["pmc"]["disagreement"] == {"formula": 3, "bruteforce": 2}
+    assert results["mm"]["bruteforce"] == 1 == results["mm"]["formula"]
+    assert "disagreement" not in results["mm"]

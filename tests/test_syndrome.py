@@ -114,12 +114,11 @@ def test_diagnose_recovers_unique_fault(c6):
     assert diagnose(c6, syn, 2, 1) == [frozenset({"u3"})]
 
 
-def test_diagnose_first_two_stops_early(c6):
+def test_diagnose_finds_both_sets_of_the_cycle6_pair(c6):
     wit = witness_cycle6()
     assignment = build_assignment(c6, Model.MM)
     syn = ambiguity_syndrome(assignment, wit.f1, wit.f2)
-    found = diagnose(c6, syn, 2, 1, first_two=True)
-    assert len(found) == 2
+    assert diagnose(c6, syn, 2, 1) == [wit.f1, wit.f2]
 
 
 def _witness_cases():
@@ -156,7 +155,6 @@ def test_diagnose_matches_the_reference_enumeration():
     for graph, syn, t, g in cases:
         want = reference_diagnose(graph, syn, t, g, budget=20)
         assert diagnose(graph, syn, t, g) == want, (graph.descriptor, syn.strategy, t, g)
-        assert diagnose(graph, syn, t, g, first_two=True) == want[:2]
 
 
 def test_diagnose_counts_its_search(s42):
