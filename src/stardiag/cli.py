@@ -126,8 +126,9 @@ def cmd_kappa(args) -> dict:
                 report["formula_note"] = str(exc)
         report["formula"] = values.get("formula")
     if args.method in ("brute", "all"):
+        stats: dict = {}
         try:
-            brute = rg_connectivity_bruteforce(graph, args.g, budget=args.budget)
+            brute = rg_connectivity_bruteforce(graph, args.g, args.budget, stats)
         except BudgetError as exc:
             if args.method == "brute":
                 raise
@@ -135,6 +136,7 @@ def cmd_kappa(args) -> dict:
             report["bruteforce_skipped"] = str(exc)
         else:
             report["bruteforce"] = brute if brute is not None else "no cut"
+            report["bruteforce_stats"] = stats
             if brute is not None:
                 values["bruteforce"] = brute
     report["ok"] = _agree(report, values)

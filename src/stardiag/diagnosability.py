@@ -199,18 +199,18 @@ def _pmc_sd_scan(
     (b) Only U inducing min degree >= g are generated: a vertex of S2 is
         fault-free under F1, so its >= g fault-free neighbors lie in U.  A
         branch is cut when a chosen vertex can no longer reach g chosen
-        neighbors, or when the neighbors of the chosen set that cannot all
-        join it (those passed over, and those ahead beyond the slots left)
-        plus a lower bound on the larger side reach P: they lie in C, so
-        every pair for U has max size >= |C| + max(|S1|, |S2|) >= P.  The
-        larger side has >= ceil((|U| - |B|) / 2) vertices.  A bridge has
-        no neighbor in O and at most one in each side, so its other
-        >= deg(b) - 2 neighbors lie in C: deg(b) <= |C| + 2, and |B| is at
-        most the number of vertices of degree <= |C| + 2.  Counting the
-        edges from B into C also gives |B| <= maxdeg * |C| / (mindeg - 2)
-        when mindeg > 2.  Neither cap shrinks as |C| grows, so the
-        generator takes |C| = P - 2, the largest common part that can
-        still beat P.
+        neighbors, or when |out| - min(|out & rest|, left) plus a lower
+        bound on the larger side reaches P, with out = N(chosen) - chosen
+        and `left` vertices still to come from those ahead, rest: the
+        others of out lie in C, and every pair for U has max size >=
+        |C| + max(|S1|, |S2|).  The larger side has
+        >= ceil((|U| - |B|) / 2) vertices.  A bridge has no neighbor in O
+        and at most one in each side, so its other >= deg(b) - 2 neighbors
+        lie in C: deg(b) <= |C| + 2, and |B| is at most the number of
+        vertices of degree <= |C| + 2.  Counting the edges from B into C
+        also gives |B| <= maxdeg * |C| / (mindeg - 2) when mindeg > 2.
+        Neither cap shrinks as |C| grows, so the generator takes
+        |C| = P - 2, the largest common part that can still beat P.
     (c) T comes from the same generator restricted to S, with B counted
         toward each vertex's g, and the first admissible T of the largest
         size wins, since a larger side always gives a smaller max size.
@@ -232,14 +232,12 @@ def _pmc_sd_scan(
         still found.  Finding no pair then is a broken invariant and
         raises VerificationError.
     (f) Without bridges a nonempty side has >= s_g = |V| - m_cap vertices:
-        a vertex of S2 is fault-free under F1, its >= g fault-free
-        neighbors all lie in S2, since none lies in O, so S2 induces min
-        degree >= g.  For |U| < 2 s_g one side is therefore empty, and the
-        larger side is all of U.  This bound feeds the generator's bound
-        and the test of each candidate, but not the stop rule of the size
-        loop: it is not monotone in |U|, since from |U| = 2 s_g on both
-        sides can be nonempty again, so the stop rule keeps the half-of-S
-        bound.
+        a vertex of S2 is fault-free under F1 and its >= g fault-free
+        neighbors lie in S2, none being in O, so S2 induces min degree
+        >= g.  For |U| < 2 s_g one side is therefore empty and the larger
+        side is all of U.  The generator's bound and the test of each
+        candidate use this; the stop rule of the size loop keeps the
+        half-of-S bound, since both sides can be nonempty from 2 s_g on.
 
     `stats`, when given, receives the work counters of the scan and
     `start_p`, the P it started from.
@@ -273,60 +271,66 @@ def _pmc_sd_scan(
         """`half_side`, or all of U where one side must be empty, see (f)."""
         return u_size if not bridges and u_size < 2 * s_g else half_side(u_size, c_size)
 
-    def subsets(order, size, least, anchored=False, support=0):
-        """Yield each `size`-subset of `order` inducing min degree >= g, in combinations order.
+    def layout(order, support=0):
+        """Per position j of `order`: the neighbor mask, the bit and order[j:] | support."""
+        bits = [1 << u for u in order]
+        after = [support] * (len(bits) + 1)
+        for j in range(len(bits) - 1, -1, -1):
+            after[j] = after[j + 1] | bits[j]
+        return [nbr[u] for u in order], bits, after
 
-        With `anchored`, only the subsets that contain order[0].  A vertex's
-        neighbors in `support` count toward its g as well.
+    def subsets(tables, size, least, anchored=False):
+        """Yield each `size`-subset of a `layout` inducing min degree >= g, in combinations order.
+
+        With `anchored`, only the subsets through the first position.  A
+        vertex's neighbors in the support count toward its g as well.  With
+        `least`, branches are cut by the bound (b).
         """
         if not size:
             yield 0
             return
-        after = [0] * len(order) + [support]  # after[j]: the vertices order[j:], and support
-        for j in range(len(order) - 1, -1, -1):
-            after[j] = after[j + 1] | 1 << order[j]
-
-        def over_bound(chosen, reach, rest, left):
-            # every S grown from `chosen` by `left` vertices of `rest` misses the
-            # passed neighbors and all but `left` of those ahead; N(S) - S lies in C
-            nonlocal bound_cuts
-            if least is None:
-                return False
-            out = reach & ~chosen
-            forced = (out & ~rest).bit_count() + max(0, (out & rest).bit_count() - left)
-            if forced + least >= best_p:
-                bound_cuts += 1
-                return True
-            return False
+        nbrs, bits, after = tables
+        width, support = len(bits), after[-1]
+        bounded = least is not None
 
         def grow(i, chosen, reach, left):
-            # reach: the union of the neighbor masks of chosen; order[:i]
-            # minus chosen is out for good
-            nonlocal nodes
+            # reach: the union of the neighbor masks of chosen; positions
+            # before i not in chosen are out for good
+            nonlocal nodes, bound_cuts
             nodes += 1
-            stop = 1 if anchored and not chosen else len(order) - left + 1
+            out = reach & ~chosen
+            n_out = out.bit_count()
+            stop = 1 if anchored and not chosen else width - left + 1
             for j in range(i, stop):
-                u = order[j]
                 rest = after[j + 1]
-                nu = nbr[u]
-                grown = chosen | 1 << u
-                if (nu & (chosen | rest)).bit_count() >= g and not over_bound(
-                    grown, reach | nu, rest, left - 1
-                ):
-                    if left > 1:
-                        yield from grow(j + 1, grown, reach | nu, left - 1)
+                pool = chosen | rest
+                nu = nbrs[j]
+                if (nu & pool).bit_count() >= g:
+                    grown, wide = chosen | bits[j], reach | nu
+                    # the bound (b) for grown; min() is spelled out here and below, since
+                    # the two calls cost the scan about a third
+                    rim = wide & ~grown
+                    ahead = (rim & rest).bit_count()
+                    forced = rim.bit_count() - (ahead if ahead < left - 1 else left - 1)
+                    if bounded and forced + least >= best_p:
+                        bound_cuts += 1
+                    elif left > 1:
+                        yield from grow(j + 1, grown, wide, left - 1)
                     elif has_min_degree(graph, grown, g, grown | support):
                         yield grown
-                # u is out from here on: has_min_degree(graph, nu & chosen, g, chosen | rest),
-                # written inline because the call costs the scan about 5%
+                # j is out from here on: has_min_degree(graph, nu & chosen, g, pool), written
+                # inline because the call costs the scan about 5%
                 m = nu & chosen
                 while m:
                     low = m & -m
                     m ^= low
-                    if (nbr[low.bit_length() - 1] & (chosen | rest)).bit_count() < g:
+                    if (nbr[low.bit_length() - 1] & pool).bit_count() < g:
                         return
-                if over_bound(chosen, reach, rest, left):
-                    return
+                if bounded:
+                    ahead = (out & rest).bit_count()
+                    if n_out - (ahead if ahead < left else left) + least >= best_p:
+                        bound_cuts += 1
+                        return
 
         yield from grow(0, 0, 0, size)
 
@@ -350,13 +354,13 @@ def _pmc_sd_scan(
                 bridge_sets += b_size > 0
                 smask = umask ^ bmask
                 pairs = [nbr[b] for b in combo if in_u[b] == 2]
-                order = sorted(_iter_bits(smask), reverse=not bridges)  # see (c)
+                tables = layout(sorted(_iter_bits(smask), reverse=not bridges), bmask)  # see (c)
                 # a side of t vertices scores base + s - t; only scores below P matter
                 for t_size in range(s_size // 2, max(-1, base + s_size - best_p), -1):
                     if t_size == 0 and pairs:
                         break  # a bridge with two neighbors needs one on each side
                     found = None
-                    for t in subsets(order, t_size, None, support=bmask):
+                    for t in subsets(tables, t_size, None):
                         splits += t > 0  # T empty splits nothing
                         if all((p & t).bit_count() == 1 for p in pairs) and has_min_degree(
                             graph, smask ^ t, g, (smask ^ t) | bmask
@@ -368,11 +372,12 @@ def _pmc_sd_scan(
                         best_pair = (c | (smask ^ found), c | found)
                         break
 
+    u_tables = layout(range(n))
     for s_size in range(1, n + 1):
         if min(c + half_side(s_size, c) for c in range(max(1, best_p - 1))) >= best_p:
             break
         least = least_side(s_size, best_p - 2)
-        for umask in subsets(range(n), s_size, least, graph.vertex_transitive):
+        for umask in subsets(u_tables, s_size, least, graph.vertex_transitive):
             yielded += 1
             c = _sd_closure(graph, umask, g)
             base = c.bit_count()
@@ -653,13 +658,14 @@ def crosscheck(
 
     `method` is "formula", "brute", "witness" or "all".  Returns (ok,
     results), where results maps each model's value to its entry: the
-    closed form, which needs a star-family descriptor; the oracle's value,
-    note, counters and refuting pair; and the bound of the witness that
-    `witness_for` names.  Under "all" an oracle over `budget` is recorded
-    as `bruteforce_skipped`; under "brute" its BudgetError propagates.  An
-    entry whose applicable values differ records them as `disagreement`,
-    and ok is then False.  The witness is built once, whichever models it
-    serves, and on `graph` itself when that is an S_{n,k}.
+    closed form, or None with a `formula_note` off its domain; the
+    oracle's value, note, counters and refuting pair; and the bound of
+    the witness that `witness_for` names.  Under "all" an oracle over
+    `budget` is recorded as `bruteforce_skipped`; under "brute" its
+    BudgetError propagates.  An entry whose applicable values differ
+    records them as `disagreement`, and ok is then False.  The witness is
+    built once, whichever models it serves, and on `graph` itself when
+    that is an S_{n,k}.
     """
     params = descriptor_params(graph.descriptor)
     ok = True
@@ -669,11 +675,14 @@ def crosscheck(
         entry: dict = {}
         values = {}
         if method in ("formula", "all"):
-            if params is None:
-                entry["formula"] = None
-                entry["formula_note"] = "formula needs a star-family graph descriptor"
-            else:
+            entry["formula"] = None
+            try:
+                if params is None:
+                    raise DomainError("formula needs a star-family graph descriptor")
                 res = tg_formula(*params, g, model)
+            except DomainError as exc:
+                entry["formula_note"] = str(exc)
+            else:
                 entry["formula"] = res.value
                 entry["formula_provenance"] = res.provenance or res.note
                 if res.applicable:

@@ -101,7 +101,7 @@ def good_faulty_sets(graph: TopologyGraph, g: int) -> list[int]:
 
 
 def rg_connectivity_bruteforce(
-    graph: TopologyGraph, g: int, budget: int = DEFAULT_SEARCH_BUDGET
+    graph: TopologyGraph, g: int, budget: int = DEFAULT_SEARCH_BUDGET, stats: dict | None = None
 ) -> int | None:
     """Minimum size of a g-good-neighbor cut, or None when no cut exists.
 
@@ -113,31 +113,35 @@ def rg_connectivity_bruteforce(
     vertex-transitive graph only sets through vertex 0 are tried: an
     automorphism carries any cut to one through 0.  A complete graph has
     no cut at all: whatever C is, V - C induces a complete graph, which is
-    connected.
+    connected.  `stats`, when given, receives `cuts_tested`, the number of
+    candidate sets tested.
     """
     if g < 0:
         raise DomainError("g must be nonnegative")
     n = graph.vertex_count
     if n > budget:
         raise BudgetError(f"{n} vertices over the brute-force budget of {budget}")
-    if graph.min_degree() == n - 1:
-        return None
-    smallest = least_subgraph_mask(graph, g).bit_count()
-    if not smallest:
-        return None
-    for size in range(n - 2 * smallest + 1):
+    tested, found = 0, None
+    smallest = least_subgraph_mask(graph, g).bit_count() if graph.min_degree() < n - 1 else 0
+    for size in range(n - 2 * smallest + 1 if smallest else 0):
         combos = combinations(range(n), size)
         if graph.vertex_transitive and size:
             combos = ((0, *rest) for rest in combinations(range(1, n), size - 1))
         for combo in combos:
+            tested += 1
             fmask = 0
             for i in combo:
                 fmask |= 1 << i
             if not good_mask(graph, fmask, g):
                 continue
             if len(graph.component_masks(graph.full_mask & ~fmask)) > 1:
-                return size
-    return None
+                found = size
+                break
+        if found is not None:
+            break
+    if stats is not None:
+        stats["cuts_tested"] = tested
+    return found
 
 
 def rg_connectivity_formula(n: int, k: int, g: int) -> int:

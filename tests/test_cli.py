@@ -69,6 +69,20 @@ def test_tg_surfaces_the_known_disagreement(capsys):
     assert report["results"]["pmc"]["disagreement"] == {"formula": 3, "bruteforce": 2}
 
 
+@pytest.mark.parametrize("g", [0, 4])
+def test_tg_records_a_formula_note_off_the_table(capsys, g):
+    # the case table covers 1 <= g <= n - 1 only; the oracle still settles the cell
+    from stardiag import Model, build_nk_star, tg_bruteforce
+
+    code, report = run_json(capsys, "tg", "--graph", "nkstar:4,2", "--g", str(g))
+    assert code == 0 and report["ok"]
+    for model in Model:
+        entry = report["results"][model.value]
+        assert entry["formula"] is None and "t_g table needs" in entry["formula_note"]
+        assert entry["bruteforce"] == tg_bruteforce(build_nk_star(4, 2), g, model).value
+        assert "disagreement" not in entry
+
+
 def test_tg_rejects_negative_g(capsys):
     for method in ("all", "brute", "witness", "formula"):
         code = main(["tg", "--graph", "nkstar:4,2", "--g", "-1", "--method", method])
@@ -122,6 +136,7 @@ def test_kappa_agreement(capsys):
     code, report = run_json(capsys, "kappa", "--graph", "nkstar:4,2", "--g", "2")
     assert code == 0 and report["ok"]
     assert report["formula"] == 3 and report["bruteforce"] == 3
+    assert report["bruteforce_stats"] == {"cuts_tested": 14}
 
 
 def test_kappa_no_cut(capsys):

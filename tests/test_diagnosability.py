@@ -254,6 +254,31 @@ def test_bruteforce_stats_count_the_scan():
     assert pmc.stats["start_p"] == mm.stats["start_p"] == 7
 
 
+@pytest.mark.parametrize(
+    "n, k, g, model, value, counters",
+    [
+        (5, 2, 1, "pmc", 5, (1, 35, 2, 156, 0, 9, None)),
+        (5, 2, 2, "pmc", 6, (8, 97, 1, 345, 0, 8, None)),
+        (5, 2, 3, "pmc", 7, (28, 204, 1, 366, 0, 9, None)),
+        (4, 2, 1, "mm", 3, (1, 129, 4, 274, 1, 7, 3)),
+        (12, 1, 1, "mm", 5, (1, 65, 5, 42, 5, 11, 3)),
+        (4, 3, 2, "pmc", 11, (128, 15950, 1, 14566, 0, 13, None)),
+        (4, 3, 1, "mm", 5, (1, 14062, 3, 37107, 0, 7, 0)),
+        (6, 2, 4, "pmc", 9, (180, 443, 1, 816, 0, 11, None)),
+    ],
+)
+def test_bruteforce_stats_pin_the_search(n, k, g, model, value, counters):
+    # every prune of the scan and of the least-set search shows in these
+    # counters, so a rewrite that walks a different search cannot keep them
+    res = tg_bruteforce(build_nk_star(n, k), g, Model.parse(model), budget=30)
+    keys = ("m_cap_sets", "search_nodes", "candidates", "bound_cuts", "splits", "start_p")
+    want = dict(zip(keys, counters))
+    if counters[-1] is not None:
+        want["bridge_sets"] = counters[-1]
+    assert res.value == value
+    assert {key: v for key, v in res.stats.items() if not key.endswith("_s")} == want
+
+
 def test_start_pair_keeps_the_result_and_cuts_the_work(monkeypatch):
     # the scan started from the checked pair (N(A), N(A) | A) against the scan
     # started from m_cap + 1: the same value, pair and note, and no more work

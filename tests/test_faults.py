@@ -251,9 +251,13 @@ def test_dist_mm_mask_on_s76():
 
 
 def test_kappa_bruteforce_cycle_and_complete(c6):
-    assert rg_connectivity_bruteforce(c6, 0) == 2  # two antipodal vertices
+    stats = {}
+    assert rg_connectivity_bruteforce(c6, 0, stats=stats) == 2  # two antipodal vertices
+    # through vertex 0: the empty set, {u1}, {u1, u2}, then the cut {u1, u3}
+    assert stats == {"cuts_tested": 4}
     assert rg_connectivity_bruteforce(c6, 1) == 2
-    assert rg_connectivity_bruteforce(build_complete(4), 0) is None
+    assert rg_connectivity_bruteforce(build_complete(4), 0, stats=stats) is None
+    assert stats == {"cuts_tested": 0}  # no cut can exist, so none is tested
 
 
 def test_kappa_bruteforce_answers_at_once_on_complete_graphs():
