@@ -192,7 +192,7 @@ def _pmc_sd_scan(
     the first side T = S2, from |T| = floor(s/2) down, that leaves S - T
     with >= g neighbors in S - T | B and gives each two-neighbor bridge one
     neighbor in T, and returns (C | (S - T), C | T); T empty gives
-    (C | S, C).  Six facts cut the work and leave the result unchanged:
+    (C | S, C).  Seven facts cut the work and leave the result unchanged:
 
     (a) Without `start`, P starts at the bound m_cap + 1: both sets of an
         admissible pair are admissible, so its max size is at most m_cap.
@@ -238,9 +238,16 @@ def _pmc_sd_scan(
         side is all of U.  The generator's bound and the test of each
         candidate use this; the stop rule of the size loop keeps the
         half-of-S bound, since both sides can be nonempty from 2 s_g on.
+    (g) Without bridges no pair has max size below floor = min(kappa +
+        s_g, ceil(|V| / 2)), so the scan stops once P reaches it.  With
+        O nonempty, C = F1 & F2 separates S from O, and a nonempty side
+        has >= s_g vertices by (f); with O empty, |F1| + |F2| >= |V|.
+        kappa >= ceil(2 (delta + 1) / 3) on a connected vertex-transitive
+        graph (Watkins 1970); a complete graph has O empty.  Any other
+        graph gets floor 0.
 
-    `stats`, when given, receives the work counters of the scan and
-    `start_p`, the P it started from.
+    `stats`, when given, receives the work counters of the scan,
+    `start_p`, the P it started from, and `floor_p`, the floor of (g).
     """
     n = graph.vertex_count
     nbr = graph.nbr_masks
@@ -251,6 +258,9 @@ def _pmc_sd_scan(
     nodes = yielded = bound_cuts = splits = bridge_sets = 0
     by_degree = sorted(m.bit_count() for m in nbr)
     lo_deg, hi_deg = by_degree[0], by_degree[-1]
+    floor = 0  # see (g)
+    if not bridges and graph.vertex_transitive and graph.is_connected():
+        floor = min(-(-2 * (lo_deg + 1) // 3) + s_g, (n + 1) // 2)
     least_s = 2 if g else 1  # |S| >= this whenever B is nonempty
 
     def bridge_cap(u_size, c_size):
@@ -374,6 +384,8 @@ def _pmc_sd_scan(
 
     u_tables = layout(range(n))
     for s_size in range(1, n + 1):
+        if best_p <= floor:
+            break
         if min(c + half_side(s_size, c) for c in range(max(1, best_p - 1))) >= best_p:
             break
         least = least_side(s_size, best_p - 2)
@@ -383,6 +395,8 @@ def _pmc_sd_scan(
             base = c.bit_count()
             if base + least_side(s_size, base) < best_p:
                 cut(umask, c, base)
+                if best_p <= floor:
+                    break
     if stats is not None:
         stats.update(
             search_nodes=nodes,
@@ -390,6 +404,7 @@ def _pmc_sd_scan(
             bound_cuts=bound_cuts,
             splits=splits,
             start_p=start_p,
+            floor_p=floor,
         )
         if bridges:
             stats["bridge_sets"] = bridge_sets

@@ -27,7 +27,8 @@ class TestAssignment:
 
     PMC: every ordered adjacent pair as (u, v, None), 2|E| units.
     MM*: every (u, v, w) with w adjacent to both and u < v, sum of
-    C(deg(w), 2) units.  Units are index triples, lexicographic by label.
+    C(deg(w), 2) units.  Units are index triples in lexicographic order,
+    which is label order: labels are sorted at construction.
     """
 
     graph: TopologyGraph
@@ -43,9 +44,9 @@ def build_assignment(graph: TopologyGraph, model: Model) -> TestAssignment:
                 units.append((u, v, None))
     else:
         for w in range(graph.vertex_count):
-            for u, v in combinations(sorted(_iter_bits(graph.nbr_masks[w])), 2):
+            for u, v in combinations(_iter_bits(graph.nbr_masks[w]), 2):
                 units.append((u, v, w))
-    units.sort(key=lambda t: tuple(graph.labels[i] for i in t if i is not None))
+        units.sort()
     return TestAssignment(graph=graph, model=model, units=tuple(units))
 
 

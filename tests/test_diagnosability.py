@@ -236,7 +236,7 @@ def test_pmc_sd_scan_matches_reference_scan():
 
 def test_bruteforce_stats_count_the_scan():
     s42 = build_nk_star(4, 2)
-    scan_keys = {"m_cap_s", "m_cap_sets", "scan_s", "start_p"}
+    scan_keys = {"m_cap_s", "m_cap_sets", "scan_s", "start_p", "floor_p"}
     scan_keys |= {"search_nodes", "candidates", "bound_cuts", "splits"}
     pmc = tg_bruteforce(s42, 1, Model.PMC)
     assert set(pmc.stats) == scan_keys
@@ -257,21 +257,24 @@ def test_bruteforce_stats_count_the_scan():
 @pytest.mark.parametrize(
     "n, k, g, model, value, counters",
     [
-        (5, 2, 1, "pmc", 5, (1, 35, 2, 156, 0, 9, None)),
-        (5, 2, 2, "pmc", 6, (8, 97, 1, 345, 0, 8, None)),
-        (5, 2, 3, "pmc", 7, (28, 204, 1, 366, 0, 9, None)),
-        (4, 2, 1, "mm", 3, (1, 129, 4, 274, 1, 7, 3)),
-        (12, 1, 1, "mm", 5, (1, 65, 5, 42, 5, 11, 3)),
-        (4, 3, 2, "pmc", 11, (128, 15950, 1, 14566, 0, 13, None)),
-        (4, 3, 1, "mm", 5, (1, 14062, 3, 37107, 0, 7, 0)),
-        (6, 2, 4, "pmc", 9, (180, 443, 1, 816, 0, 11, None)),
+        (5, 2, 1, "pmc", 5, (1, 5, 2, 7, 0, 9, 6, None)),
+        (5, 2, 2, "pmc", 6, (8, 7, 1, 20, 0, 8, 7, None)),
+        (5, 2, 3, "pmc", 7, (28, 15, 1, 28, 0, 9, 8, None)),
+        (4, 2, 1, "mm", 3, (1, 129, 4, 274, 1, 7, 0, 3)),
+        (12, 1, 1, "mm", 5, (1, 65, 5, 42, 5, 11, 0, 3)),
+        (4, 3, 2, "pmc", 11, (128, 15950, 1, 14566, 0, 13, 9, None)),
+        (4, 3, 1, "mm", 5, (1, 14062, 3, 37107, 0, 7, 0, 0)),
+        (6, 2, 4, "pmc", 9, (180, 443, 1, 816, 0, 11, 9, None)),
     ],
 )
 def test_bruteforce_stats_pin_the_search(n, k, g, model, value, counters):
     # every prune of the scan and of the least-set search shows in these
-    # counters, so a rewrite that walks a different search cannot keep them
+    # counters, so a rewrite that walks a different search cannot keep them;
+    # the floor of fact (g) ends the S_{5,2} scans at their first pair
     res = tg_bruteforce(build_nk_star(n, k), g, Model.parse(model), budget=30)
-    keys = ("m_cap_sets", "search_nodes", "candidates", "bound_cuts", "splits", "start_p")
+    keys = (
+        "m_cap_sets", "search_nodes", "candidates", "bound_cuts", "splits", "start_p", "floor_p"
+    )
     want = dict(zip(keys, counters))
     if counters[-1] is not None:
         want["bridge_sets"] = counters[-1]
@@ -387,13 +390,84 @@ def _bridge_graphs():
     ]
 
 
+def _vertex_transitive_extras():
+    """C_6[K_2], C_7[K_2] and 2 K_4, flagged vertex-transitive as `build_complete` does.
+
+    C_m[K_2] joins each vertex to its twin and to both vertices of the two
+    neighboring pairs: degree 5 but connectivity 4, where every S_{n,k}, K_n
+    and C_m has connectivity equal to its degree.  2 K_4 is disconnected.
+    """
+    graphs = []
+    for m in (6, 7):
+        labels = [f"{i}{a}" for i in range(m) for a in "ab"]
+        edges = [(f"{i}a", f"{i}b") for i in range(m)]
+        edges += [(f"{i}{a}", f"{(i + 1) % m}{b}") for i in range(m) for a in "ab" for b in "ab"]
+        graphs.append(TopologyGraph(labels, edges, f"lex:C{m},K2"))
+    edges = [(f"{c}{i}", f"{c}{j}") for c in "xy" for i, j in combinations(range(4), 2)]
+    graphs.append(TopologyGraph([v for e in edges for v in e], edges, "2K4"))
+    for graph in graphs:
+        graph.vertex_transitive = True
+    return graphs
+
+
+def _kappa(graph):
+    """Vertex connectivity by brute force: the least C leaving V - C disconnected, else |V| - 1."""
+    n = graph.vertex_count
+    for size in range(n - 1):
+        for combo in combinations(range(n), size):
+            cut = sum(1 << i for i in combo)
+            if len(graph.component_masks(graph.full_mask & ~cut)) > 1:
+                return size
+    return n - 1
+
+
+def test_no_pair_beats_the_floor_of_fact_g():
+    # fact (g) of the scan: without bridges (PMC, and MM* for g >= 2) every
+    # indistinguishable admissible pair has max size P >= min(kappa + s_g,
+    # ceil(|V| / 2)), with kappa brute-forced and P from the O(M^2) pair scan
+    from conftest import small_graphs
+
+    tight = checked = 0
+    extras = [graph for graph in _vertex_transitive_extras() if graph.vertex_count <= 12]
+    for graph in small_graphs(10) + extras:
+        kappa = _kappa(graph)
+        half = (graph.vertex_count + 1) // 2
+        for g in range(4):
+            for model in (Model.PMC, Model.MM) if g >= 2 else (Model.PMC,):
+                p, _ = _pair_scan(graph, g, model)
+                if p is None:
+                    continue
+                floor = min(kappa + min_subgraph_size_oracle(graph, g, budget=12), half)
+                assert p >= floor, (graph.descriptor, g, model, p, floor)
+                checked += 1
+                tight += p == floor
+    assert checked > 100 and tight > 50, (checked, tight)
+
+
+def test_watkins_bound_on_vertex_transitive_graphs():
+    # the kappa the scan's floor takes: a connected vertex-transitive graph of
+    # degree d that is not complete has connectivity >= ceil(2 (d + 1) / 3)
+    from conftest import small_graphs
+
+    graphs = [g for g in small_graphs(24) + _vertex_transitive_extras() if g.vertex_transitive]
+    checked = 0
+    for graph in graphs:
+        degree = graph.min_degree()
+        if not graph.is_connected() or degree == graph.vertex_count - 1:
+            continue
+        assert _kappa(graph) >= -(-2 * (degree + 1) // 3), graph.descriptor
+        checked += 1
+    assert checked > 25, checked
+
+
 def test_sd_scan_matches_pair_scan_both_models():
     # the one symmetric-difference oracle against the serial O(M^2) pair scan:
     # equal values, and a returned pair that really refutes t_g = value + 1
     from conftest import small_graphs
 
-    for graph in small_graphs(12) + _bridge_graphs():
-        for g in range(4):
+    for graph in small_graphs(12) + _bridge_graphs() + _vertex_transitive_extras():
+        # C_7[K_2]'s pair scan takes seconds at g = 1 and 2; the orbit test covers those
+        for g in (0, 3) if graph.vertex_count > 12 else range(4):
             for model in Model:
                 res = tg_bruteforce(graph, g, model)
                 p, _ = _pair_scan(graph, g, model)
@@ -414,11 +488,12 @@ def test_sd_scan_matches_pair_scan_both_models():
 
 
 def test_orbit_scan_matches_the_full_scan():
-    # on a vertex-transitive graph the oracles only try sets through vertex 0;
-    # an unflagged copy tries every set and must give the same answers
+    # on a vertex-transitive graph the oracles only try sets through vertex 0,
+    # and the scan stops at the floor of fact (g); an unflagged copy tries
+    # every set with floor 0 and must give the same answers
     from conftest import small_graphs
 
-    graphs = [g for g in small_graphs(12) if g.vertex_transitive]
+    graphs = [g for g in small_graphs(12) if g.vertex_transitive] + _vertex_transitive_extras()
     graphs += [build_nk_star(4, 3), build_nk_star(5, 2), build_nk_star(6, 2), build_star(4)]
     for graph in graphs:
         full = TopologyGraph(graph.labels, graph.edges(), graph.descriptor)

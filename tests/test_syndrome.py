@@ -46,6 +46,16 @@ def test_assignment_units_are_well_formed(s42):
         assert (s42.nbr_masks[w] >> u) & 1 and (s42.nbr_masks[w] >> v) & 1
 
 
+def test_assignment_units_are_in_label_order():
+    # units are sorted by index, which is label order since labels are sorted
+    # at construction: the same tuple as a sort keyed on the labels
+    for graph in small_graphs(12):
+        for model in Model:
+            units = build_assignment(graph, model).units
+            by_label = sorted(units, key=lambda t: [graph.labels[i] for i in t if i is not None])
+            assert units == tuple(by_label), (graph.descriptor, model)
+
+
 def test_generate_syndrome_fault_free_is_all_zero(s42):
     for model in Model:
         syn = generate_syndrome(build_assignment(s42, model), set(), "random", seed=5)
