@@ -20,7 +20,6 @@ from .base import BudgetError, DomainError, Model, NotApplicableError, StardiagE
 from .diagnosability import (
     DEFAULT_ORACLE_BUDGET,
     _agree,
-    _held_nk_star,
     build_witness,
     crosscheck,
     tg_bruteforce,
@@ -241,7 +240,7 @@ def cmd_simulate(args) -> dict:
             raise DomainError(
                 f"no witness construction covers n, k, g = {(*params, args.g)} under {model.value}"
             )
-        wit = build_witness(name, *params, args.g, _held_nk_star(graph))
+        wit = build_witness(name, *params, args.g)
         if wit.descriptor != graph.descriptor:  # a star:n graph carries its witness on S_{n,n-1}
             graph = from_descriptor(wit.descriptor)
             report["graph"] = graph.descriptor  # the graph diagnosed below

@@ -515,15 +515,6 @@ def _require(ok: bool, what: str):
         raise VerificationError(f"witness self-check failed: {what}")
 
 
-def _nk_star(n: int, k: int, graph: TopologyGraph | None) -> TopologyGraph:
-    """The S_{n,k} a caller already holds, checked against its descriptor, else a new build."""
-    if graph is None:
-        return build_nk_star(n, k)
-    if graph.descriptor != f"nkstar:{n},{k}":
-        raise DomainError(f"expected the graph nkstar:{n},{k}, got {graph.descriptor}")
-    return graph
-
-
 def _certified(construction, graph, g, a_mask, m1, m2, claims, formula) -> WitnessReport:
     """The report for the pair of masks (F1, F2) on `graph`, once its self-checks pass.
 
@@ -555,19 +546,18 @@ def _certified(construction, graph, g, a_mask, m1, m2, claims, formula) -> Witne
     )
 
 
-def witness_general(n: int, k: int, g: int, graph: TopologyGraph | None = None) -> WitnessReport:
+def witness_general(n: int, k: int, g: int) -> WitnessReport:
     """Upper-bound pair for S_{n,k} in the range 2<=k<=n-1, n-k<=g<=n-2.
 
     A is the set of vertices whose trailing n-g-1 coordinates are literally
     1..n-g-1 and whose leading coordinates come from the top g+1 symbols;
-    F1 = N(A) and F2 = F1 | A.  |F2| exceeds t_g by exactly one.  `graph`
-    is S_{n,k} when the caller holds it; otherwise it is built here.
+    F1 = N(A) and F2 = F1 | A.  |F2| exceeds t_g by exactly one.
     """
     if witness_for(n, k, g, Model.PMC) != "general":
         raise DomainError(
             f"general witness needs n>=4, 2<=k<=n-1, n-k<=g<=n-2; got n={n}, k={k}, g={g}"
         )
-    graph = _nk_star(n, k, graph)
+    graph = build_nk_star(n, k)
     tail = tuple(range(1, n - g))  # the n-g-1 fixed trailing symbols
     lead = k - (n - g - 1)
     a_mask = graph.mask_of(
@@ -586,14 +576,11 @@ def witness_general(n: int, k: int, g: int, graph: TopologyGraph | None = None) 
     return _certified("general", graph, g, a_mask, f1, f2, (Model.PMC, Model.MM), formula)
 
 
-def witness_snk2_mm(n: int, graph: TopologyGraph | None = None) -> WitnessReport:
-    """MM* upper-bound pair for S_{n,2}, n>=4: A = N({12,32,42}), F_i = A + one seed.
-
-    `graph` is S_{n,2} when the caller holds it; otherwise it is built here.
-    """
+def witness_snk2_mm(n: int) -> WitnessReport:
+    """MM* upper-bound pair for S_{n,2}, n>=4: A = N({12,32,42}), F_i = A + one seed."""
     if witness_for(n, 2, 1, Model.MM) != "snk2-mm":
         raise DomainError(f"S_{{n,2}} MM* witness needs n >= 4, got n={n}")
-    graph = _nk_star(n, 2, graph)
+    graph = build_nk_star(n, 2)
     s12, s32, s42 = (graph.mask_of([arrangement_label(p, n)]) for p in ((1, 2), (3, 2), (4, 2)))
     a_mask = graph.neighborhood_mask(s12 | s32 | s42)
     f1, f2 = a_mask | s12, a_mask | s32
@@ -629,29 +616,18 @@ def witness_for(n: int, k: int, g: int, model: Model) -> str | None:
     return None
 
 
-def build_witness(
-    name: str, n: int, k: int, g: int, graph: TopologyGraph | None = None
-) -> WitnessReport:
-    """Build the construction `name` that `witness_for` picked for cell (n, k, g).
-
-    `graph`, when given, is the S_{n,k} the caller holds; `cycle6` lives on
-    its own six-cycle and ignores it.
-    """
+def build_witness(name: str, n: int, k: int, g: int) -> WitnessReport:
+    """Build the construction `name` that `witness_for` picked for cell (n, k, g)."""
     if name == "general":
-        return witness_general(n, k, g, graph)
+        return witness_general(n, k, g)
     if name == "snk2-mm":
-        return witness_snk2_mm(n, graph)
+        return witness_snk2_mm(n)
     if name == "cycle6":
         return witness_cycle6()
     raise DomainError(f"unknown witness construction {name!r}")
 
 
 # -- crosscheck ----------------------------------------------------------
-
-
-def _held_nk_star(graph: TopologyGraph) -> TopologyGraph | None:
-    """`graph` when it is an S_{n,k} that a witness can reuse, else None."""
-    return graph if graph.descriptor.startswith("nkstar:") else None
 
 
 def _agree(entry: dict, values: dict) -> bool:
@@ -679,8 +655,7 @@ def crosscheck(
     `budget` is recorded as `bruteforce_skipped`; under "brute" its
     BudgetError propagates.  An entry whose applicable values differ
     records them as `disagreement`, and ok is then False.  The witness is
-    built once, whichever models it serves, and on `graph` itself when
-    that is an S_{n,k}.
+    built once, whichever models it serves.
     """
     params = descriptor_params(graph.descriptor)
     ok = True
@@ -720,7 +695,7 @@ def crosscheck(
         name = witness_for(*params, g, model) if params else None
         if method in ("witness", "all") and name:
             if name not in witnesses:
-                witnesses[name] = build_witness(name, *params, g, _held_nk_star(graph))
+                witnesses[name] = build_witness(name, *params, g)
             entry["witness_upper_bounds"] = {name: witnesses[name].upper_bound}
             values[f"witness:{name}"] = witnesses[name].upper_bound
         ok &= _agree(entry, values)

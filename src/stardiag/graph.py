@@ -65,7 +65,9 @@ class TopologyGraph:
         builder that knows it saves `min_degree()` the count), and
         `vertex_transitive` must hold of the graph.  The star-family
         builders use it; the tests hold their output equal to the
-        edge-list constructor's.
+        edge-list constructor's.  Their graphs are memoized and shared, so
+        nothing writes to a graph after its builder returns, except
+        `min_degree()`'s lazy cache, which those builders fill already.
         """
         graph = cls.__new__(cls)
         graph.labels = tuple(labels)

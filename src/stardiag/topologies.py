@@ -7,6 +7,7 @@ deterministic lexicographic vertex orderings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -87,8 +88,14 @@ def _unrotate(sigmas: list[list[int]], count: int) -> list[int]:
     return runs
 
 
+@functools.lru_cache(maxsize=8)
 def _arrangement_graph(n: int, k: int, descriptor: str) -> TopologyGraph:
     """The graph on k-arrangements of 1..n, built straight into neighbour masks.
+
+    A process builds each graph once while it stays among the 8 most
+    recently used: room for S_7 and all six S_{7,k}, at most about 3.6 MB
+    each at the vertex cap.  Callers share the returned object, so none
+    may write to it (see `TopologyGraph.from_masks`).
 
     Two rules give the edges.  Swap: σ_j trades the symbols at positions 0
     and j (1 <= j < k).  Replace: the arrangements that share p[1:] form a
@@ -326,10 +333,17 @@ def _block_sums_match(base: TopologyGraph, split: TopologyGraph, k: int, t: int)
     if sum(map(int.bit_count, masks)) != t * sum(map(int.bit_count, base.nbr_masks)):
         return False
     block = (1 << t) - 1
-    return all(
-        sum(masks[x * t : x * t + t]) == sum(block << y * t for y in _iter_bits(nbrs))
-        for x, nbrs in enumerate(base.nbr_masks)
-    )
+    x = 0
+    for nbrs in base.nbr_masks:
+        union = 0
+        while nbrs:
+            low = nbrs & -nbrs
+            union |= block << (low.bit_length() - 1) * t
+            nbrs ^= low
+        if sum(masks[x : x + t]) != union:
+            return False
+        x += t
+    return True
 
 
 def _walk_split(base: TopologyGraph, split: TopologyGraph, k: int, t: int):

@@ -10,6 +10,7 @@ import pytest
 
 from stardiag.base import DomainError
 from stardiag.cli import build_parser, main
+from stardiag.topologies import _arrangement_graph, from_descriptor
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -428,27 +429,9 @@ def test_gen_over_the_cap_is_not_a_bad_descriptor(capsys):
     assert code == 2 and capsys.readouterr().err.startswith("error: bad graph descriptor")
 
 
-def _count_nk_star_builds(monkeypatch):
-    """Record the (n, k) of every build_nk_star call, through each module global that holds it."""
-    import stardiag.topologies as topo
-
-    calls = []
-    real = topo.build_nk_star
-
-    def counted(*args, **kwargs):
-        calls.append(args[:2])
-        return real(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("stardiag") and getattr(module, "build_nk_star", None) is real:
-            monkeypatch.setattr(module, "build_nk_star", counted)
-    return calls
-
-
 def test_table_builds_each_graph_once_per_row(capsys, monkeypatch):
     import stardiag.diagnosability as diagnosability
 
-    builds = _count_nk_star_builds(monkeypatch)
     witnesses = []
     real = diagnosability.witness_general
 
@@ -457,9 +440,10 @@ def test_table_builds_each_graph_once_per_row(capsys, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(diagnosability, "witness_general", counted)
+    _arrangement_graph.cache_clear()
     code, report = run_json(capsys, "table", "--n-min", "4", "--n-max", "7")
     assert code == 0 and report["ok"]
-    assert sorted(builds) == [(n, k) for n in range(4, 8) for k in range(1, n)]  # 18 rows
+    assert _arrangement_graph.cache_info().misses == 18  # one build per (n, k) row
     assert len(witnesses) == len(set(witnesses)) == 34
 
 
@@ -471,11 +455,42 @@ def test_table_builds_each_graph_once_per_row(capsys, monkeypatch):
         ["tg", "--graph", "nkstar:5,3", "--g", "3"],
     ],
 )
-def test_witness_reuses_the_graph_of_the_command(capsys, monkeypatch, argv):
-    builds = _count_nk_star_builds(monkeypatch)
+def test_witness_reuses_the_graph_of_the_command(capsys, argv):
+    _arrangement_graph.cache_clear()
     code, report = run_json(capsys, *argv)
     assert code == 0 and report["ok"]
-    assert len(builds) == 1
+    assert _arrangement_graph.cache_info().misses == 1
+
+
+def test_split_sweep_builds_the_star_graph_once(capsys):
+    _arrangement_graph.cache_clear()
+    for k in range(2, 7):
+        code, report = run_json(capsys, "split", "--n", "7", "--k", str(k))
+        assert code == 0 and report["ok"], k
+    assert _arrangement_graph.cache_info().misses == 6  # S_7 and S_{7,2..6}
+
+
+def test_commands_leave_the_shared_graphs_as_built(capsys):
+    _arrangement_graph.cache_clear()
+    for argv in (
+        ["tg", "--graph", "nkstar:4,2", "--g", "1", "--model", "both", "--method", "all"],
+        ["kappa", "--graph", "nkstar:5,2", "--g", "1"],
+        ["simulate", "--graph", "nkstar:4,2", "--g", "1", "--model", "pmc", "--trials", "3"],
+        ["simulate", "--graph", "star:4", "--g", "2", "--model", "pmc", "--witness"],
+        ["split", "--n", "4", "--k", "2"],
+        ["table", "--n-min", "4", "--n-max", "4"],
+    ):
+        code, report = run_json(capsys, *argv)
+        assert code == 0 and report["ok"], argv
+    shared = [(4, 1, "nkstar:4,1"), (4, 2, "nkstar:4,2"), (4, 3, "nkstar:4,3")]
+    shared += [(5, 2, "nkstar:5,2"), (4, 4, "star:4")]
+    assert _arrangement_graph.cache_info().misses == len(shared)
+    for n, k, desc in shared:
+        graph = from_descriptor(desc)  # a hit: the object the commands used
+        assert _arrangement_graph.cache_info().misses == len(shared), desc
+        # every field, the vertex index, vertex_transitive and _min_degree included
+        assert vars(graph) == vars(_arrangement_graph.__wrapped__(n, k, desc)), desc
+        assert graph.vertex_transitive is True and graph._min_degree == n - 1, desc
 
 
 def test_python_dash_m_runs_the_cli():

@@ -694,15 +694,6 @@ def test_witness_snk2_mm():
         witness_snk2_mm(3)
 
 
-def test_witnesses_take_the_graph_their_caller_holds():
-    for name, (n, k, g) in (("general", (5, 3, 3)), ("snk2-mm", (5, 2, 1))):
-        held = build_nk_star(n, k)
-        assert build_witness(name, n, k, g, held) == build_witness(name, n, k, g)
-        for wrong in (build_nk_star(n, k - 1), build_complete(5)):
-            with pytest.raises(DomainError, match=f"expected the graph nkstar:{n},{k}"):
-                build_witness(name, n, k, g, wrong)
-
-
 def test_witness_cycle6():
     wit = witness_cycle6()
     assert wit.f1 == {"u1", "u2"} and wit.f2 == {"u4", "u5"}

@@ -242,7 +242,7 @@ def test_dist_mm_mask_on_s76():
     f2 = graph.nbr_masks[far.bit_length() - 1] | far
     assert dist_mm_mask(graph, f1, f2) and reference(graph, f1, f2)
     for g in range(1, 6):
-        wit = witness_general(7, 6, g, graph)
+        wit = witness_general(7, 6, g)
         m1, m2 = graph.mask_of(wit.f1), graph.mask_of(wit.f2)
         assert not dist_mm_mask(graph, m1, m2) and not reference(graph, m1, m2), g
 

@@ -17,6 +17,7 @@ from stardiag import (
 from stardiag.base import DomainError, VerificationError
 from stardiag.graph import TopologyGraph
 from stardiag.topologies import (
+    _arrangement_graph,
     _block_sums_match,
     _swap_arrays,
     _unrotate,
@@ -197,6 +198,31 @@ def test_kernel_index_arrays_match_the_arrangements(n, k):
     width = n - k + 1
     for r in range(0, len(verts), width):
         assert len({verts[i][1:] for i in runs[r : r + width]}) == 1, r
+
+
+@pytest.mark.parametrize(
+    "n,k,desc",
+    [(4, 2, "nkstar:4,2"), (7, 6, "nkstar:7,6"), (7, 7, "star:7"), (12, 1, "nkstar:12,1")],
+)
+def test_kernel_memo_hands_out_the_first_build(n, k, desc):
+    _arrangement_graph.cache_clear()
+    first = from_descriptor(desc)
+    assert from_descriptor(desc) is first
+    assert _arrangement_graph.cache_info()[:2] == (1, 1)  # (hits, misses)
+    fresh = _arrangement_graph.__wrapped__(n, k, desc)
+    assert fresh is not first
+    _same_graph(first, fresh)
+
+
+def test_kernel_memo_is_bounded():
+    _arrangement_graph.cache_clear()
+    cells = [(n, k) for n in range(3, 7) for k in range(1, n)][:10]
+    for n, k in cells:
+        build_nk_star(n, k)
+    assert _arrangement_graph.cache_info().misses == len(cells) == 10
+    assert _arrangement_graph.cache_info().currsize <= 8
+    build_nk_star(*cells[0])  # the oldest build was dropped
+    assert _arrangement_graph.cache_info().misses == 11
 
 
 def test_kernel_stores_the_min_degree_it_builds():
