@@ -204,7 +204,8 @@ def cmd_table(args) -> dict:
     return {"ok": ok, "rows": rows}
 
 
-def _random_good_set(graph, g, max_size, rng, attempts=20000):
+def _random_good_set(graph, g, max_size, rng):
+    attempts = 20000
     indices = list(range(graph.vertex_count))
     for _ in range(attempts):
         size = rng.randint(1, max_size)
@@ -306,7 +307,7 @@ def cmd_simulate(args) -> dict:
             "unique_diagnoses": successes,
             "diagnosis_stats": dict(totals),
             "ok": successes == args.trials,
-            "trial_log": trials if args.trials <= 10 else trials[:10],
+            "trial_log": trials[:10],
         }
     )
     return report

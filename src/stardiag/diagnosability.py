@@ -23,6 +23,7 @@ from .faults import (
     good_faulty_sets,
     good_mask,
     has_min_degree,
+    high_band_count,
     indist_mask,
     indist_pmc_mask,
     least_subgraph_mask,
@@ -38,13 +39,13 @@ DEFAULT_ORACLE_BUDGET = 16
 class DiagnosabilityResult:
     """A t_g value with its provenance.
 
-    value is None when the requested parameters fall outside every case of
-    the theory (the `note` says why).
+    value is None when the oracle finds no admissible faulty set (the
+    `note` says why).
     """
 
     value: int | None
     model: Model
-    method: str  # "formula" | "bruteforce" | "witness-upper-bound"
+    method: str  # "formula" | "bruteforce"
     provenance: str
     note: str = ""
     pair: tuple[tuple[str, ...], tuple[str, ...]] | None = None
@@ -126,7 +127,7 @@ def tg_bruteforce(
         note = f"all pairs distinguishable; capped by max admissible set size {m_cap}"
         pair = None
     else:
-        value = max(0, min(p_val - 1, m_cap))
+        value = min(p_val - 1, m_cap)
         note = f"minimal indistinguishable pair at max size {p_val}; max set size {m_cap}"
         pair = tuple(graph.sorted_labels_of(m) for m in pair_masks)
     return DiagnosabilityResult(
@@ -367,8 +368,6 @@ def _pmc_sd_scan(
                 tables = layout(sorted(_iter_bits(smask), reverse=not bridges), bmask)  # see (c)
                 # a side of t vertices scores base + s - t; only scores below P matter
                 for t_size in range(s_size // 2, max(-1, base + s_size - best_p), -1):
-                    if t_size == 0 and pairs:
-                        break  # a bridge with two neighbors needs one on each side
                     found = None
                     for t in subsets(tables, t_size, None):
                         splits += t > 0  # T empty splits nothing
@@ -421,8 +420,9 @@ def _pmc_sd_scan(
 def tg_formula(n: int, k: int, g: int, model: Model) -> DiagnosabilityResult:
     """Piecewise t_g(S_{n,k}) over the full case table.
 
-    Every theorem band that covers the parameters is evaluated; overlapping
-    bands must agree (a disagreement would be an internal error).
+    Every theorem band that covers the parameters is evaluated.  Some band
+    covers each cell of the domain and overlapping bands agree; either
+    failure would be an internal error.
     """
     if n < 3 or not 1 <= k <= n - 1 or not 1 <= g <= n - 1:
         raise DomainError(
@@ -455,26 +455,15 @@ def tg_formula(n: int, k: int, g: int, model: Model) -> DiagnosabilityResult:
             else:
                 entries.append((1, "six-cycle special case t_1(S_{3,2}) = 1 [MM*]"))
         if n >= 4 and n - k <= g <= n - 2:
-            num = math.factorial(g + 1) * (n - g)
-            den = math.factorial(n - k)
-            if num % den:
-                raise VerificationError(f"(g+1)!(n-g) = {num} is not a multiple of (n-k)! = {den}")
-            entries.append((num // den - 1, "high band (g+1)!(n-g)/(n-k)!-1"))
+            high = high_band_count(n, k, g) * (n - g) - 1
+            entries.append((high, "high band (g+1)!(n-g)/(n-k)!-1"))
         if k == n - 1 and n >= 4 and 1 <= g <= n - 2:
             entries.append(((n - g) * math.factorial(g + 1) - 1, "star-graph band (n-g)(g+1)!-1"))
-    if not entries:
-        return DiagnosabilityResult(
-            value=None,
-            model=model,
-            method="formula",
-            provenance="case table",
-            note=f"no case of the table covers n={n}, k={k}, g={g} ({model.value})",
-        )
     values = {v for v, _ in entries}
     if len(values) != 1:
         raise VerificationError(
-            f"overlapping formula bands disagree for n={n}, k={k}, g={g}, "
-            f"{model.value}: {entries}"
+            f"the formula bands for n={n}, k={k}, g={g}, {model.value} give {len(values)} "
+            f"values, not one: none covers the cell, or overlapping bands disagree: {entries}"
         )
     return DiagnosabilityResult(
         value=entries[0][0],
@@ -566,7 +555,7 @@ def witness_general(n: int, k: int, g: int) -> WitnessReport:
     f1 = graph.neighborhood_mask(a_mask)
     f2 = f1 | a_mask
 
-    size_a = math.factorial(g + 1) // math.factorial(n - k)
+    size_a = high_band_count(n, k, g)  # one vertex per head, as lead = g+1-(n-k)
     n_a, n_f1, n_f2 = a_mask.bit_count(), f1.bit_count(), f2.bit_count()
     _require(n_a == size_a, f"|A|={n_a}, expected {size_a}")
     _require(n_f1 == size_a * (n - g - 1), f"|F1|={n_f1}, expected {size_a * (n - g - 1)}")
@@ -674,9 +663,8 @@ def crosscheck(
                 entry["formula_note"] = str(exc)
             else:
                 entry["formula"] = res.value
-                entry["formula_provenance"] = res.provenance or res.note
-                if res.applicable:
-                    values["formula"] = res.value
+                entry["formula_provenance"] = res.provenance
+                values["formula"] = res.value
         if method in ("brute", "all"):
             try:
                 res = tg_bruteforce(graph, g, model, budget)

@@ -144,6 +144,11 @@ def rg_connectivity_bruteforce(
     return found
 
 
+def high_band_count(n: int, k: int, g: int) -> int:
+    """(g+1)!/(n-k)! for n-k <= g, exactly: t_g, κ_g and the witness sizes are multiples of it."""
+    return math.perm(g + 1, g + 1 - (n - k))
+
+
 def rg_connectivity_formula(n: int, k: int, g: int) -> int:
     """Closed-form R_g-connectivity of S_{n,k}: (g+1)!(n-g-1)/(n-k)!.
 
@@ -155,12 +160,7 @@ def rg_connectivity_formula(n: int, k: int, g: int) -> int:
             f"R_g-connectivity closed form needs 2<=k<=n-1 and n-k<=g<=n-2; "
             f"got n={n}, k={k}, g={g}"
         )
-    value = math.factorial(g + 1) * (n - g - 1)
-    if value % math.factorial(n - k):
-        raise VerificationError(
-            f"(g+1)!(n-g-1) = {value} is not a multiple of (n-k)! = {math.factorial(n - k)}"
-        )
-    return value // math.factorial(n - k)
+    return high_band_count(n, k, g) * (n - g - 1)
 
 
 # -- distinguishability --------------------------------------------------

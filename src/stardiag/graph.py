@@ -55,14 +55,15 @@ class TopologyGraph:
         labels,
         masks,
         descriptor: str,
-        min_degree: int | None = None,
-        vertex_transitive: bool = False,
+        *,
+        min_degree: int,
+        vertex_transitive: bool,
     ) -> "TopologyGraph":
         """Trusted constructor from sorted distinct labels and their neighbour masks.
 
         Nothing is checked: `masks` must be symmetric and loop-free,
-        `min_degree`, when given, must be their smallest bit count (a
-        builder that knows it saves `min_degree()` the count), and
+        `min_degree` must be their smallest bit count (the builder knows
+        it, which saves `min_degree()` the count), and
         `vertex_transitive` must hold of the graph.  The star-family
         builders use it; the tests hold their output equal to the
         edge-list constructor's.  Their graphs are memoized and shared, so

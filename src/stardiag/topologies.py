@@ -48,16 +48,15 @@ def canonical_vertex_enumeration(n: int, k: int) -> list[str]:
     return sorted(arrangement_label(p, n) for p in arrangements(n, k))
 
 
-def _check_nk(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_BUDGET):
-    # max_vertices stays for tests/reference_builders.py, the one caller that passes it
+def _check_nk(n: int, k: int):
     if n < 2:
         raise DomainError(f"n={n} out of range (need n >= 2)")
     if not 1 <= k <= n - 1:
         raise DomainError(f"k={k} out of range for n={n} (need 1 <= k <= n-1)")
     count = math.perm(n, k)
-    if count > max_vertices:
+    if count > DEFAULT_VERTEX_BUDGET:
         raise DomainError(
-            f"S_{{{n},{k}}} has {count} vertices, over the budget of {max_vertices}"
+            f"S_{{{n},{k}}} has {count} vertices, over the budget of {DEFAULT_VERTEX_BUDGET}"
         )
 
 
@@ -88,14 +87,14 @@ def _unrotate(sigmas: list[list[int]], count: int) -> list[int]:
     return runs
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def _arrangement_graph(n: int, k: int, descriptor: str) -> TopologyGraph:
     """The graph on k-arrangements of 1..n, built straight into neighbour masks.
 
-    A process builds each graph once while it stays among the 8 most
-    recently used: room for S_7 and all six S_{7,k}, at most about 3.6 MB
-    each at the vertex cap.  Callers share the returned object, so none
-    may write to it (see `TopologyGraph.from_masks`).
+    A process builds each graph once and keeps it: the vertex cap holds a
+    graph to about 3.6 MB, and `table --n-min 4 --n-max 7` builds 18.
+    Callers share the returned object, so none may write to it (see
+    `TopologyGraph.from_masks`).
 
     Two rules give the edges.  Swap: σ_j trades the symbols at positions 0
     and j (1 <= j < k).  Replace: the arrangements that share p[1:] form a
@@ -310,7 +309,8 @@ def verify_split(n: int, k: int) -> SplitWitness:
 
     Conversely (i)-(iii) give each vertex exactly one neighbour in each
     fiber next to its own and no other, so the sums and counts hold.  Only
-    when they fail does the per-vertex walk run, to name the first fault.
+    when they fail does the per-vertex walk run, to name the first fault; a
+    walk that finds none disagrees with the sums, and that raises as well.
     """
     if not 2 <= k <= n - 1:
         raise DomainError(f"verify_split needs 2 <= k <= n-1, got n={n}, k={k}")
@@ -319,6 +319,7 @@ def verify_split(n: int, k: int) -> SplitWitness:
     t = math.factorial(n - k)
     if not _block_sums_match(base, split, k, t):
         _walk_split(base, split, k, t)
+        raise VerificationError(f"split n={n}, k={k}: the block sums fail, the vertex walk passes")
     return SplitWitness(base=base, split=split, t=t)
 
 

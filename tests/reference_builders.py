@@ -16,13 +16,15 @@ from stardiag.topologies import (
 )
 
 
-def build_star(n: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGraph:
+def build_star(n: int) -> TopologyGraph:
     """Star graph on all permutations of 1..n; edges swap position 1 with i."""
     if not 2 <= n <= 9:
         raise DomainError(f"n={n} out of range for a full star graph (need 2 <= n <= 9)")
     perms = arrangements(n, n)
-    if len(perms) > max_vertices:
-        raise DomainError(f"star graph on {len(perms)} vertices exceeds budget {max_vertices}")
+    if len(perms) > DEFAULT_VERTEX_BUDGET:
+        raise DomainError(
+            f"star graph on {len(perms)} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}"
+        )
     labels = [arrangement_label(p, n) for p in perms]
     edges = []
     for p in perms:
@@ -34,16 +36,14 @@ def build_star(n: int, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> TopologyGra
     return TopologyGraph(labels, edges, descriptor=f"star:{n}")
 
 
-def build_nk_star(
-    n: int, k: int, max_vertices: int = DEFAULT_VERTEX_BUDGET
-) -> TopologyGraph:
+def build_nk_star(n: int, k: int) -> TopologyGraph:
     """(n,k)-star graph on k-arrangements of 1..n.
 
     Adjacency: swap the first symbol with the symbol at position i (2<=i<=k),
     or replace the first symbol by any symbol not already used.  The result
     is (n-1)-regular with n!/(n-k)! vertices; k=1 yields the complete graph.
     """
-    _check_nk(n, k, max_vertices)
+    _check_nk(n, k)
     verts = arrangements(n, k)
     labels = [arrangement_label(p, n) for p in verts]
     alphabet = set(range(1, n + 1))

@@ -211,6 +211,42 @@ def test_simulate_witness_refuses_an_uncovered_cell():
         args.func(args)
 
 
+def _c6_file(tmp_path):
+    path = tmp_path / "c6.edges"
+    path.write_text(from_descriptor("cycle:6").to_edgelist())
+    return f"file:{path}"
+
+
+def test_kappa_formula_notes_a_graph_off_the_family(capsys, tmp_path):
+    argv = ["kappa", "--graph", _c6_file(tmp_path), "--g", "1", "--method", "formula"]
+    code, report = run_json(capsys, *argv)
+    assert code == 0 and report["ok"]
+    assert report["formula"] is None
+    assert report["formula_note"] == "formula needs a star-family graph descriptor"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["witness", "--n", "4", "--k", "1", "--g", "1"], "no witness construction covers"),
+        (
+            ["simulate", "--graph", "FILE", "--g", "1", "--model", "pmc", "--witness"],
+            "--witness needs a star-family graph descriptor",
+        ),
+        (  # g = n - 1: t_3(S_{4,2}) = 0
+            ["simulate", "--graph", "nkstar:4,2", "--g", "3", "--model", "pmc"],
+            "t_g is 0; nothing to simulate",
+        ),
+    ],
+)
+def test_rejected_inputs_exit_2(capsys, tmp_path, argv, message):
+    argv = [_c6_file(tmp_path) if arg == "FILE" else arg for arg in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
 def test_split_subcommand(capsys):
     code, report = run_json(capsys, "split", "--n", "4", "--k", "2")
     assert code == 0 and report["ok"]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -26,12 +27,14 @@ from stardiag.faults import (
     good_faulty_sets,
     good_mask,
     has_min_degree,
+    high_band_count,
     indist_mask,
     indist_pmc_mask,
     is_g_good_neighbor,
     least_subgraph_mask,
     min_subgraph_size_oracle,
     rg_connectivity_bruteforce,
+    rg_connectivity_formula,
 )
 from stardiag.graph import TopologyGraph, _iter_bits
 from stardiag.topologies import DEFAULT_VERTEX_BUDGET
@@ -89,6 +92,26 @@ def test_formula_band_overlap_identity():
                 assert pmc.value == mid
                 if g >= 2:
                     assert tg_formula(n, k, g, Model.MM).value == mid
+
+
+def test_high_band_count_is_the_factorial_quotient():
+    # (g+1)!/(n-k)! taken as an exact fraction: t_g, kappa_g and the general
+    # witness's |A|, |F1|, |F2| are the old quotients on every high-band cell
+    cells = [(n, k, g) for n in range(4, 15) for k in range(2, n) for g in range(n - k, n - 1)]
+    assert len(cells) == 363
+    built = 0
+    for n, k, g in cells:
+        count = high_band_count(n, k, g)
+        assert count * math.factorial(n - k) == math.factorial(g + 1), (n, k, g)
+        quotient = Fraction(math.factorial(g + 1), math.factorial(n - k))
+        for model in Model:
+            assert tg_formula(n, k, g, model).value == quotient * (n - g) - 1, (n, k, g, model)
+        assert rg_connectivity_formula(n, k, g) == quotient * (n - g - 1), (n, k, g)
+        if math.perm(n, k) <= DEFAULT_VERTEX_BUDGET:
+            sizes = witness_general(n, k, g).sizes
+            assert sizes == {"A": quotient, "F1": quotient * (n - g - 1), "F2": quotient * (n - g)}
+            built += 1
+    assert built == 64
 
 
 def test_formula_star_band_agrees_with_high_band():

@@ -296,6 +296,11 @@ def test_kappa_bruteforce_budget(s42):
         rg_connectivity_bruteforce(s42, 1, budget=10)
 
 
+def test_kappa_bruteforce_rejects_negative_g(s42):
+    with pytest.raises(DomainError, match="g must be nonnegative"):
+        rg_connectivity_bruteforce(s42, -1)
+
+
 def test_kappa_formula_domain():
     for n, k, g in [(4, 1, 1), (4, 2, 0), (4, 2, 3), (3, 3, 1)]:
         with pytest.raises(NotApplicableError):

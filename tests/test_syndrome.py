@@ -124,6 +124,12 @@ def test_diagnose_recovers_unique_fault(c6):
     assert diagnose(c6, syn, 2, 1) == [frozenset({"u3"})]
 
 
+def test_diagnose_rejects_a_syndrome_of_another_graph(c6, s42):
+    syn = generate_syndrome(build_assignment(c6, Model.PMC), set(), "zeros")
+    with pytest.raises(DomainError, match="bound to a different graph"):
+        diagnose(s42, syn, 2, 1)
+
+
 def test_diagnose_finds_both_sets_of_the_cycle6_pair(c6):
     wit = witness_cycle6()
     assignment = build_assignment(c6, Model.MM)
@@ -248,6 +254,13 @@ def test_syndrome_text_rejects_damage(c6):
     # a unit line naming one vertex
     with pytest.raises(DomainError):
         syndrome_from_text(c6, text.splitlines()[0] + "\nu1 -> 0\n")
+    # a unit line without an outcome
+    head, _, *rest = text.splitlines()
+    with pytest.raises(DomainError, match="bad syndrome line 'u1 u2 0'"):
+        syndrome_from_text(c6, "\n".join([head, "u1 u2 0", *rest]) + "\n")
+    # u1 and u3 are not adjacent on C_6, so no PMC test runs between them
+    with pytest.raises(DomainError, match="units not in the assignment"):
+        syndrome_from_text(c6, text + "u1 u3 -> 0\n")
 
 
 def test_syndrome_text_rejects_bad_outcomes(c6):
@@ -266,6 +279,8 @@ def test_syndrome_text_rejects_a_foreign_header(c6, s42):
         syndrome_from_text(c6, text.replace("pmc 3 2 ", "pmc 4 2 ", 1))
     with pytest.raises(DomainError):
         syndrome_from_text(c6, text.replace("pmc 3 2 0 ", "pmc 3 2 x ", 1))  # bad seed
+    with pytest.raises(DomainError, match="unknown model 'xyz'"):
+        syndrome_from_text(c6, text.replace("pmc ", "xyz ", 1))
     s42_text = syndrome_to_text(generate_syndrome(build_assignment(s42, Model.MM), set(), "zeros"))
     with pytest.raises(DomainError):
         syndrome_from_text(s42, s42_text.replace("mm 4 2 ", "mm 4 3 ", 1))

@@ -214,15 +214,14 @@ def test_kernel_memo_hands_out_the_first_build(n, k, desc):
     _same_graph(first, fresh)
 
 
-def test_kernel_memo_is_bounded():
+def test_kernel_memo_keeps_every_build():
+    # the 18 graphs of `table --n-min 4 --n-max 7`, twice over: each is built once
     _arrangement_graph.cache_clear()
-    cells = [(n, k) for n in range(3, 7) for k in range(1, n)][:10]
-    for n, k in cells:
-        build_nk_star(n, k)
-    assert _arrangement_graph.cache_info().misses == len(cells) == 10
-    assert _arrangement_graph.cache_info().currsize <= 8
-    build_nk_star(*cells[0])  # the oldest build was dropped
-    assert _arrangement_graph.cache_info().misses == 11
+    cells = [(n, k) for n in range(4, 8) for k in range(1, n)]
+    first = [build_nk_star(n, k) for n, k in cells]
+    again = [build_nk_star(n, k) for n, k in cells]
+    assert all(a is b for a, b in zip(first, again))
+    assert _arrangement_graph.cache_info().misses == len(cells) == 18
 
 
 def test_kernel_stores_the_min_degree_it_builds():
@@ -433,6 +432,21 @@ def test_split_block_sums_agree_with_the_walk(n, k):
         assert _block_sums_match(b, s, k, t) == walk, (trial, base_edges, split_edges)
         verdicts.add(walk)
     assert verdicts == {True, False}
+
+
+def test_split_check_raises_when_its_two_checks_disagree(monkeypatch):
+    # block sums that fail on a sound split leave the walk nothing to name
+    import stardiag.topologies as topo
+
+    monkeypatch.setattr(topo, "_block_sums_match", lambda *args: False)
+    with pytest.raises(VerificationError, match="block sums fail, the vertex walk passes"):
+        topo.verify_split(4, 2)
+
+
+def test_split_walk_names_a_fiber_of_the_wrong_size():
+    # S_{4,2}'s fibers in S_4 have 2! = 2 vertices each, not 3
+    with pytest.raises(VerificationError, match="^fiber '12' has 2 vertices, expected 3$"):
+        _walk_split(build_nk_star(4, 2), build_star(4), 2, 3)
 
 
 def test_split_check_actually_bites(monkeypatch):
