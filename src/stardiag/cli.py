@@ -41,7 +41,6 @@ from .syndrome import (
 from .topologies import (
     DEFAULT_VERTEX_BUDGET,
     build_nk_star,
-    descriptor_params,
     from_descriptor,
     verify_split,
 )
@@ -112,15 +111,14 @@ def cmd_tg(args) -> dict:
 
 def cmd_kappa(args) -> dict:
     graph = from_descriptor(args.graph)
-    params = descriptor_params(graph.descriptor)
     report = {"graph": graph.descriptor, "g": args.g}
     values = {}
     if args.method in ("formula", "all"):
-        if params is None:
+        if graph.cell is None:
             report["formula_note"] = "formula needs a star-family graph descriptor"
         else:
             try:
-                values["formula"] = rg_connectivity_formula(params[0], params[1], args.g)
+                values["formula"] = rg_connectivity_formula(*graph.cell, args.g)
             except NotApplicableError as exc:
                 report["formula_note"] = str(exc)
         report["formula"] = values.get("formula")
@@ -224,7 +222,7 @@ def cmd_simulate(args) -> dict:
     if args.trials < 1:
         raise DomainError(f"--trials must be at least 1, got {args.trials}")
     graph = from_descriptor(args.graph)
-    params = descriptor_params(graph.descriptor)
+    cell = graph.cell
     model = Model.parse(args.model)
     report = {
         "graph": graph.descriptor,
@@ -234,14 +232,14 @@ def cmd_simulate(args) -> dict:
     }
 
     if args.witness:
-        if params is None:
+        if cell is None:
             raise StardiagError("--witness needs a star-family graph descriptor")
-        name = witness_for(*params, args.g, model)
+        name = witness_for(*cell, args.g, model)
         if name is None:
             raise DomainError(
-                f"no witness construction covers n, k, g = {(*params, args.g)} under {model.value}"
+                f"no witness construction covers n, k, g = {(*cell, args.g)} under {model.value}"
             )
-        wit = build_witness(name, *params, args.g)
+        wit = build_witness(name, *cell, args.g)
         if wit.descriptor != graph.descriptor:  # a star:n graph carries its witness on S_{n,n-1}
             graph = from_descriptor(wit.descriptor)
             report["graph"] = graph.descriptor  # the graph diagnosed below
@@ -267,11 +265,11 @@ def cmd_simulate(args) -> dict:
         return report
 
     # the oracle's value wherever it runs: the closed form has a known gap at S_{3,2}
-    if params is None or graph.vertex_count <= args.budget:
+    if cell is None or graph.vertex_count <= args.budget:
         t = tg_bruteforce(graph, args.g, model, args.budget).value
         t_source = "bruteforce"
     else:
-        t = tg_formula(params[0], params[1], args.g, model).value
+        t = tg_formula(*cell, args.g, model).value
         t_source = "formula"
     if t is None or t < 1:
         raise StardiagError(f"t_g is {t}; nothing to simulate")

@@ -29,7 +29,7 @@ from .faults import (
     least_subgraph_mask,
 )
 from .graph import LabelSet, TopologyGraph, _iter_bits
-from .topologies import arrangement_label, build_cycle, build_nk_star, descriptor_params
+from .topologies import arrangement_label, build_cycle, build_nk_star
 
 #: default vertex cap of the exhaustive oracle, under either model
 DEFAULT_ORACLE_BUDGET = 16
@@ -68,7 +68,7 @@ def _pair_scan(graph, g: int, model: Model):
     the tests call it, to cross-check the symmetric-difference scan.
     """
     good = sorted(good_faulty_sets(graph, g), key=lambda m: (m.bit_count(), m))
-    pmc = model is Model.PMC
+    pmc = model is Model.PMC  # not `indist_mask`: the O(M^2) loop is spared a call per pair
     for j, fj in enumerate(good):
         for i in range(j):
             fi = good[i]
@@ -514,7 +514,7 @@ def _certified(construction, graph, g, a_mask, m1, m2, claims, formula) -> Witne
     """
     _require(good_mask(graph, m1, g), f"F1 not {g}-good-neighbor")
     _require(good_mask(graph, m2, g), f"F2 not {g}-good-neighbor")
-    indist = {Model.PMC: indist_pmc_mask(graph, m1, m2), Model.MM: not dist_mm_mask(graph, m1, m2)}
+    indist = {model: indist_mask(graph, m1, m2, model) for model in Model}
     for model in claims:
         _require(indist[model], f"pair distinguishable under {model.value}")
     f1, f2 = graph.labels_of(m1), graph.labels_of(m2)
@@ -646,7 +646,6 @@ def crosscheck(
     records them as `disagreement`, and ok is then False.  The witness is
     built once, whichever models it serves.
     """
-    params = descriptor_params(graph.descriptor)
     ok = True
     results = {}
     witnesses: dict[str, WitnessReport] = {}
@@ -656,9 +655,9 @@ def crosscheck(
         if method in ("formula", "all"):
             entry["formula"] = None
             try:
-                if params is None:
+                if graph.cell is None:
                     raise DomainError("formula needs a star-family graph descriptor")
-                res = tg_formula(*params, g, model)
+                res = tg_formula(*graph.cell, g, model)
             except DomainError as exc:
                 entry["formula_note"] = str(exc)
             else:
@@ -680,10 +679,10 @@ def crosscheck(
                     raise
                 entry["bruteforce"] = None
                 entry["bruteforce_skipped"] = str(exc)
-        name = witness_for(*params, g, model) if params else None
+        name = witness_for(*graph.cell, g, model) if graph.cell else None
         if method in ("witness", "all") and name:
             if name not in witnesses:
-                witnesses[name] = build_witness(name, *params, g)
+                witnesses[name] = build_witness(name, *graph.cell, g)
             entry["witness_upper_bounds"] = {name: witnesses[name].upper_bound}
             values[f"witness:{name}"] = witnesses[name].upper_bound
         ok &= _agree(entry, values)

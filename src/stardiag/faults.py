@@ -209,30 +209,26 @@ def dist_mm_mask(graph: TopologyGraph, f1: int, f2: int) -> bool:
     return False
 
 
-def distinguishable_pmc(graph: TopologyGraph, f1, f2) -> bool:
-    m1, m2 = graph.mask_of(f1), graph.mask_of(f2)
-    if m1 == m2:
-        raise DomainError("distinguishability needs two distinct sets")
-    return not indist_pmc_mask(graph, m1, m2)
-
-
-def distinguishable_mm(graph: TopologyGraph, f1, f2) -> bool:
-    m1, m2 = graph.mask_of(f1), graph.mask_of(f2)
-    if m1 == m2:
-        raise DomainError("distinguishability needs two distinct sets")
-    return dist_mm_mask(graph, m1, m2)
-
-
-def distinguishable(graph: TopologyGraph, f1, f2, model: Model) -> bool:
-    if model is Model.PMC:
-        return distinguishable_pmc(graph, f1, f2)
-    return distinguishable_mm(graph, f1, f2)
-
-
 def indist_mask(graph: TopologyGraph, f1: int, f2: int, model: Model) -> bool:
+    """Masks F1 and F2 are indistinguishable under `model`: the one place that picks its test."""
     if model is Model.PMC:
         return indist_pmc_mask(graph, f1, f2)
     return not dist_mm_mask(graph, f1, f2)
+
+
+def distinguishable(graph: TopologyGraph, f1, f2, model: Model) -> bool:
+    m1, m2 = graph.mask_of(f1), graph.mask_of(f2)
+    if m1 == m2:
+        raise DomainError("distinguishability needs two distinct sets")
+    return not indist_mask(graph, m1, m2, model)
+
+
+def distinguishable_pmc(graph: TopologyGraph, f1, f2) -> bool:
+    return distinguishable(graph, f1, f2, Model.PMC)
+
+
+def distinguishable_mm(graph: TopologyGraph, f1, f2) -> bool:
+    return distinguishable(graph, f1, f2, Model.MM)
 
 
 # -- minimum subgraph size oracle ----------------------------------------

@@ -21,11 +21,13 @@ class TopologyGraph:
     Instances are immutable after construction.  Construction collapses
     duplicate edges and rejects self-loops.  Only the family builders set
     `vertex_transitive`, on graphs where an automorphism carries any
-    vertex to vertex 0; every other graph leaves it False.
+    vertex to vertex 0, and `cell`, the (n, k) of the S_{n,k} a graph is;
+    every other graph leaves them False and None.
     """
 
     _min_degree: int | None = None
     vertex_transitive: bool = False
+    cell: tuple[int, int] | None = None
 
     def __init__(
         self,
@@ -58,16 +60,17 @@ class TopologyGraph:
         *,
         min_degree: int,
         vertex_transitive: bool,
+        cell: tuple[int, int] | None,
     ) -> "TopologyGraph":
         """Trusted constructor from sorted distinct labels and their neighbour masks.
 
         Nothing is checked: `masks` must be symmetric and loop-free,
         `min_degree` must be their smallest bit count (the builder knows
-        it, which saves `min_degree()` the count), and
-        `vertex_transitive` must hold of the graph.  The star-family
-        builders use it; the tests hold their output equal to the
-        edge-list constructor's.  Their graphs are memoized and shared, so
-        nothing writes to a graph after its builder returns, except
+        it, which saves `min_degree()` the count), `vertex_transitive`
+        must hold of the graph and `cell` name its S_{n,k}, if any.  The
+        family builders use it; the tests hold their output equal to the
+        edge-list constructor's.  Their graphs may be shared, so nothing
+        writes to a graph after its builder returns, except
         `min_degree()`'s lazy cache, which those builders fill already.
         """
         graph = cls.__new__(cls)
@@ -78,6 +81,7 @@ class TopologyGraph:
         graph.full_mask = (1 << len(graph.labels)) - 1
         graph._min_degree = min_degree
         graph.vertex_transitive = vertex_transitive
+        graph.cell = cell
         return graph
 
     # -- basic accessors -------------------------------------------------

@@ -16,7 +16,6 @@ from .base import DomainError, Model, VerificationError
 # good_mask is not called here; perfbench/spans.py wraps syndrome.good_mask by name
 from .faults import good_mask, has_min_degree  # noqa: F401
 from .graph import TopologyGraph, _iter_bits
-from .topologies import descriptor_params
 
 STRATEGIES = ("random", "zeros", "ones")
 
@@ -289,10 +288,10 @@ def diagnose(
 
 
 def syndrome_to_text(syndrome: Syndrome) -> str:
-    """Header 'model n k seed strategy', then one sorted line per unit."""
+    """Header 'model n k seed strategy', n k the graph's `cell` or 0 0, then one line per unit."""
     assignment = syndrome.assignment
     graph = assignment.graph
-    params = descriptor_params(graph.descriptor) or (0, 0)
+    n, k = graph.cell or (0, 0)
     lines = []
     for (u, v, w), bit in zip(assignment.units, syndrome.outcomes):
         if w is None:
@@ -300,14 +299,12 @@ def syndrome_to_text(syndrome: Syndrome) -> str:
         else:
             lines.append(f"{graph.labels[u]} {graph.labels[v]} | {graph.labels[w]} -> {bit}")
     lines.sort()
-    header = (
-        f"{assignment.model.value} {params[0]} {params[1]} "
-        f"{syndrome.seed} {syndrome.strategy}"
-    )
+    header = f"{assignment.model.value} {n} {k} {syndrome.seed} {syndrome.strategy}"
     return header + "\n" + "\n".join(lines) + "\n"
 
 
 def syndrome_from_text(graph: TopologyGraph, text: str) -> Syndrome:
+    """Unit lines are 'u v -> b' or 'u v | w -> b', split on whitespace, which no label holds."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DomainError("empty syndrome text")
@@ -315,8 +312,7 @@ def syndrome_from_text(graph: TopologyGraph, text: str) -> Syndrome:
     if len(head) != 5:
         raise DomainError(f"bad syndrome header {lines[0]!r}")
     model = Model.parse(head[0])
-    params = descriptor_params(graph.descriptor) or (0, 0)
-    if head[1:3] != [str(params[0]), str(params[1])]:
+    if head[1:3] != [str(x) for x in graph.cell or (0, 0)]:
         raise DomainError(
             f"syndrome header n k = {' '.join(head[1:3])} does not match {graph.descriptor}"
         )
@@ -328,25 +324,20 @@ def syndrome_from_text(graph: TopologyGraph, text: str) -> Syndrome:
     assignment = build_assignment(graph, model)
     outcome_map = {}
     for ln in lines[1:]:
-        left, _, bit_s = ln.rpartition("->")
-        if not _:
+        parts = ln.split()
+        if len(parts) == 4 and parts[2] == "->":
+            u_s, v_s, _, bit_s = parts
+            w_s = None
+        elif len(parts) == 6 and parts[2] == "|" and parts[4] == "->":
+            u_s, v_s, _, w_s, _, bit_s = parts
+        else:
             raise DomainError(f"bad syndrome line {ln!r}")
-        if bit_s.strip() not in ("0", "1"):
+        if bit_s not in ("0", "1"):
             raise DomainError(f"syndrome outcome must be 0 or 1 in {ln!r}")
-        bit = int(bit_s)
-        try:
-            if "|" in left:
-                pair_s, _, w_s = left.partition("|")
-                u_s, v_s = pair_s.split()
-                key = (graph._lookup(u_s), graph._lookup(v_s), graph._lookup(w_s.strip()))
-            else:
-                u_s, v_s = left.split()
-                key = (graph._lookup(u_s), graph._lookup(v_s), None)
-        except ValueError:
-            raise DomainError(f"bad syndrome line {ln!r}") from None
+        key = (graph._lookup(u_s), graph._lookup(v_s), None if w_s is None else graph._lookup(w_s))
         if key in outcome_map:
-            raise DomainError(f"duplicate syndrome unit {left.strip()!r}")
-        outcome_map[key] = bit
+            raise DomainError(f"duplicate syndrome unit {' '.join(parts[:-2])!r}")
+        outcome_map[key] = int(bit_s)
     try:
         outcomes = tuple(outcome_map[unit] for unit in assignment.units)
     except KeyError as missing:

@@ -157,7 +157,7 @@ def _arrangement_graph(n: int, k: int, descriptor: str) -> TopologyGraph:
         for i, q in enumerate(s):
             masks[i] |= 1 << q
     return TopologyGraph.from_masks(
-        labels, masks, descriptor, min_degree=n - 1, vertex_transitive=True
+        labels, masks, descriptor, min_degree=n - 1, vertex_transitive=True, cell=(n, min(k, n - 1))
     )
 
 
@@ -187,11 +187,12 @@ def build_complete(n: int) -> TopologyGraph:
         raise DomainError("complete graph needs n >= 1")
     if n > DEFAULT_VERTEX_BUDGET:
         raise DomainError(f"complete graph on {n} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
-    labels = [f"u{i}" for i in range(1, n + 1)]
-    edges = [(a, b) for a, b in itertools.combinations(labels, 2)]
-    graph = TopologyGraph(labels, edges, descriptor=f"complete:{n}")
-    graph.vertex_transitive = True
-    return graph
+    labels = sorted(f"u{i}" for i in range(1, n + 1))
+    full = (1 << n) - 1
+    masks = [full ^ 1 << i for i in range(n)]
+    return TopologyGraph.from_masks(
+        labels, masks, f"complete:{n}", min_degree=n - 1, vertex_transitive=True, cell=(n, 1)
+    )
 
 
 def build_cycle(m: int) -> TopologyGraph:
@@ -199,11 +200,18 @@ def build_cycle(m: int) -> TopologyGraph:
         raise DomainError("cycle needs m >= 3")
     if m > DEFAULT_VERTEX_BUDGET:
         raise DomainError(f"cycle on {m} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
-    labels = [f"u{i}" for i in range(1, m + 1)]
-    edges = [(labels[i], labels[(i + 1) % m]) for i in range(m)]
-    graph = TopologyGraph(labels, edges, descriptor=f"cycle:{m}")
-    graph.vertex_transitive = True  # rotations carry any vertex to any other
-    return graph
+    labels = sorted(f"u{i}" for i in range(1, m + 1))
+    at = {lab: i for i, lab in enumerate(labels)}
+    ring = [at[f"u{i}"] for i in range(1, m + 1)]
+    masks = [0] * m
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    # rotations carry any vertex to any other
+    return TopologyGraph.from_masks(
+        labels, masks, f"cycle:{m}", min_degree=2, vertex_transitive=True,
+        cell=(3, 2) if m == 6 else None,
+    )
 
 
 def from_descriptor(desc: str) -> TopologyGraph:
@@ -234,24 +242,6 @@ def from_descriptor(desc: str) -> TopologyGraph:
         with open(arg) as fh:
             return TopologyGraph.from_edgelist_text(fh.read(), descriptor=desc)
     raise DomainError(f"unknown graph family {kind!r} in descriptor {desc!r}")
-
-
-def descriptor_params(desc: str) -> tuple[int, int] | None:
-    """(n, k) for descriptors naming a star-family graph, else None."""
-    kind, _, arg = desc.partition(":")
-    try:
-        if kind == "nkstar":
-            n_s, k_s = arg.split(",")
-            return int(n_s), int(k_s)
-        if kind == "star":
-            return int(arg), int(arg) - 1
-        if kind == "complete":
-            return int(arg), 1
-        if kind == "cycle" and int(arg) == 6:
-            return 3, 2
-    except ValueError:
-        return None
-    return None
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
-"""The edge-list star-family builders as they stood before the mask kernel, kept as a reference.
+"""The edge-list family builders as they stood before the mask builders, kept as a reference.
 
-`build_nk_star` and `build_star` below label both ends of every edge and
-hand the edge list to the validating `TopologyGraph` constructor; the mask
-kernel in ``stardiag.topologies`` must return the identical labels, neighbour
-masks and descriptor.
+The builders below label both ends of every edge and hand the edge list to
+the validating `TopologyGraph` constructor; the mask builders in
+``stardiag.topologies`` must return the identical labels, neighbour masks
+and descriptor.
 """
+
+from itertools import combinations
 
 from stardiag.base import DomainError
 from stardiag.graph import TopologyGraph
@@ -59,3 +61,14 @@ def build_nk_star(n: int, k: int) -> TopologyGraph:
             if q > p:
                 edges.append((lp, arrangement_label(q, n)))
     return TopologyGraph(labels, edges, descriptor=f"nkstar:{n},{k}")
+
+
+def build_complete(n: int) -> TopologyGraph:
+    labels = [f"u{i}" for i in range(1, n + 1)]
+    return TopologyGraph(labels, combinations(labels, 2), descriptor=f"complete:{n}")
+
+
+def build_cycle(m: int) -> TopologyGraph:
+    labels = [f"u{i}" for i in range(1, m + 1)]
+    edges = [(labels[i], labels[(i + 1) % m]) for i in range(m)]
+    return TopologyGraph(labels, edges, descriptor=f"cycle:{m}")

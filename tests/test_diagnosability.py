@@ -217,13 +217,8 @@ def test_pmc_sd_scan_matches_pair_scan():
             if not good:
                 continue
             m_cap = max(m.bit_count() for m in good)
-            best = None
-            for i, j in combinations(range(len(good)), 2):
-                if indist_pmc_mask(graph, good[i], good[j]):
-                    p = max(good[i].bit_count(), good[j].bit_count())
-                    best = p if best is None else min(best, p)
             sd_p, _ = _pmc_sd_scan(graph, g, m_cap)
-            assert sd_p == best, (graph.descriptor, g)
+            assert sd_p == _pair_scan(graph, g, Model.PMC)[0], (graph.descriptor, g)
 
 
 def test_sd_closure_matches_the_sweep_closure():

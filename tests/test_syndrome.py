@@ -19,6 +19,7 @@ from stardiag import (
     witness_for,
 )
 from stardiag.base import DomainError, VerificationError
+from stardiag.graph import TopologyGraph
 from stardiag.syndrome import STRATEGIES
 from stardiag.topologies import from_descriptor
 
@@ -232,6 +233,19 @@ def test_syndrome_text_round_trip(s42, c6):
             assert syndrome_to_text(back) == text
 
 
+def test_syndrome_text_round_trips_labels_holding_the_separators():
+    # the fields are split on whitespace, so '|' and '->' inside a label are kept
+    graph = TopologyGraph.from_edgelist_text("a|b x->y\nx->y c\nc a|b\nc d\n")
+    assert graph.cell is None
+    for model in Model:
+        syn = generate_syndrome(build_assignment(graph, model), {"a|b"}, "random", seed=5)
+        text = syndrome_to_text(syn)
+        assert text.startswith(f"{model.value} 0 0 5 random\n")
+        assert ("a|b c | x->y -> " if model is Model.MM else "a|b x->y -> ") in text
+        back = syndrome_from_text(graph, text)
+        assert back.outcomes == syn.outcomes and syndrome_to_text(back) == text
+
+
 def test_syndrome_text_format(c6):
     syn = generate_syndrome(build_assignment(c6, Model.PMC), {"u2"}, "zeros", seed=3)
     text = syndrome_to_text(syn)
@@ -258,6 +272,9 @@ def test_syndrome_text_rejects_damage(c6):
     head, _, *rest = text.splitlines()
     with pytest.raises(DomainError, match="bad syndrome line 'u1 u2 0'"):
         syndrome_from_text(c6, "\n".join([head, "u1 u2 0", *rest]) + "\n")
+    # the arrow and the outcome are separate fields
+    with pytest.raises(DomainError, match="bad syndrome line 'u1 u2 ->0'"):
+        syndrome_from_text(c6, "\n".join([head, "u1 u2 ->0", *rest]) + "\n")
     # u1 and u3 are not adjacent on C_6, so no PMC test runs between them
     with pytest.raises(DomainError, match="units not in the assignment"):
         syndrome_from_text(c6, text + "u1 u3 -> 0\n")

@@ -6,11 +6,13 @@ import pytest
 import reference_builders
 
 from stardiag import (
+    Model,
     build_complete,
     build_cycle,
     build_nk_star,
     build_star,
     canonical_vertex_enumeration,
+    crosscheck,
     from_descriptor,
     verify_split,
 )
@@ -24,7 +26,6 @@ from stardiag.topologies import (
     _walk_split,
     arrangement_label,
     arrangements,
-    descriptor_params,
     parse_arrangement,
 )
 
@@ -164,6 +165,7 @@ def _same_graph(built, reference):
     assert built.labels == reference.labels
     assert built.nbr_masks == reference.nbr_masks
     assert built.descriptor == reference.descriptor
+    assert built.min_degree() == reference.min_degree()
 
 
 @pytest.mark.parametrize(
@@ -181,6 +183,17 @@ def test_nk_star_kernel_matches_the_edge_list_builder(n, k):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_star_kernel_matches_the_edge_list_builder(n):
     _same_graph(build_star(n), reference_builders.build_star(n))
+
+
+# 1..9 and 10.. sort apart as strings: u1 < u10 < u2
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10, 11, 12, 25])
+def test_complete_masks_match_the_edge_list_builder(n):
+    _same_graph(build_complete(n), reference_builders.build_complete(n))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 9, 10, 11, 12, 25])
+def test_cycle_masks_match_the_edge_list_builder(m):
+    _same_graph(build_cycle(m), reference_builders.build_cycle(m))
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(1, n + 1)])
@@ -298,13 +311,50 @@ def test_flagged_graphs_map_vertex_0_to_every_vertex():
                 assert moved == graph.nbr_masks[phi[i]], (graph.descriptor, v, i)
 
 
-def test_descriptor_params():
-    assert descriptor_params("nkstar:5,2") == (5, 2)
-    assert descriptor_params("star:4") == (4, 3)
-    assert descriptor_params("complete:6") == (6, 1)
-    assert descriptor_params("cycle:6") == (3, 2)
-    assert descriptor_params("cycle:5") is None
-    assert descriptor_params("file:whatever") is None
+def test_builders_stamp_their_cell(tmp_path):
+    # the (n, k) of S_{n,k} comes from the builder that made the graph
+    cells = {
+        "nkstar:5,2": (5, 2),
+        "nkstar:4,3": (4, 3),
+        "nkstar:12,1": (12, 1),
+        "star:2": (2, 1),
+        "star:4": (4, 3),
+        "complete:1": (1, 1),
+        "complete:6": (6, 1),
+        "cycle:6": (3, 2),
+        "cycle:5": None,
+        "cycle:12": None,
+    }
+    for desc, cell in cells.items():
+        assert from_descriptor(desc).cell == cell, desc
+    s42 = build_nk_star(4, 2)
+    path = tmp_path / "s42.edges"
+    path.write_text(s42.to_edgelist())
+    for graph in (
+        from_descriptor(f"file:{path}"),
+        TopologyGraph(s42.labels, s42.edges(), s42.descriptor),
+        TopologyGraph.from_edgelist_text(s42.to_edgelist(), s42.descriptor),
+        s42.induced_subgraph(s42.labels),
+    ):
+        assert graph.cell is None, graph.descriptor
+
+
+def test_crosscheck_takes_the_cell_from_the_graph_not_its_descriptor():
+    # a hand-built copy of S_{4,2} that names itself nkstar:4,2 is still
+    # outside the family: no closed form and no witness is checked against it
+    s42 = build_nk_star(4, 2)
+    copy = TopologyGraph(s42.labels, s42.edges(), "nkstar:4,2")
+    assert copy == s42 and copy.cell is None
+    _, built = crosscheck(s42, 2)
+    _, hand = crosscheck(copy, 2)
+    for model in Model:
+        entry = built[model.value]
+        assert entry["formula"] == entry["bruteforce"] and "formula_note" not in entry
+        assert entry["witness_upper_bounds"] == {"general": entry["formula"]}
+        entry = hand[model.value]
+        assert entry["formula"] is None and "formula_note" in entry
+        assert "witness_upper_bounds" not in entry
+        assert entry["bruteforce"] == built[model.value]["bruteforce"]
 
 
 @pytest.mark.parametrize(
