@@ -265,10 +265,12 @@ def cmd_simulate(args) -> dict:
         return report
 
     # the oracle's value wherever it runs: the closed form has a known gap at S_{3,2}
-    if cell is None or graph.vertex_count <= args.budget:
+    try:
         t = tg_bruteforce(graph, args.g, model, args.budget).value
         t_source = "bruteforce"
-    else:
+    except BudgetError:
+        if cell is None:
+            raise
         t = tg_formula(*cell, args.g, model).value
         t_source = "formula"
     if t is None or t < 1:

@@ -19,10 +19,11 @@ class TopologyGraph:
     """Simple undirected graph bound to a family descriptor string.
 
     Instances are immutable after construction.  Construction collapses
-    duplicate edges and rejects self-loops.  Only the family builders set
-    `vertex_transitive`, on graphs where an automorphism carries any
-    vertex to vertex 0, and `cell`, the (n, k) of the S_{n,k} a graph is;
-    every other graph leaves them False and None.
+    duplicate edges and rejects self-loops, and labels that are empty or
+    hold whitespace, on which both text formats split their lines.  Only
+    the family builders set `vertex_transitive`, on graphs where an
+    automorphism carries any vertex to vertex 0, and `cell`, the (n, k) of
+    the S_{n,k} a graph is; every other graph leaves them False and None.
     """
 
     _min_degree: int | None = None
@@ -38,6 +39,11 @@ class TopologyGraph:
         self.labels: tuple[str, ...] = tuple(sorted(set(labels)))
         if not self.labels:
             raise DomainError("a graph needs at least one vertex")
+        for lab in self.labels:
+            if lab.split() != [lab]:
+                raise DomainError(
+                    f"label {lab!r} is empty or holds whitespace; no text format can carry it"
+                )
         self.descriptor = descriptor
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         masks = [0] * len(self.labels)

@@ -9,7 +9,7 @@ seeded-random, all-zeros, or all-ones.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .base import DomainError, Model, VerificationError
@@ -33,20 +33,37 @@ class TestAssignment:
     graph: TopologyGraph
     model: Model
     units: tuple[tuple[int, int, int | None], ...]
+    rules: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
+    """Per unit, in unit order: (controller bit, mask of the watched vertices).
+
+    A PMC unit (u, v, None) is (1<<u, 1<<v): tester u watches testee v.  An
+    MM* unit (u, v, w) is (1<<w, 1<<u | 1<<v): comparator w watches u and v.
+    The outcome rule of both models: a fault-free controller reports 1
+    exactly when a vertex it watches is faulty; a faulty one may report
+    anything.
+    """
+
+    def expected(self, fmask: int) -> list[int | None]:
+        """Per unit, what `rules` expects under faulty set `fmask`; None at a faulty controller."""
+        return [
+            None if controller & fmask else (1 if watched & fmask else 0)
+            for controller, watched in self.rules
+        ]
 
 
 def build_assignment(graph: TopologyGraph, model: Model) -> TestAssignment:
-    units = []
+    nbr = graph.nbr_masks
     if model is Model.PMC:
-        for u in range(graph.vertex_count):
-            for v in _iter_bits(graph.nbr_masks[u]):
-                units.append((u, v, None))
+        units = [(u, v, None) for u in range(graph.vertex_count) for v in _iter_bits(nbr[u])]
+        rules = [(1 << u, 1 << v) for u, v, _ in units]
     else:
-        for w in range(graph.vertex_count):
-            for u, v in combinations(_iter_bits(graph.nbr_masks[w]), 2):
-                units.append((u, v, w))
-        units.sort()
-    return TestAssignment(graph=graph, model=model, units=tuple(units))
+        units = sorted(
+            (u, v, w)
+            for w in range(graph.vertex_count)
+            for u, v in combinations(_iter_bits(nbr[w]), 2)
+        )
+        rules = [(1 << w, 1 << u | 1 << v) for u, v, w in units]
+    return TestAssignment(graph=graph, model=model, units=tuple(units), rules=tuple(rules))
 
 
 @dataclass(frozen=True)
@@ -68,43 +85,23 @@ def generate_syndrome(
 ) -> Syndrome:
     """Syndrome produced by ground truth `fault_set`.
 
-    Units whose tester/comparator is fault-free follow the outcome tables
-    exactly; units controlled by a faulty vertex follow `strategy`.
+    Units whose controller is fault-free report what `rules` expects; units
+    controlled by a faulty vertex follow `strategy`, drawn in unit order.
     """
     if strategy not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    graph = assignment.graph
-    fmask = graph.mask_of(fault_set)
     rng = random.Random(seed)
-    bits = []
-    for u, v, w in assignment.units:
-        controller = u if w is None else w
-        if (fmask >> controller) & 1:
-            if strategy == "zeros":
-                bits.append(0)
-            elif strategy == "ones":
-                bits.append(1)
-            else:
-                bits.append(rng.getrandbits(1))
-        elif w is None:
-            bits.append((fmask >> v) & 1)
-        else:
-            bits.append(1 if ((fmask >> u) | (fmask >> v)) & 1 else 0)
+    forced = {"zeros": 0, "ones": 1}.get(strategy)
+    bits = assignment.expected(assignment.graph.mask_of(fault_set))
+    for i, bit in enumerate(bits):
+        if bit is None:
+            bits[i] = rng.getrandbits(1) if forced is None else forced
     return Syndrome(assignment=assignment, outcomes=tuple(bits), strategy=strategy, seed=seed)
 
 
 def consistent_mask(assignment: TestAssignment, outcomes, fmask: int) -> bool:
-    for (u, v, w), bit in zip(assignment.units, outcomes):
-        controller = u if w is None else w
-        if (fmask >> controller) & 1:
-            continue  # a faulty controller may report anything
-        if w is None:
-            expected = (fmask >> v) & 1
-        else:
-            expected = 1 if ((fmask >> u) | (fmask >> v)) & 1 else 0
-        if bit != expected:
-            return False
-    return True
+    expected = assignment.expected(fmask)
+    return all(want is None or want == bit for want, bit in zip(expected, outcomes))
 
 
 def is_consistent(fault_set, syndrome: Syndrome) -> bool:
@@ -116,7 +113,9 @@ def is_consistent(fault_set, syndrome: Syndrome) -> bool:
 def ambiguity_syndrome(assignment: TestAssignment, f1, f2) -> Syndrome:
     """A syndrome consistent with both hypotheses.
 
-    Exists exactly when the pair is indistinguishable under the
+    Each unit reports the outcome its controller expects under each
+    hypothesis that leaves it fault-free, or 0 when neither does.  That
+    exists exactly when the pair is indistinguishable under the
     assignment's model; a distinguishable pair raises VerificationError.
     """
     graph = assignment.graph
@@ -124,27 +123,17 @@ def ambiguity_syndrome(assignment: TestAssignment, f1, f2) -> Syndrome:
     if m1 == m2:
         raise DomainError("ambiguity syndrome needs two distinct sets")
     bits = []
-    for u, v, w in assignment.units:
-        controller = u if w is None else w
-        in1 = (m1 >> controller) & 1
-        in2 = (m2 >> controller) & 1
-        if w is None:
-            want1, want2 = (m1 >> v) & 1, (m2 >> v) & 1
-        else:
-            want1 = 1 if ((m1 >> u) | (m1 >> v)) & 1 else 0
-            want2 = 1 if ((m2 >> u) | (m2 >> v)) & 1 else 0
-        if in1 and in2:
-            bits.append(0)
-        elif in1:
-            bits.append(want2)
-        elif in2:
-            bits.append(want1)
-        elif want1 == want2:
+    for (controller, watched), want1, want2 in zip(
+        assignment.rules, assignment.expected(m1), assignment.expected(m2)
+    ):
+        if want1 is None:  # F1 holds the controller, so only F2 binds it
+            bits.append(want2 or 0)
+        elif want2 is None or want1 == want2:
             bits.append(want1)
         else:
-            unit = tuple(graph.labels[i] for i in (u, v, w) if i is not None)
             raise VerificationError(
-                f"pair is distinguishable: unit {unit} forces conflicting outcomes"
+                f"pair is distinguishable: {graph.labels[controller.bit_length() - 1]} watching "
+                f"{graph.sorted_labels_of(watched)} expects a different outcome under each set"
             )
     return Syndrome(assignment=assignment, outcomes=tuple(bits), strategy="ambiguity")
 

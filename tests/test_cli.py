@@ -237,6 +237,10 @@ def test_kappa_formula_notes_a_graph_off_the_family(capsys, tmp_path):
             ["simulate", "--graph", "nkstar:4,2", "--g", "3", "--model", "pmc"],
             "t_g is 0; nothing to simulate",
         ),
+        (  # an edge-list graph has no closed form to fall back on
+            ["simulate", "--graph", "FILE", "--g", "1", "--model", "pmc", "--budget", "5"],
+            "6 vertices over the brute-force budget of 5",
+        ),
     ],
 )
 def test_rejected_inputs_exit_2(capsys, tmp_path, argv, message):

@@ -35,6 +35,13 @@ def test_empty_vertex_set_rejected():
         TopologyGraph([])
 
 
+@pytest.mark.parametrize("label", ["", "a b", "a\tb", "a\n", " a", "a\u2028b"])
+def test_labels_no_text_format_can_carry_are_rejected(label):
+    # both the edge list and the syndrome text split their lines on whitespace
+    with pytest.raises(DomainError, match="empty or holds whitespace"):
+        TopologyGraph([label, "c", "d"], [("c", "d")])
+
+
 def test_unknown_vertex_rejected():
     with pytest.raises(DomainError):
         small().neighbors("zz")

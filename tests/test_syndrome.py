@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +21,7 @@ from stardiag import (
     witness_for,
 )
 from stardiag.base import DomainError, VerificationError
+from stardiag.faults import good_faulty_sets, indist_mask
 from stardiag.graph import TopologyGraph
 from stardiag.syndrome import STRATEGIES
 from stardiag.topologies import from_descriptor
@@ -97,6 +100,62 @@ def test_generate_syndrome_deterministic_per_seed(s42):
     c = generate_syndrome(assignment, {"12", "21"}, "random", seed=8)
     assert a.outcomes == b.outcomes
     assert a.outcomes != c.outcomes  # 5 controlled units, seed must matter
+
+
+#: sha256 of syndrome_to_text(generate_syndrome(...)) with faulty set labels[1::3], keyed
+#: (graph, model, strategy, seed): any change to a seeded outcome stream shows here
+SEEDED_SYNDROME_SHA256 = {
+    ("s42", "pmc", "random", 3): "ddcb97a37f416587b21d467f19ca0b7a0b6de5f695106e0a52887a73e5462c8a",
+    ("s42", "pmc", "random", 2024): "220dd4fa5669fab0e0999bd37370f6707765ed27660419df15f504acfdee139a",
+    ("s42", "pmc", "zeros", 3): "3c7edf5affc98681d6ab106e11749db24193c7a31fd551f1e55e2e28ddd7f513",
+    ("s42", "pmc", "zeros", 2024): "6dffce1934d8a3ecfeb9d958fff5f2dedb0a3f13709c5e5d50504d31f333eaaa",
+    ("s42", "pmc", "ones", 3): "2df7c4e674e497784b408511ca8069cc68b5b312d531408036d674197bdca7f0",
+    ("s42", "pmc", "ones", 2024): "9125b9f572d2bead66c3eeebcb636668c442746ee8cd611c302805fce58cab19",
+    ("s42", "mm", "random", 3): "c307297435bfc565e25c2ca25e0a33bc9e0e25f98c7e9aae859ca2ae1ebe6e11",
+    ("s42", "mm", "random", 2024): "e65fe96ebc976a20a4f0261fbd5af4afe8e8552d77d41afdc3d5c5178274a1c7",
+    ("s42", "mm", "zeros", 3): "e060b33941d4483062c49c09de97abadf70453cad7a35b5040a4a3e4e2c2e2bb",
+    ("s42", "mm", "zeros", 2024): "e46500d47f5c1455fd2e28fe0b9af3059c9cdf6c4d1b9f6df1f67a9927811051",
+    ("s42", "mm", "ones", 3): "600bf5f4f0227a2d5f51e2b985c04aef36adea22f46480b7ad7be1c2bdc674dc",
+    ("s42", "mm", "ones", 2024): "bb24a95af794c645331beb83958fa11d349346ac8cb76ac54e45ed2eb5a35165",
+    ("c6", "pmc", "random", 3): "3432920a32d7de2ba91d0c489109cdf7bbb853714a787f96821256341a2050a3",
+    ("c6", "pmc", "random", 2024): "298c423c434e034a420520bb8274eac696b6d1ba2e323b01781739bf18968e51",
+    ("c6", "pmc", "zeros", 3): "f3f5bc96e25da16b429b454cc3bacdd338442626bc5368149cc4f32b9ac0525d",
+    ("c6", "pmc", "zeros", 2024): "b35bffad890bf7e0eec43e6c3d594e68a83b5a9b01dce82824d93c09fecda23b",
+    ("c6", "pmc", "ones", 3): "1ff54f2a6f9c36ef49a36d311ce2c2a4df5c8c715bdbf5c27efac0b72701b0eb",
+    ("c6", "pmc", "ones", 2024): "87986654f92002586d0d9cf464e573288214ec6a7e052cfedc01b5d6ce1ff066",
+    ("c6", "mm", "random", 3): "d9676ddb2b0043a092da81ec7d84a2182be99a239eedbdc48b722e9d4f808793",
+    ("c6", "mm", "random", 2024): "ac2c2951a8b646967b69d70336ef412fd53536cd69ec374e8fe3eb3f834cb2df",
+    ("c6", "mm", "zeros", 3): "0d83330c26e6090d5a6a307a8f969386c7b8b030989da54b22a17353049b65da",
+    ("c6", "mm", "zeros", 2024): "1cc512d6245b9247c8d4218ecc3fe813b1f519a5897e7c51466122064eca1109",
+    ("c6", "mm", "ones", 3): "cd223c1c845e6ba265833678917fe34e1250a0c7cac3afbaa64070679f415133",
+    ("c6", "mm", "ones", 2024): "7895b11ddbc907adee61b71556835f62a06282c80580b946a998021f086ad29d",
+    ("k5", "pmc", "random", 3): "62274178512d931d324c83846e667ef13420fbcf7fcab8ea1b1ddc151125cd98",
+    ("k5", "pmc", "random", 2024): "098ada91d78debd14eb5c108cb689d1e85a400b92121dbcfa166baba5d93b75a",
+    ("k5", "pmc", "zeros", 3): "52316b74122f4df50f5c20e52590aefe5a447cd7d5a1809e622543091974d75c",
+    ("k5", "pmc", "zeros", 2024): "e7a9627bd1103bdfd7e9c1f95610bb33a0a677b3e7b926242a619d5039a4cdfc",
+    ("k5", "pmc", "ones", 3): "95bf8e6a167e4b4e2b7ec05b50819f96e424f57d27f5c278844ffee5be4b6016",
+    ("k5", "pmc", "ones", 2024): "fd21cdadd4d32f5cafcea717dba1e7249b74fd52a24efcc90091a93ba51d0bde",
+    ("k5", "mm", "random", 3): "71490d0b345bd79ea975e8ca8abce2b8cbccd85c8bfcaab12eea5c9d8d730d6b",
+    ("k5", "mm", "random", 2024): "c84637134ee70d74db2672c3c09e925ac551ddc7a5a726efa4535b00a6264e72",
+    ("k5", "mm", "zeros", 3): "22234e0e0027dc76c523fb708cb773d558da3b2ed42d2d9587fcfe9b7506df1f",
+    ("k5", "mm", "zeros", 2024): "809edd55a3bad20c42ee18c24718bfe6671496dc132243caeca38dcb78cf265f",
+    ("k5", "mm", "ones", 3): "577bef5a4e2104cc20ab78bc58defdb9bed1772481aecd791f8a50838beacbdf",
+    ("k5", "mm", "ones", 2024): "af9f12d880caef5d218bdfc618c68bd197f64e8be2e820466c1a9e3732c4965b",
+}
+
+
+def test_seeded_syndromes_are_pinned(s42, c6):
+    got = {}
+    for name, graph in (("s42", s42), ("c6", c6), ("k5", build_complete(5))):
+        truth = graph.labels[1::3]
+        for model in Model:
+            assignment = build_assignment(graph, model)
+            for strategy in STRATEGIES:
+                for seed in (3, 2024):
+                    text = syndrome_to_text(generate_syndrome(assignment, truth, strategy, seed))
+                    digest = hashlib.sha256(text.encode()).hexdigest()
+                    got[name, model.value, strategy, seed] = digest
+    assert got == SEEDED_SYNDROME_SHA256
 
 
 def test_truth_is_always_consistent(s42, c6):
@@ -213,6 +272,36 @@ def test_ambiguity_syndrome_on_witness_pair(c6):
             assert is_consistent(wit.f2, syn)
 
 
+def test_ambiguity_syndrome_exists_exactly_for_indistinguishable_pairs():
+    rng = random.Random(24)
+    seen = Counter()
+    for graph in small_graphs(8):
+        for g in range(3):
+            admissible = good_faulty_sets(graph, g)
+            if len(admissible) < 2:
+                continue
+            pairs = [rng.sample(admissible, 2) for _ in range(40)]
+            # pairs one vertex apart, where indistinguishable pairs are common
+            members = set(admissible)
+            for m1 in rng.sample(admissible, min(40, len(admissible))):
+                m2 = m1 ^ 1 << rng.randrange(graph.vertex_count)
+                if m2 in members:
+                    pairs.append((m1, m2))
+            for model in Model:
+                assignment = build_assignment(graph, model)
+                for m1, m2 in pairs:
+                    f1, f2 = graph.labels_of(m1), graph.labels_of(m2)
+                    indist = indist_mask(graph, m1, m2, model)
+                    seen[model, indist] += 1
+                    if indist:
+                        syn = ambiguity_syndrome(assignment, f1, f2)
+                        assert is_consistent(f1, syn) and is_consistent(f2, syn)
+                    else:
+                        with pytest.raises(VerificationError, match="pair is distinguishable"):
+                            ambiguity_syndrome(assignment, f1, f2)
+    assert min(seen.values()) >= 200, seen
+
+
 def test_ambiguity_syndrome_rejects_equal_sets(c6):
     assignment = build_assignment(c6, Model.MM)
     with pytest.raises(DomainError):
@@ -234,9 +323,11 @@ def test_syndrome_text_round_trip(s42, c6):
 
 
 def test_syndrome_text_round_trips_labels_holding_the_separators():
-    # the fields are split on whitespace, so '|' and '->' inside a label are kept
-    graph = TopologyGraph.from_edgelist_text("a|b x->y\nx->y c\nc a|b\nc d\n")
+    # the fields are split on whitespace, which the constructor keeps out of every
+    # label, so '|' and '->' inside a label are kept, by the edge list too
+    graph = TopologyGraph.from_edgelist_text("a|b x->y\nx->y c\nc a|b\nc d\u00fc\n")
     assert graph.cell is None
+    assert TopologyGraph.from_edgelist_text(graph.to_edgelist()) == graph
     for model in Model:
         syn = generate_syndrome(build_assignment(graph, model), {"a|b"}, "random", seed=5)
         text = syndrome_to_text(syn)
