@@ -504,20 +504,22 @@ def _require(ok: bool, what: str):
         raise VerificationError(f"witness self-check failed: {what}")
 
 
-def _certified(construction, graph, g, a_mask, m1, m2, claims, formula) -> WitnessReport:
+def _certified(construction, graph, g, a_mask, m1, m2) -> WitnessReport:
     """The report for the pair of masks (F1, F2) on `graph`, once its self-checks pass.
 
-    Both sets must be g-good-neighbor and the pair indistinguishable under
-    each model in `claims`.  The other model's status is recorded only, as
-    is whether max(|F1|, |F2|) - 1 equals the closed form `formula`.  The
-    report holds A, F1 and F2 as label sets.
+    The pair certifies each model for which `witness_for` names
+    `construction` on the graph's cell: both sets must be g-good-neighbor
+    and the pair indistinguishable under each.  The other model's status
+    and whether max(|F1|, |F2|) - 1 equals the closed form are recorded only.
     """
+    claims = [model for model in Model if witness_for(*graph.cell, g, model) == construction]
     _require(good_mask(graph, m1, g), f"F1 not {g}-good-neighbor")
     _require(good_mask(graph, m2, g), f"F2 not {g}-good-neighbor")
     indist = {model: indist_mask(graph, m1, m2, model) for model in Model}
     for model in claims:
         _require(indist[model], f"pair distinguishable under {model.value}")
     f1, f2 = graph.labels_of(m1), graph.labels_of(m2)
+    formula = tg_formula(*graph.cell, g, claims[0]).value
     return WitnessReport(
         construction=construction,
         descriptor=graph.descriptor,
@@ -540,7 +542,7 @@ def witness_general(n: int, k: int, g: int) -> WitnessReport:
 
     A is the set of vertices whose trailing n-g-1 coordinates are literally
     1..n-g-1 and whose leading coordinates come from the top g+1 symbols;
-    F1 = N(A) and F2 = F1 | A.  |F2| exceeds t_g by exactly one.
+    F1 = N(A) and F2 = F1 | A.  |F2| - 1 is recorded against t_g, not required.
     """
     if witness_for(n, k, g, Model.PMC) != "general":
         raise DomainError(
@@ -560,9 +562,7 @@ def witness_general(n: int, k: int, g: int) -> WitnessReport:
     _require(n_a == size_a, f"|A|={n_a}, expected {size_a}")
     _require(n_f1 == size_a * (n - g - 1), f"|F1|={n_f1}, expected {size_a * (n - g - 1)}")
     _require(n_f2 == size_a * (n - g), f"|F2|={n_f2}, expected {size_a * (n - g)}")
-    formula = tg_formula(n, k, g, Model.PMC).value
-    _require(n_f2 - 1 == formula, f"|F2|-1={n_f2 - 1} != formula {formula}")
-    return _certified("general", graph, g, a_mask, f1, f2, (Model.PMC, Model.MM), formula)
+    return _certified("general", graph, g, a_mask, f1, f2)
 
 
 def witness_snk2_mm(n: int) -> WitnessReport:
@@ -575,16 +575,14 @@ def witness_snk2_mm(n: int) -> WitnessReport:
     f1, f2 = a_mask | s12, a_mask | s32
     _require(a_mask.bit_count() == n - 1, f"|A|={a_mask.bit_count()}, expected {n - 1}")
     _require(f1.bit_count() == n and f2.bit_count() == n, "|F1| or |F2| != n")
-    formula = tg_formula(n, 2, 1, Model.MM).value
-    return _certified("snk2-mm", graph, 1, a_mask, f1, f2, (Model.MM,), formula)
+    return _certified("snk2-mm", graph, 1, a_mask, f1, f2)
 
 
 def witness_cycle6() -> WitnessReport:
     """The six-cycle MM* pair {u1,u2} vs {u4,u5}, certifying t_1 <= 1."""
     c6 = build_cycle(6)
     f1, f2 = c6.mask_of(("u1", "u2")), c6.mask_of(("u4", "u5"))
-    formula = tg_formula(3, 2, 1, Model.MM).value
-    return _certified("cycle6", c6, 1, 0, f1, f2, (Model.MM,), formula)
+    return _certified("cycle6", c6, 1, 0, f1, f2)
 
 
 def witness_for(n: int, k: int, g: int, model: Model) -> str | None:

@@ -114,15 +114,15 @@ def rg_connectivity_bruteforce(
     automorphism carries any cut to one through 0.  A complete graph has
     no cut at all: whatever C is, V - C induces a complete graph, which is
     connected.  `stats`, when given, receives `cuts_tested`, the number of
-    candidate sets tested.
+    candidate sets tested, and the least-set search's `m_cap_sets`.
     """
     if g < 0:
         raise DomainError("g must be nonnegative")
     n = graph.vertex_count
     if n > budget:
         raise BudgetError(f"{n} vertices over the brute-force budget of {budget}")
-    tested, found = 0, None
-    smallest = least_subgraph_mask(graph, g).bit_count() if graph.min_degree() < n - 1 else 0
+    tested, found, search = 0, None, {"m_cap_sets": 0}
+    smallest = least_subgraph_mask(graph, g, search).bit_count() if graph.min_degree() < n - 1 else 0
     for size in range(n - 2 * smallest + 1 if smallest else 0):
         combos = combinations(range(n), size)
         if graph.vertex_transitive and size:
@@ -140,7 +140,7 @@ def rg_connectivity_bruteforce(
         if found is not None:
             break
     if stats is not None:
-        stats["cuts_tested"] = tested
+        stats.update(search, cuts_tested=tested)
     return found
 
 

@@ -19,11 +19,12 @@ class TopologyGraph:
     """Simple undirected graph bound to a family descriptor string.
 
     Instances are immutable after construction.  Construction collapses
-    duplicate edges and rejects self-loops, and labels that are empty or
-    hold whitespace, on which both text formats split their lines.  Only
-    the family builders set `vertex_transitive`, on graphs where an
-    automorphism carries any vertex to vertex 0, and `cell`, the (n, k) of
-    the S_{n,k} a graph is; every other graph leaves them False and None.
+    duplicate edges and rejects self-loops and any label that no text
+    format can carry: empty, holding whitespace (both formats split lines
+    on it) or starting with `#` (an edge-list comment).  Only the family
+    builders set `vertex_transitive`, on graphs where an automorphism
+    carries any vertex to vertex 0, and `cell`, the (n, k) of the S_{n,k}
+    a graph is; every other graph leaves them False and None.
     """
 
     _min_degree: int | None = None
@@ -40,10 +41,8 @@ class TopologyGraph:
         if not self.labels:
             raise DomainError("a graph needs at least one vertex")
         for lab in self.labels:
-            if lab.split() != [lab]:
-                raise DomainError(
-                    f"label {lab!r} is empty or holds whitespace; no text format can carry it"
-                )
+            if lab.split() != [lab] or lab.startswith("#"):
+                raise DomainError(f"label {lab!r} is empty, holds whitespace or starts with '#'")
         self.descriptor = descriptor
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         masks = [0] * len(self.labels)

@@ -68,7 +68,7 @@ def build_assignment(graph: TopologyGraph, model: Model) -> TestAssignment:
 
 @dataclass(frozen=True)
 class Syndrome:
-    """One outcome bit per unit of an assignment."""
+    """One outcome, 0 or 1, per unit of an assignment."""
 
     assignment: TestAssignment
     outcomes: tuple[int, ...]
@@ -78,6 +78,8 @@ class Syndrome:
     def __post_init__(self):
         if len(self.outcomes) != len(self.assignment.units):
             raise DomainError("syndrome must carry exactly one bit per unit")
+        if not set(self.outcomes) <= {0, 1}:
+            raise DomainError("every syndrome outcome must be 0 or 1")
 
 
 def generate_syndrome(

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from stardiag.base import DomainError
+from stardiag.base import DomainError, Model
 from stardiag.cli import build_parser, main
+from stardiag.diagnosability import witness_for
 from stardiag.topologies import _arrangement_graph, from_descriptor
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -137,7 +138,17 @@ def test_kappa_agreement(capsys):
     code, report = run_json(capsys, "kappa", "--graph", "nkstar:4,2", "--g", "2")
     assert code == 0 and report["ok"]
     assert report["formula"] == 3 and report["bruteforce"] == 3
-    assert report["bruteforce_stats"] == {"cuts_tested": 14}
+    assert report["bruteforce_stats"] == {"m_cap_sets": 6, "cuts_tested": 14}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_kappa_and_tg_report_the_same_least_set_search(capsys, n):
+    for g in (1, 2, 3):
+        cell = ("--graph", f"nkstar:{n},2", "--g", str(g), "--method", "brute", "--budget", "20")
+        _, kappa = run_json(capsys, "kappa", *cell)
+        _, tg = run_json(capsys, "tg", *cell, "--model", "pmc")
+        searched = tg["results"]["pmc"]["bruteforce_stats"]["m_cap_sets"]
+        assert kappa["bruteforce_stats"]["m_cap_sets"] == searched, g
 
 
 def test_kappa_no_cut(capsys):
@@ -279,6 +290,29 @@ def test_table_n3_flags_the_pmc_gap(capsys):
             "status": "DISAGREE",
         }
     ]
+
+
+def test_a_closed_form_error_in_the_general_band_is_reported(capsys, monkeypatch):
+    # the witness records its mismatch with the formula and crosscheck shows it,
+    # so neither command aborts with no report
+    import stardiag.diagnosability as diagnosability
+
+    real = diagnosability.tg_formula
+
+    def off_by_one(n, k, g, model):
+        res = real(n, k, g, model)
+        return type(res)(res.value + 1, res.model, res.method, res.provenance)
+
+    monkeypatch.setattr(diagnosability, "tg_formula", off_by_one)
+    code, report = run_json(capsys, "table", "--n-min", "4", "--n-max", "4")
+    assert code == 1 and not report["ok"]
+    assert len(report["rows"]) == 18
+    general = [row for row in report["rows"] if witness_for(4, row["k"], row["g"], Model.PMC)]
+    assert len(general) == 6 and all(row["status"] == "DISAGREE" for row in general)
+    code, report = run_json(capsys, "tg", "--graph", "nkstar:4,2", "--g", "2")
+    assert code == 1 and not report["ok"]
+    for entry in report["results"].values():
+        assert entry["disagreement"] == {"formula": 6, "bruteforce": 5, "witness:general": 5}
 
 
 def test_table_builds_each_witness_once(capsys, monkeypatch):

@@ -719,8 +719,8 @@ def test_witness_cycle6():
 
 
 def test_witness_size_check_compares_with_the_formula(monkeypatch):
-    assert witness_cycle6().checks["sizes_match_formula"]
-    assert witness_snk2_mm(5).checks["sizes_match_formula"]
+    builds = (witness_cycle6, lambda: witness_snk2_mm(5), lambda: witness_general(4, 2, 2))
+    assert all(build().checks["sizes_match_formula"] for build in builds)
     real = tg_formula
 
     def off_by_one(n, k, g, model):
@@ -728,8 +728,20 @@ def test_witness_size_check_compares_with_the_formula(monkeypatch):
         return type(res)(res.value + 1, res.model, res.method, res.provenance)
 
     monkeypatch.setattr("stardiag.diagnosability.tg_formula", off_by_one)
-    assert not witness_cycle6().checks["sizes_match_formula"]
-    assert not witness_snk2_mm(5).checks["sizes_match_formula"]
+    # recorded, never required: a witness does not raise on a formula it disagrees with
+    assert not any(build().checks["sizes_match_formula"] for build in builds)
+
+
+def test_witness_claims_are_read_off_witness_for(monkeypatch):
+    # witness_for names snk2-mm under MM* only, so its PMC-distinguishable pair passes
+    wit = witness_snk2_mm(5)
+    assert wit.checks["indistinguishable_mm"] and not wit.checks["indistinguishable_pmc"]
+    real = witness_for
+    monkeypatch.setattr(
+        "stardiag.diagnosability.witness_for", lambda n, k, g, model: real(n, k, g, Model.MM)
+    )
+    with pytest.raises(VerificationError, match="distinguishable under pmc"):
+        witness_snk2_mm(5)
 
 
 def _table_cells(n_max):
@@ -752,7 +764,7 @@ def test_witness_for_builds_what_it_names():
             continue
         wit = build_witness(name, n, k, g)
         assert wit.construction == name
-        assert wit.checks["indistinguishable_mm"]
+        assert wit.checks["indistinguishable_mm"] and wit.checks["sizes_match_formula"]
         for model in Model:
             if names[model] is not None:
                 assert wit.upper_bound == tg_formula(n, k, g, model).value, (n, k, g, model)

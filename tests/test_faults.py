@@ -254,10 +254,10 @@ def test_kappa_bruteforce_cycle_and_complete(c6):
     stats = {}
     assert rg_connectivity_bruteforce(c6, 0, stats=stats) == 2  # two antipodal vertices
     # through vertex 0: the empty set, {u1}, {u1, u2}, then the cut {u1, u3}
-    assert stats == {"cuts_tested": 4}
+    assert stats == {"m_cap_sets": 0, "cuts_tested": 4}  # g = 0: the least-set search tests none
     assert rg_connectivity_bruteforce(c6, 1) == 2
     assert rg_connectivity_bruteforce(build_complete(4), 0, stats=stats) is None
-    assert stats == {"cuts_tested": 0}  # no cut can exist, so none is tested
+    assert stats == {"m_cap_sets": 0, "cuts_tested": 0}  # no cut can exist: nothing is searched
 
 
 def test_kappa_bruteforce_answers_at_once_on_complete_graphs():

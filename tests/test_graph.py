@@ -38,8 +38,16 @@ def test_empty_vertex_set_rejected():
 @pytest.mark.parametrize("label", ["", "a b", "a\tb", "a\n", " a", "a\u2028b"])
 def test_labels_no_text_format_can_carry_are_rejected(label):
     # both the edge list and the syndrome text split their lines on whitespace
-    with pytest.raises(DomainError, match="empty or holds whitespace"):
+    with pytest.raises(DomainError, match="empty, holds whitespace"):
         TopologyGraph([label, "c", "d"], [("c", "d")])
+
+
+def test_a_label_that_starts_an_edge_list_comment_is_rejected():
+    # '#a b' would be skipped as a comment, so the edge list would read back as b - c
+    with pytest.raises(DomainError, match="starts with '#'"):
+        TopologyGraph(["#a", "b", "c"], [("#a", "b"), ("b", "c")])
+    inner = TopologyGraph(["a#", "b", "c"], [("a#", "b"), ("b", "c")])
+    assert TopologyGraph.from_edgelist_text(inner.to_edgelist()).labels == inner.labels
 
 
 def test_unknown_vertex_rejected():

@@ -178,6 +178,14 @@ def test_syndrome_length_validated(c6):
         Syndrome(assignment=assignment, outcomes=(0,))
 
 
+def test_syndrome_rejects_an_outcome_other_than_0_or_1(c6):
+    # diagnose would read 2 as 1 and return [{u3}], which is_consistent rejects
+    zeros = generate_syndrome(build_assignment(c6, Model.PMC), {"u3"}, "zeros")
+    assert 1 in zeros.outcomes
+    with pytest.raises(DomainError, match="0 or 1"):
+        Syndrome(zeros.assignment, tuple(2 * bit for bit in zeros.outcomes))
+
+
 def test_diagnose_recovers_unique_fault(c6):
     assignment = build_assignment(c6, Model.PMC)
     syn = generate_syndrome(assignment, {"u3"}, "zeros")
