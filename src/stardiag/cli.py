@@ -60,9 +60,9 @@ def _witness_dict(w) -> dict:
     return {
         "construction": w.construction,
         "graph": w.descriptor,
-        "A": sorted(w.a_set),
-        "F1": sorted(w.f1),
-        "F2": sorted(w.f2),
+        "A": w.graph.sorted_labels_of(w.a_mask),
+        "F1": w.graph.sorted_labels_of(w.m1),
+        "F2": w.graph.sorted_labels_of(w.m2),
         "sizes": w.sizes,
         "checks": w.checks,
         "upper_bound": w.upper_bound,
@@ -148,7 +148,7 @@ def cmd_witness(args) -> dict:
     if name is None:
         raise DomainError(f"no witness construction covers n, k, g = {cell}")
     wit = build_witness(name, *cell)
-    return {"ok": True, "witness": _witness_dict(wit)}
+    return {"ok": wit.checks["sizes_match_formula"], "witness": _witness_dict(wit)}
 
 
 def cmd_split(args) -> dict:

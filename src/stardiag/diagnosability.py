@@ -10,6 +10,7 @@ one rule for which construction covers a cell.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from bisect import bisect_right
@@ -480,23 +481,44 @@ def tg_formula(n: int, k: int, g: int, model: Model) -> DiagnosabilityResult:
 class WitnessReport:
     """An explicitly constructed indistinguishable pair, verified on build.
 
-    checks records the re-derivable facts about the stored pair; any check
+    The pair is kept as masks on `graph`; the label sets `a_set`, `f1` and
+    `f2` are built on first use, for a report that prints them.  checks
+    records the re-derivable facts about the stored pair; any check
     required by the construction raises VerificationError instead of being
     recorded false.
     """
 
     construction: str
-    descriptor: str
-    a_set: LabelSet
-    f1: LabelSet
-    f2: LabelSet
-    sizes: dict[str, int]
+    graph: TopologyGraph
+    a_mask: int
+    m1: int
+    m2: int
     checks: dict[str, bool]
+
+    @property
+    def descriptor(self) -> str:
+        return self.graph.descriptor
+
+    @functools.cached_property
+    def a_set(self) -> LabelSet:
+        return self.graph.labels_of(self.a_mask)
+
+    @functools.cached_property
+    def f1(self) -> LabelSet:
+        return self.graph.labels_of(self.m1)
+
+    @functools.cached_property
+    def f2(self) -> LabelSet:
+        return self.graph.labels_of(self.m2)
+
+    @property
+    def sizes(self) -> dict[str, int]:
+        return {"A": self.a_mask.bit_count(), "F1": self.m1.bit_count(), "F2": self.m2.bit_count()}
 
     @property
     def upper_bound(self) -> int:
         """t_g <= max(|F1|, |F2|) - 1 for the model(s) the pair certifies."""
-        return max(len(self.f1), len(self.f2)) - 1
+        return max(self.m1.bit_count(), self.m2.bit_count()) - 1
 
 
 def _require(ok: bool, what: str):
@@ -518,21 +540,19 @@ def _certified(construction, graph, g, a_mask, m1, m2) -> WitnessReport:
     indist = {model: indist_mask(graph, m1, m2, model) for model in Model}
     for model in claims:
         _require(indist[model], f"pair distinguishable under {model.value}")
-    f1, f2 = graph.labels_of(m1), graph.labels_of(m2)
     formula = tg_formula(*graph.cell, g, claims[0]).value
     return WitnessReport(
         construction=construction,
-        descriptor=graph.descriptor,
-        a_set=graph.labels_of(a_mask),
-        f1=f1,
-        f2=f2,
-        sizes={"A": a_mask.bit_count(), "F1": len(f1), "F2": len(f2)},
+        graph=graph,
+        a_mask=a_mask,
+        m1=m1,
+        m2=m2,
         checks={
             "f1_good": True,
             "f2_good": True,
             "indistinguishable_pmc": indist[Model.PMC],
             "indistinguishable_mm": indist[Model.MM],
-            "sizes_match_formula": max(len(f1), len(f2)) - 1 == formula,
+            "sizes_match_formula": max(m1.bit_count(), m2.bit_count()) - 1 == formula,
         },
     )
 

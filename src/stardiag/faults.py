@@ -27,10 +27,20 @@ def good_mask(graph: TopologyGraph, fmask: int, g: int) -> bool:
     its full degree, so only N(F) - F is tested.  Above it every fault-free
     vertex is, since one far from F can already fall short.  So is every
     vertex when V - F is at most twice F: the walk over F that finds
-    N(F) then costs about as much as the test it spares.
+    N(F) then costs about as much as the test it spares.  When V - F is
+    wider than 64 bits both walks go through `_iter_bits`, which reads a
+    dense mask in one pass; on narrower masks they stay inline peels,
+    which spare the generator.
     """
     rest = graph.full_mask & ~fmask
-    if g > graph.min_degree() or rest.bit_count() <= 2 * fmask.bit_count():
+    every = g > graph.min_degree() or rest.bit_count() <= 2 * fmask.bit_count()
+    if rest >> 64:
+        nbr = graph.nbr_masks
+        for i in _iter_bits(rest if every else graph.neighborhood_mask(fmask)):
+            if (nbr[i] & rest).bit_count() < g:
+                return False
+        return True
+    if every:
         return has_min_degree(graph, rest, g)
     nbr = graph.nbr_masks
     near = 0

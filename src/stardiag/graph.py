@@ -8,6 +8,7 @@ exhaustive subset searches in the other modules cheap and allocation-free.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .base import DomainError
@@ -138,9 +139,10 @@ class TopologyGraph:
 
     def neighborhood_mask(self, mask: int) -> int:
         """Union of neighbor masks of the bits in `mask`, minus `mask`."""
+        nbr = self.nbr_masks
         out = 0
         for i in _iter_bits(mask):
-            out |= self.nbr_masks[i]
+            out |= nbr[i]
         return out & ~mask
 
     # -- graph operations ------------------------------------------------
@@ -177,16 +179,18 @@ class TopologyGraph:
     def component_masks(self, within: int | None = None) -> list[int]:
         """Connected components of the subgraph induced by `within` (default V)."""
         region = self.full_mask if within is None else within
+        nbr = self.nbr_masks
         comps = []
         todo = region
         while todo:
             seed = todo & -todo
-            comp = seed
-            frontier = seed
+            # the seed's neighbours are the first layer: one generator fewer per component
+            frontier = nbr[seed.bit_length() - 1] & region & ~seed
+            comp = seed | frontier
             while frontier:
                 grown = 0
                 for i in _iter_bits(frontier):
-                    grown |= self.nbr_masks[i]
+                    grown |= nbr[i]
                 frontier = grown & region & ~comp
                 comp |= frontier
             comps.append(comp)
@@ -211,9 +215,8 @@ class TopologyGraph:
     def edges(self) -> list[tuple[str, str]]:
         out = []
         for i, lab in enumerate(self.labels):
-            for j in _iter_bits(self.nbr_masks[i]):
-                if j > i:
-                    out.append(tuple(sorted((lab, self.labels[j]))))
+            for j in _iter_bits(self.nbr_masks[i] >> i + 1):  # the neighbours above i
+                out.append((lab, self.labels[i + 1 + j]))
         out.sort()
         return out
 
@@ -254,7 +257,22 @@ class TopologyGraph:
         return cls(labels, edges, descriptor=descriptor)
 
 
+#: binary digits '0'/'1' to the bytes 0/1 that `compress` reads as selectors
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of `mask`, lowest first.
+
+    A mask wider than 64 bits with at least one bit in eight set is read
+    in one pass over its binary digits, in C.  Any other mask is peeled a
+    bit at a time: each peel costs time linear in the width, so it wins
+    while set bits are few.
+    """
+    width = mask.bit_length()
+    if width > 64 and 8 * mask.bit_count() >= width:
+        yield from compress(range(width), bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES))
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

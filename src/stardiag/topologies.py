@@ -23,8 +23,8 @@ DEFAULT_VERTEX_BUDGET = 5040
 def arrangement_label(symbols: tuple[int, ...], n: int) -> str:
     """Concatenated symbols for n <= 9, hyphen-delimited above that."""
     if n <= 9:
-        return "".join(str(s) for s in symbols)
-    return "-".join(str(s) for s in symbols)
+        return "".join(map(str, symbols))
+    return "-".join(map(str, symbols))
 
 
 def parse_arrangement(label: str, n: int) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 from stardiag.base import DomainError, Model
 from stardiag.cli import build_parser, main
-from stardiag.diagnosability import witness_for
+from stardiag.diagnosability import build_witness, witness_for
 from stardiag.topologies import _arrangement_graph, from_descriptor
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -213,6 +214,98 @@ def test_witness_refuses_a_construction_off_its_cells(capsys, construction, cell
     code = main(["witness", "--n", n, "--k", k, "--g", g, "--construction", construction])
     assert code == 2
     assert "does not cover" in capsys.readouterr().err
+
+
+#: sha256 of each `witness` report without `elapsed_s` (json.dumps, sort_keys),
+#: keyed (n, k, g) over every cell with n <= 7 that `witness_for` covers: any
+#: change to a witness's sets, sizes or checks shows here
+WITNESS_REPORT_SHA256 = {
+    (3, 2, 1): "78ab8c623204d3620ff82f104554fc00bc9a5ee4da55041b6ed16ddcfd9c54bf",
+    (4, 2, 1): "e06ff0ad5dc90c1594dc1f0b1987a843a1fea00c41856da9c0d81a79846e2ca1",
+    (4, 2, 2): "7a6b96aab242ba93e646eb42ac24ab50820c33f5a42ff35d118822ccab5d851b",
+    (4, 3, 1): "a0856d74997202f74a5ee67aba75a7f14e50bd1a6c024a688b958f9360bd9efc",
+    (4, 3, 2): "b01cb4fa15652c68b76d5d43aa65973e036c84d6647650604ac7f0c8276420ed",
+    (5, 2, 1): "abd02b80525652def8617115cbdba3623c6d9f842d7057fb372234071b4cd36c",
+    (5, 2, 3): "1579d2fc0e8b2dc81536a58f150f999edebcac596f26dcd647f208818397000d",
+    (5, 3, 2): "3acd4d21494afafde9bbd4d77c934250c3b4646e0e8af95beb869b604b8fb64d",
+    (5, 3, 3): "66d4ce81607db425a233fd731d37bee3b48605fcd1a523b01d053f7fde7eca72",
+    (5, 4, 1): "05a546852a9854a152cbb755749c1788335121e4df8ea5a7e252779a4761f8b5",
+    (5, 4, 2): "2469d44953245fa7249f53f6281fd5f4fe167b5d56b9b466f4e06651049345c2",
+    (5, 4, 3): "29f2a97b06d0fa1e5083f00b3c305b4a0264209df21ab4f86d760c9a14bf7d58",
+    (6, 2, 1): "31c6b9fe0d8720f50846baa02ba39d0deef436224795ad65defdcad1d42b7b13",
+    (6, 2, 4): "303d997cfb2535055069de430bf72902dae0b586057b84695ee65b964a0afbd0",
+    (6, 3, 3): "fef04545c342445e97e2025b063b101e1c5bfcf06d48dcdeb46ebac91ed9efb1",
+    (6, 3, 4): "affb7aad326c0c9f0a51e5b6c3c77ab2b850edea473e84bc630d2e594c479b3d",
+    (6, 4, 2): "101ebfcca66ce9590871723c81059cd71dbfef5fe38dfa8169e1d432401cc1a0",
+    (6, 4, 3): "4037d97234ab8c6c5c7f0427199849b5eb8ca56d4d70d6cce96b96997cddd7f5",
+    (6, 4, 4): "2f4ac254f2be25e104c9211e83153d59aa8f9c7b2fe5de30c05ae6a141815a10",
+    (6, 5, 1): "35852e490ab1cfd8c9b7d9c21076ee37b31bdb672cce15ea7be142d5a9945500",
+    (6, 5, 2): "d0f9a48d526ae4db6bbad3a8b053333380966c5186f36c02d374be735886ef97",
+    (6, 5, 3): "8b04a8370d9aac910c8285495a8aff85856badec8aba8b3bb4417f5c6d717a56",
+    (6, 5, 4): "1c314af0f1b067467e0e3422e86a035769e5558b77e60f1018d09103e2990227",
+    (7, 2, 1): "ee13ff991758629453383d4b5fd3bb50ea139ce936d994616a39772dbcfa40fb",
+    (7, 2, 5): "cdb604726537208216c11db25691732bfb705eca2b8dad0955fd7c5a97c6af3b",
+    (7, 3, 4): "d429ebed99e05f0e641306c496fbabf72ac1318b57f4516c937b3bb3286357ad",
+    (7, 3, 5): "6130a17ce88fb9b6b2402755d1a7f06a9b3446f278afc5a7c1e03cc506bb73a2",
+    (7, 4, 3): "de86d440c21d23d5f73afdb4d8255df10ee52972fb782062585c2ff07791b9ef",
+    (7, 4, 4): "74bf698b2211800ffc128579bee766189eb713b2b4e4f2a392f0c4cf87c36413",
+    (7, 4, 5): "7dcf32d47984d97963f66ac63b7777d4486abe5b3db21ff28ff6911651bb1dd3",
+    (7, 5, 2): "35a7ac0692a75a1cd9f6aaf5ae8fdec67cdbe9713b12b2014691b6b1f5a9b133",
+    (7, 5, 3): "10bf1bac7bc9b4c47b8521a5a973dd34e0b41f32a3b3c44d0686f994c90a6f48",
+    (7, 5, 4): "0e068a3e0c21731351ebd22d12a282a842ae59d4d5c8c792fb0c2fc405178b2e",
+    (7, 5, 5): "a19c8388bdee9def22248fc74833f7599f4993272ee227991d850ba5dfdb0f08",
+    (7, 6, 1): "a7e7023b5e20a9cc9db5fddbfcea09b7d430099b32b10ae76839b6c1fd861d02",
+    (7, 6, 2): "3cb6cef2c7ee4cdf88b8bc49c7629c2a33d14314644ac5917d0d33f335e46f62",
+    (7, 6, 3): "48492a8ef23d6933f0581f1179f359201e928cdece66ec4d6e83ea187598fbe9",
+    (7, 6, 4): "6b43d69209ad002084ab21689fe21a9435e23cf4d34cf91c28a76516997df281",
+    (7, 6, 5): "7f4ec044722efe57b08610d167d76d525be02741cc1f6fde0b4f755984b1e9d4",
+}
+
+
+def _witness_cells(n_max):
+    for n in range(3, n_max + 1):
+        for k in range(1, n):
+            for g in range(n):
+                name = witness_for(n, k, g, Model.PMC) or witness_for(n, k, g, Model.MM)
+                if name is not None:
+                    yield name, n, k, g
+
+
+def test_witness_reports_are_pinned(capsys):
+    got = {}
+    for name, n, k, g in _witness_cells(7):
+        code, report = run_json(capsys, "witness", "--n", str(n), "--k", str(k), "--g", str(g))
+        assert code == 0 and report["ok"]
+        del report["elapsed_s"]
+        text = json.dumps(report, sort_keys=True)
+        got[n, k, g] = hashlib.sha256(text.encode()).hexdigest()
+        # the label sets are read off the stored masks, and the report prints them
+        wit = build_witness(name, n, k, g)
+        sets = {"A": (wit.a_set, wit.a_mask), "F1": (wit.f1, wit.m1), "F2": (wit.f2, wit.m2)}
+        for key, (labels, mask) in sets.items():
+            assert labels == wit.graph.labels_of(mask)
+            assert report["witness"][key] == sorted(labels)
+    assert got == WITNESS_REPORT_SHA256
+
+
+def test_witness_exits_1_when_its_bound_misses_the_closed_form(capsys, monkeypatch):
+    import stardiag.diagnosability as diagnosability
+
+    real = diagnosability.tg_formula
+
+    def off_by_one(n, k, g, model):
+        res = real(n, k, g, model)
+        return type(res)(res.value + 1, res.model, res.method, res.provenance)
+
+    monkeypatch.setattr(diagnosability, "tg_formula", off_by_one)
+    code, report = run_json(capsys, "witness", "--n", "4", "--k", "2", "--g", "2")
+    assert code == 1 and report["ok"] is False
+    wit = report["witness"]
+    assert wit["construction"] == "general" and wit["upper_bound"] == 5
+    assert wit["sizes"] == {"A": 3, "F1": 3, "F2": 6}
+    assert {key: len(wit[key]) for key in ("A", "F1", "F2")} == wit["sizes"]
+    assert wit["checks"]["sizes_match_formula"] is False
+    assert wit["checks"]["indistinguishable_pmc"] and wit["checks"]["indistinguishable_mm"]
 
 
 def test_simulate_witness_refuses_an_uncovered_cell():

@@ -67,6 +67,24 @@ def test_good_mask_is_min_degree_of_the_complement():
                 assert has_min_degree(graph, full & ~fmask, g, within) == in_within
 
 
+def test_good_mask_is_min_degree_of_the_complement_on_wide_graphs():
+    # over 64 vertices good_mask walks through _iter_bits; sparse F takes the
+    # N(F) - F test, dense F and g above the minimum degree test all of V - F
+    rng = random.Random(5)
+    for graph in (random_graph(100, 0.05, 1), build_nk_star(5, 4)):
+        n, seen = graph.vertex_count, set()
+        for _ in range(30):
+            for density in (0.02, 0.1, 0.5):
+                fmask = sum(1 << i for i in range(n) if rng.random() < density)
+                rest = graph.full_mask & ~fmask
+                for g in range(graph.min_degree() + 3):
+                    want = has_min_degree(graph, rest, g)
+                    assert good_mask(graph, fmask, g) == want, (graph.descriptor, fmask, g)
+                    seen.add((g > graph.min_degree(), rest.bit_count() > 2 * fmask.bit_count(), want))
+        assert {branch[:2] for branch in seen} == set(itertools.product((False, True), repeat=2))
+        assert {branch[2] for branch in seen} == {False, True}
+
+
 def test_good_mask_checks_every_vertex_above_the_min_degree():
     # K_4 on a, b, c, d with a pendant p on a: min degree 1.  At g = 2 the
     # pendant falls short although it has no neighbor in F = {c}

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from stardiag import TopologyGraph
+from stardiag import TopologyGraph, build_star
 from stardiag.base import DomainError
+from stardiag.graph import _iter_bits
 
 from conftest import random_graph, ref_components
 
@@ -147,3 +150,40 @@ def test_construction_deterministic():
     assert g1 == g2
     assert hash(g1) == hash(g2)
     assert g1.to_edgelist() == g2.to_edgelist()
+
+
+def _peeled(mask):
+    """The set bits of `mask`, lowest first, one `m & -m` peel at a time."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+def _mask_with(width, count, rng):
+    """A mask of exactly `width` bits (its top bit set) with `count` bits set."""
+    return 1 << width - 1 | sum(1 << i for i in rng.sample(range(width - 1), count - 1))
+
+
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 720, 5040])
+def test_iter_bits_equals_the_peel_on_both_sides_of_the_dispatch(width):
+    # a mask wider than 64 bits is read in one pass from 1 bit in 8 up and
+    # peeled below that; the counts straddle 1 in 8
+    rng = random.Random(width)
+    eighth = -(-width // 8)
+    counts = {1, eighth - 1, eighth, width // 2, width} - {0} if width else set()
+    masks = [0] + [_mask_with(width, c, rng) for c in counts]
+    masks += [rng.getrandbits(width) for _ in range(3)]
+    read = [m for m in masks if m.bit_length() > 64 and 8 * m.bit_count() >= m.bit_length()]
+    if width > 64:
+        assert 0 < len(read) < len(masks)
+    for mask in masks:
+        assert list(_iter_bits(mask)) == _peeled(mask)
+
+
+def test_iter_bits_equals_the_peel_on_every_neighbour_mask_of_s7():
+    # n - 1 = 6 bits in 5040: sparse wide masks, which stay on the peel
+    for mask in build_star(7).nbr_masks:
+        assert list(_iter_bits(mask)) == _peeled(mask)
