@@ -26,15 +26,11 @@ class StardiagError(Exception):
 
 
 class DomainError(StardiagError, ValueError):
-    """Invalid argument: unknown vertex, out-of-range parameter, bad set."""
+    """Invalid argument: unknown vertex, out-of-range parameter or closed-form cell, bad set."""
 
 
 class BudgetError(StardiagError):
     """An exhaustive search was refused because the graph exceeds its budget."""
-
-
-class NotApplicableError(StardiagError):
-    """A closed-form expression was requested outside its range of validity."""
 
 
 class VerificationError(StardiagError):

@@ -2,7 +2,8 @@
 
 Each `cmd_*` returns its report body.  `main` stamps it with `command` and
 `elapsed_s`, emits it as JSON (stdout or --out) and exits 0 when its `ok`
-holds, 1 when it does not, and 2 when the input is rejected.
+holds, 1 when it does not, and 2 when the input is rejected or --out cannot
+be written.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import sys
 import time
 from collections import Counter
 
-from .base import BudgetError, DomainError, Model, NotApplicableError, StardiagError
+from .base import BudgetError, DomainError, Model, StardiagError
 from .diagnosability import (
     DEFAULT_ORACLE_BUDGET,
-    _agree,
     build_witness,
     crosscheck,
+    run_methods,
     tg_bruteforce,
     tg_formula,
     witness_for,
@@ -111,40 +112,22 @@ def cmd_tg(args) -> dict:
 
 def cmd_kappa(args) -> dict:
     graph = from_descriptor(args.graph)
-    report = {"graph": graph.descriptor, "g": args.g}
-    values = {}
-    if args.method in ("formula", "all"):
-        if graph.cell is None:
-            report["formula_note"] = "formula needs a star-family graph descriptor"
-        else:
-            try:
-                values["formula"] = rg_connectivity_formula(*graph.cell, args.g)
-            except NotApplicableError as exc:
-                report["formula_note"] = str(exc)
-        report["formula"] = values.get("formula")
-    if args.method in ("brute", "all"):
+
+    def formula(n, k):
+        return {"formula": rg_connectivity_formula(n, k, args.g)}
+
+    def oracle():
         stats: dict = {}
-        try:
-            brute = rg_connectivity_bruteforce(graph, args.g, args.budget, stats)
-        except BudgetError as exc:
-            if args.method == "brute":
-                raise
-            report["bruteforce"] = None
-            report["bruteforce_skipped"] = str(exc)
-        else:
-            report["bruteforce"] = brute if brute is not None else "no cut"
-            report["bruteforce_stats"] = stats
-            if brute is not None:
-                values["bruteforce"] = brute
-    report["ok"] = _agree(report, values)
-    return report
+        cut = rg_connectivity_bruteforce(graph, args.g, args.budget, stats)
+        return {"bruteforce": "no cut" if cut is None else cut, "bruteforce_stats": stats}
+
+    ok, entry = run_methods(args.method, graph.cell, formula, oracle)
+    return {"graph": graph.descriptor, "g": args.g, **entry, "ok": ok}
 
 
 def cmd_witness(args) -> dict:
     cell = (args.n, args.k, args.g)
     name = witness_for(*cell, Model.PMC) or witness_for(*cell, Model.MM)
-    if args.construction not in ("auto", name):
-        raise DomainError(f"the {args.construction} witness does not cover n, k, g = {cell}")
     if name is None:
         raise DomainError(f"no witness construction covers n, k, g = {cell}")
     wit = build_witness(name, *cell)
@@ -313,26 +296,50 @@ def cmd_simulate(args) -> dict:
     return report
 
 
-def _add_common(p, graph=True):
-    if graph:
-        p.add_argument("--graph", required=True, help="descriptor, e.g. nkstar:4,2")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers", type=int, default=1, help="ignored; kept so existing command lines still parse"
-    )
-    p.add_argument(
-        "--budget",
-        "--budget-pair",
-        "--budget-sd",
-        type=int,
-        default=DEFAULT_ORACLE_BUDGET,
-        help="vertex cap of the exhaustive search; --budget-pair and --budget-sd are old spellings",
-    )
-    p.add_argument(
-        "--budget-diag", type=int, default=None, help="ignored; diagnose has no vertex cap"
-    )
-    p.add_argument("--out", default=None)
-    p.set_defaults(report_file=None)  # cmd_gen moves the report to stderr
+#: every option a subcommand can take: its flags and `add_argument` keywords
+OPTIONS = {
+    "graph": (["--graph"], {"required": True, "help": "descriptor, e.g. nkstar:4,2"}),
+    "g": (["--g"], {"type": int, "required": True}),
+    "n": (["--n"], {"type": int, "required": True}),
+    "k": (["--k"], {"type": int, "required": True}),
+    "n-min": (["--n-min"], {"type": int, "required": True}),
+    "n-max": (["--n-max"], {"type": int, "default": None}),
+    "format": (["--format"], {"choices": ["dot", "edgelist", "text"], "default": "text"}),
+    "model": (["--model"], {"choices": ["pmc", "mm", "both"], "default": "both"}),
+    "method": (["--method"], {"choices": ["formula", "brute", "witness", "all"], "default": "all"}),
+    "budget": (
+        ["--budget", "--budget-pair", "--budget-sd"],
+        {"type": int, "default": DEFAULT_ORACLE_BUDGET, "help": "vertex cap of the exhaustive "
+         "search; --budget-pair and --budget-sd are old spellings"},
+    ),
+    "seed": (["--seed"], {"type": int, "default": 0}),
+    "trials": (["--trials"], {"type": int, "default": 10}),
+    "strategy": (["--strategy"], {"choices": ["random", "zeros", "ones"], "default": "random"}),
+    "witness": (["--witness"], {"action": "store_true"}),
+    "workers": (["--workers"], {"type": int, "default": 1, "help": "ignored"}),
+    "budget-diag": (["--budget-diag"], {"type": int, "default": None, "help": "ignored"}),
+    "out": (["--out"], {"default": None}),
+}
+
+#: each subcommand's function, help line and options; a (name, keywords) pair
+#: overrides keywords of that option.  Some are parsed and then ignored, kept
+#: only because the benchmark's command lines pass them: `workers` on tg, `seed`
+#: on kappa, split and table, and `budget-diag` on simulate.
+SUBCOMMANDS = {
+    "gen": (cmd_gen, "generate a graph and export it", ["graph", "format", "out"]),
+    "tg": (cmd_tg, "compute t_g by the selected methods",
+           ["graph", "g", "model", "method", "budget", "seed", "workers", "out"]),
+    "kappa": (cmd_kappa, "R_g-connectivity, formula and/or brute force",
+              ["graph", "g", ("method", {"choices": ["formula", "brute", "all"]}),
+               ("budget", {"default": DEFAULT_SEARCH_BUDGET}), "seed", "out"]),
+    "witness": (cmd_witness, "build and verify an indistinguishable pair", ["n", "k", "g", "out"]),
+    "split": (cmd_split, "verify the split relationship S_{n,k} -> S_n", ["n", "k", "seed", "out"]),
+    "table": (cmd_table, "regenerate the t_g case table for a range of n",
+              ["n-min", "n-max", "budget", "seed", "out"]),
+    "simulate": (cmd_simulate, "inject faults, generate syndromes, diagnose",
+                 ["graph", "g", ("model", {"choices": ["pmc", "mm"], "required": True}),
+                  "trials", "strategy", "witness", "budget", "seed", "budget-diag", "out"]),
+}
 
 
 @functools.cache
@@ -347,56 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="(n,k)-star network diagnosability toolkit (PMC / MM* models)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("gen", help="generate a graph and export it")
-    _add_common(p)
-    p.add_argument("--format", choices=["dot", "edgelist", "text"], default="text")
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("tg", help="compute t_g by the selected methods")
-    _add_common(p)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--model", choices=["pmc", "mm", "both"], default="both")
-    p.add_argument("--method", choices=["formula", "brute", "witness", "all"], default="all")
-    p.set_defaults(func=cmd_tg)
-
-    p = sub.add_parser("kappa", help="R_g-connectivity, formula and/or brute force")
-    _add_common(p)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--method", choices=["formula", "brute", "all"], default="all")
-    p.set_defaults(func=cmd_kappa, budget=DEFAULT_SEARCH_BUDGET)
-
-    p = sub.add_parser("witness", help="build and verify an indistinguishable pair")
-    _add_common(p, graph=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument(
-        "--construction", choices=["general", "snk2-mm", "cycle6", "auto"], default="auto"
-    )
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("split", help="verify the split relationship S_{n,k} -> S_n")
-    _add_common(p, graph=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("table", help="regenerate the t_g case table for a range of n")
-    _add_common(p, graph=False)
-    p.add_argument("--n-min", type=int, required=True, dest="n_min")
-    p.add_argument("--n-max", type=int, default=None, dest="n_max")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("simulate", help="inject faults, generate syndromes, diagnose")
-    _add_common(p)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--model", choices=["pmc", "mm"], required=True)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--strategy", choices=["random", "zeros", "ones"], default="random")
-    p.add_argument("--witness", action="store_true")
-    p.set_defaults(func=cmd_simulate)
-
+    for name, (func, help_line, options) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for option in options:
+            key, overrides = (option, {}) if isinstance(option, str) else option
+            flags, keywords = OPTIONS[key]
+            p.add_argument(*flags, **{**keywords, **overrides})
+        p.set_defaults(func=func, report_file=None)  # cmd_gen moves the report to stderr
     return parser
 
 
@@ -408,12 +372,12 @@ def main(argv=None) -> int:
         if getattr(args, "g", 0) < 0:
             raise DomainError("g must be nonnegative")
         report = args.func(args)
-    except StardiagError as exc:
+        report["command"] = args.subcommand
+        report["elapsed_s"] = round(time.perf_counter() - started, 3)
+        _emit(args, report)
+    except (StardiagError, OSError) as exc:  # a file that cannot be written is a rejected input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report["command"] = args.subcommand
-    report["elapsed_s"] = round(time.perf_counter() - started, 3)
-    _emit(args, report)
     return 0 if report["ok"] else 1
 
 

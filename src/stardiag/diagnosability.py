@@ -3,9 +3,10 @@
 t_g is computed by an exhaustive oracle over faulty-set pairs, by a
 piecewise closed-form evaluator covering the full (k, g, model) case
 table, and bounded from above by explicit witness-pair constructions.
-`crosscheck` is the one check of a cell: it runs the selected methods
-under each model and records where they disagree.  `witness_for` is the
-one rule for which construction covers a cell.
+`run_methods` is the one check of a cell: it runs the selected methods
+and records where they disagree; `crosscheck` runs it on a t_g cell under
+each model.  `witness_for` is the one rule for which construction covers
+a cell.
 """
 
 from __future__ import annotations
@@ -637,12 +638,44 @@ def build_witness(name: str, n: int, k: int, g: int) -> WitnessReport:
 # -- crosscheck ----------------------------------------------------------
 
 
-def _agree(entry: dict, values: dict) -> bool:
-    """True when the methods' values agree; else they are recorded as `disagreement`."""
+def run_methods(method: str, cell, formula, oracle, bounds=None) -> tuple[bool, dict]:
+    """Run the methods that `method` selects on one cell and compare their values.
+
+    The one rule for checking a cell, under `tg` (through `crosscheck`) and
+    `kappa` alike.  `method` is "formula", "brute", "witness" or "all".
+    `formula(n, k)` returns the closed form's entry fields on `cell`; off
+    its domain, or with no cell, it is recorded as None with a
+    `formula_note`.  `oracle()` returns the oracle's fields; under "all"
+    its BudgetError is recorded as `bruteforce_skipped`, under "brute" it
+    propagates.  `bounds`, when given, maps each witness construction to
+    its upper bound.  Only integer values are compared: a `formula` or
+    `bruteforce` that is None or "no cut" is not.  Returns (ok, entry);
+    when the compared values differ the entry records them as
+    `disagreement`, and ok is False.
+    """
+    entry: dict = {}
+    if method in ("formula", "all"):
+        try:
+            if cell is None:
+                raise DomainError("formula needs a star-family graph descriptor")
+            entry.update(formula(*cell))
+        except DomainError as exc:
+            entry.update(formula=None, formula_note=str(exc))
+    if method in ("brute", "all"):
+        try:
+            entry.update(oracle())
+        except BudgetError as exc:
+            if method == "brute":
+                raise
+            entry.update(bruteforce=None, bruteforce_skipped=str(exc))
+    values = {key: entry[key] for key in ("formula", "bruteforce") if type(entry.get(key)) is int}
+    if bounds:
+        entry["witness_upper_bounds"] = bounds
+        values.update((f"witness:{name}", bound) for name, bound in bounds.items())
     if len(set(values.values())) > 1:
         entry["disagreement"] = values
-        return False
-    return True
+        return False, entry
+    return True, entry
 
 
 def crosscheck(
@@ -652,57 +685,37 @@ def crosscheck(
     method: str = "all",
     budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> tuple[bool, dict[str, dict]]:
-    """Run the t_g methods that `method` selects on `graph` for each model, and compare.
+    """Check the t_g cell of `graph` under each model through `run_methods`.
 
-    `method` is "formula", "brute", "witness" or "all".  Returns (ok,
-    results), where results maps each model's value to its entry: the
-    closed form, or None with a `formula_note` off its domain; the
-    oracle's value, note, counters and refuting pair; and the bound of
-    the witness that `witness_for` names.  Under "all" an oracle over
-    `budget` is recorded as `bruteforce_skipped`; under "brute" its
-    BudgetError propagates.  An entry whose applicable values differ
-    records them as `disagreement`, and ok is then False.  The witness is
-    built once, whichever models it serves.
+    Returns (ok, results), where results maps each model's value to its
+    entry: the closed form and its provenance; the oracle's value, note,
+    counters and refuting pair, capped at `budget` vertices; and, under
+    "witness" or "all", the bound of the witness that `witness_for` names.
+    The witness is built once, whichever models it serves.
     """
     ok = True
     results = {}
     witnesses: dict[str, WitnessReport] = {}
     for model in models:
-        entry: dict = {}
-        values = {}
-        if method in ("formula", "all"):
-            entry["formula"] = None
-            try:
-                if graph.cell is None:
-                    raise DomainError("formula needs a star-family graph descriptor")
-                res = tg_formula(*graph.cell, g, model)
-            except DomainError as exc:
-                entry["formula_note"] = str(exc)
-            else:
-                entry["formula"] = res.value
-                entry["formula_provenance"] = res.provenance
-                values["formula"] = res.value
-        if method in ("brute", "all"):
-            try:
-                res = tg_bruteforce(graph, g, model, budget)
-                entry["bruteforce"] = res.value
-                entry["bruteforce_note"] = res.note
-                entry["bruteforce_stats"] = res.stats
-                if res.pair:
-                    entry["bruteforce_pair"] = [list(p) for p in res.pair]
-                if res.applicable:
-                    values["bruteforce"] = res.value
-            except BudgetError as exc:
-                if method == "brute":
-                    raise
-                entry["bruteforce"] = None
-                entry["bruteforce_skipped"] = str(exc)
+
+        def formula(n, k):
+            res = tg_formula(n, k, g, model)
+            return {"formula": res.value, "formula_provenance": res.provenance}
+
+        def oracle():
+            res = tg_bruteforce(graph, g, model, budget)
+            fields = {"bruteforce": res.value, "bruteforce_note": res.note}
+            fields["bruteforce_stats"] = res.stats
+            if res.pair:
+                fields["bruteforce_pair"] = [list(p) for p in res.pair]
+            return fields
+
+        bounds = {}
         name = witness_for(*graph.cell, g, model) if graph.cell else None
         if method in ("witness", "all") and name:
             if name not in witnesses:
                 witnesses[name] = build_witness(name, *graph.cell, g)
-            entry["witness_upper_bounds"] = {name: witnesses[name].upper_bound}
-            values[f"witness:{name}"] = witnesses[name].upper_bound
-        ok &= _agree(entry, values)
-        results[model.value] = entry
+            bounds[name] = witnesses[name].upper_bound
+        cell_ok, results[model.value] = run_methods(method, graph.cell, formula, oracle, bounds)
+        ok &= cell_ok
     return ok, results

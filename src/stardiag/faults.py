@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .base import BudgetError, DomainError, Model, NotApplicableError, VerificationError
+from .base import BudgetError, DomainError, Model, VerificationError
 from .graph import TopologyGraph, _iter_bits
 
 #: default vertex cap for the exhaustive searches in this module
@@ -163,10 +163,10 @@ def rg_connectivity_formula(n: int, k: int, g: int) -> int:
     """Closed-form R_g-connectivity of S_{n,k}: (g+1)!(n-g-1)/(n-k)!.
 
     Valid only for 2 <= k <= n-1 and n-k <= g <= n-2; anything else raises
-    NotApplicableError rather than extrapolating.
+    DomainError rather than extrapolating.
     """
     if not (2 <= k <= n - 1 and n - k <= g <= n - 2):
-        raise NotApplicableError(
+        raise DomainError(
             f"R_g-connectivity closed form needs 2<=k<=n-1 and n-k<=g<=n-2; "
             f"got n={n}, k={k}, g={g}"
         )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 from .base import DomainError, VerificationError
@@ -237,10 +236,14 @@ def from_descriptor(desc: str) -> TopologyGraph:
             raise DomainError(f"bad graph descriptor {desc!r}: {exc}") from None
         return builders[kind](*params)
     if kind == "file":
-        if not os.path.exists(arg):
-            raise DomainError(f"graph file not found: {arg}")
-        with open(arg) as fh:
-            return TopologyGraph.from_edgelist_text(fh.read(), descriptor=desc)
+        try:
+            with open(arg) as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            raise DomainError(f"graph file not found: {arg}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DomainError(f"cannot read graph file {arg}: {exc}") from None
+        return TopologyGraph.from_edgelist_text(text, descriptor=desc)
     raise DomainError(f"unknown graph family {kind!r} in descriptor {desc!r}")
 
 

@@ -206,16 +206,6 @@ def test_witness_auto_builds_snk2_mm(capsys):
     assert report["witness"]["upper_bound"] == 4
 
 
-@pytest.mark.parametrize(
-    "construction, cell", [("general", ("3", "2", "1")), ("snk2-mm", ("5", "2", "3"))]
-)
-def test_witness_refuses_a_construction_off_its_cells(capsys, construction, cell):
-    n, k, g = cell
-    code = main(["witness", "--n", n, "--k", k, "--g", g, "--construction", construction])
-    assert code == 2
-    assert "does not cover" in capsys.readouterr().err
-
-
 #: sha256 of each `witness` report without `elapsed_s` (json.dumps, sort_keys),
 #: keyed (n, k, g) over every cell with n <= 7 that `witness_for` covers: any
 #: change to a witness's sets, sizes or checks shows here
@@ -688,6 +678,74 @@ def test_budget_spellings_set_one_value():
     assert parse(["kappa", "--graph", "nkstar:4,2", "--g", "1", "--budget-pair", "9"]).budget == 9
 
 
+#: the values each subcommand's parser sets, by dest; `--budget` is one value
+#: under its three spellings
+SUBCOMMAND_OPTIONS = {
+    "gen": {"graph", "format", "out"},
+    "tg": {"graph", "g", "model", "method", "budget", "seed", "workers", "out"},
+    "kappa": {"graph", "g", "method", "budget", "seed", "out"},
+    "witness": {"n", "k", "g", "out"},
+    "split": {"n", "k", "seed", "out"},
+    "table": {"n_min", "n_max", "budget", "seed", "out"},
+    "simulate": {
+        "graph", "g", "model", "trials", "strategy", "witness", "budget", "seed", "budget_diag",
+        "out",
+    },
+}
+
+
+def test_each_subcommand_parses_only_its_options():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {}
+    for name, parser in sub.choices.items():
+        options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        got[name] = {a.dest for a in options}
+        assert len(options) == len(got[name]), name
+        budget = [a.option_strings for a in options if a.dest == "budget"]
+        assert budget in ([], [["--budget", "--budget-pair", "--budget-sd"]]), name
+    assert got == SUBCOMMAND_OPTIONS
+    assert sum(map(len, got.values())) == 40
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--n", "4", "--k", "2", "--g", "1", "--construction", "auto"],
+        ["gen", "--graph", "nkstar:4,2", "--workers", "1"],
+        ["split", "--n", "4", "--k", "2", "--budget", "5"],
+        ["table", "--n-min", "4", "--budget-diag", "3"],
+    ],
+    ids=["witness-construction", "gen-workers", "split-budget", "table-budget-diag"],
+)
+def test_a_dropped_option_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tg", "--graph", "nkstar:4,2", "--g", "1", "--out", "MISSING/r.json"],
+        ["gen", "--graph", "nkstar:4,2", "--format", "edgelist", "--out", "MISSING/x.txt"],
+        ["tg", "--graph", "file:DIRECTORY", "--g", "1"],
+        ["tg", "--graph", "file:NOT_UTF8", "--g", "1"],
+    ],
+    ids=["report-out", "payload-out", "graph-directory", "graph-not-utf8"],
+)
+def test_an_unreadable_or_unwritable_file_exits_2(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"\xff\xfe")
+    names = {"MISSING": tmp_path / "no-such-dir", "DIRECTORY": tmp_path, "NOT_UTF8": bad}
+    for placeholder, path in names.items():
+        argv = [arg.replace(placeholder, str(path)) for arg in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_benchmark_command_lines_parse(monkeypatch, capsys):
     # the benchmark drives the CLI with --budget-pair, --budget-sd and --workers,
     # many times in one process: main builds its parser once, and no call
@@ -751,3 +809,48 @@ def test_gen_edgelist_to_stdout_sends_the_report_to_stderr(capsys):
     assert len(captured.out.splitlines()) == 18
     report = json.loads(captured.err)
     assert report["ok"] is True and report["command"] == "gen" and report["edges"] == 18
+
+
+def _pinned_argvs():
+    graphs = ["nkstar:3,2", "nkstar:4,2", "nkstar:4,3", "complete:4", "cycle:5", "cycle:6", "star:4"]
+    for graph in graphs:
+        for g in map(str, range(4)):
+            for method in ("formula", "brute", "witness", "all"):
+                yield ["tg", "--graph", graph, "--g", g, "--method", method]
+            for method in ("formula", "brute", "all"):
+                yield ["kappa", "--graph", graph, "--g", g, "--method", method]
+            yield ["tg", "--graph", graph, "--g", g, "--budget", "30", "--model", "mm", "--seed", "7"]
+            yield ["kappa", "--graph", graph, "--g", g, "--budget-pair", "30"]
+    yield ["tg", "--graph", "nkstar:4,2", "--g", "-1"]
+    yield ["kappa", "--graph", "nkstar:6,3", "--g", "3"]
+    yield ["kappa", "--graph", "nkstar:6,3", "--g", "3", "--method", "brute"]
+    yield ["table", "--n-min", "3", "--n-max", "7"]
+    yield ["table", "--n-min", "3", "--n-max", "7", "--budget", "30"]
+    yield ["table", "--n-min", "2"]
+    for n, k, g in ((3, 2, 1), (5, 2, 1), (5, 3, 2), (4, 1, 1)):
+        yield ["witness", "--n", str(n), "--k", str(k), "--g", str(g)]
+    yield ["split", "--n", "5", "--k", "3"]
+    yield ["gen", "--graph", "nkstar:4,2"]
+    yield ["simulate", "--graph", "nkstar:4,2", "--g", "1", "--model", "mm", "--trials", "3", "--seed", "2"]
+    yield ["simulate", "--graph", "nkstar:3,2", "--g", "1", "--model", "mm", "--witness"]
+    yield ["simulate", "--graph", "nkstar:4,2", "--g", "3", "--model", "pmc"]
+
+
+def _untimed(value):
+    """`value` without its `*_s` timing fields, at every depth."""
+    if isinstance(value, dict):
+        return {key: _untimed(v) for key, v in value.items() if not key.endswith("_s")}
+    if isinstance(value, list):
+        return [_untimed(v) for v in value]
+    return value
+
+
+def test_cli_reports_are_pinned(capsys):
+    # 267 command lines: each one's argv, exit code, untimed report and stderr
+    digest = hashlib.sha256()
+    for argv in _pinned_argvs():
+        code = main(argv)
+        captured = capsys.readouterr()
+        report = _untimed(json.loads(captured.out)) if captured.out else None
+        digest.update(json.dumps([argv, code, report, captured.err], sort_keys=True).encode())
+    assert digest.hexdigest() == "dea8f9cea94b02e4a0e86830e80f2a71545426f2581768a5abc63f178f0ecae3"

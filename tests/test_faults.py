@@ -20,7 +20,7 @@ from stardiag import (
     witness_general,
 )
 from stardiag import faults
-from stardiag.base import BudgetError, DomainError, NotApplicableError, VerificationError
+from stardiag.base import BudgetError, DomainError, VerificationError
 from stardiag.faults import (
     _connected_subsets,
     dist_mm_mask,
@@ -321,7 +321,7 @@ def test_kappa_bruteforce_rejects_negative_g(s42):
 
 def test_kappa_formula_domain():
     for n, k, g in [(4, 1, 1), (4, 2, 0), (4, 2, 3), (3, 3, 1)]:
-        with pytest.raises(NotApplicableError):
+        with pytest.raises(DomainError):
             rg_connectivity_formula(n, k, g)
 
 
