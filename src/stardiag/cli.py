@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import random
 import sys
 import time
@@ -19,7 +18,6 @@ from collections import Counter
 
 from .base import BudgetError, DomainError, Model, StardiagError
 from .diagnosability import (
-    DEFAULT_ORACLE_BUDGET,
     build_witness,
     crosscheck,
     run_methods,
@@ -28,6 +26,7 @@ from .diagnosability import (
     witness_for,
 )
 from .faults import (
+    DEFAULT_ORACLE_BUDGET,
     DEFAULT_SEARCH_BUDGET,
     good_mask,
     rg_connectivity_bruteforce,
@@ -40,10 +39,10 @@ from .syndrome import (
     generate_syndrome,
 )
 from .topologies import (
-    DEFAULT_VERTEX_BUDGET,
     build_nk_star,
     from_descriptor,
     verify_split,
+    within_vertex_cap,
 )
 
 
@@ -60,7 +59,7 @@ def _emit(args, report: dict) -> None:
 def _witness_dict(w) -> dict:
     return {
         "construction": w.construction,
-        "graph": w.descriptor,
+        "graph": w.graph.descriptor,
         "A": w.graph.sorted_labels_of(w.a_mask),
         "F1": w.graph.sorted_labels_of(w.m1),
         "F2": w.graph.sorted_labels_of(w.m2),
@@ -170,7 +169,7 @@ def cmd_table(args) -> dict:
     for n in range(args.n_min, n_max + 1):
         for k in range(1, n):
             # one S_{n,k} per row serves its oracle and witness cells
-            graph = build_nk_star(n, k) if math.perm(n, k) <= DEFAULT_VERTEX_BUDGET else None
+            graph = build_nk_star(n, k) if within_vertex_cap(n, k) else None
             for g in range(1, n):
                 if graph is not None:
                     cell_ok, results = crosscheck(graph, g, budget=args.budget)
@@ -195,7 +194,7 @@ def _random_good_set(graph, g, max_size, rng):
             fmask |= 1 << i
         if fmask != graph.full_mask and good_mask(graph, fmask, g):
             return fmask
-    raise StardiagError(
+    raise DomainError(
         f"found no nonempty g-good-neighbor set of size <= {max_size} "
         f"after {attempts} attempts"
     )
@@ -216,19 +215,18 @@ def cmd_simulate(args) -> dict:
 
     if args.witness:
         if cell is None:
-            raise StardiagError("--witness needs a star-family graph descriptor")
+            raise DomainError("--witness needs a star-family graph descriptor")
         name = witness_for(*cell, args.g, model)
         if name is None:
             raise DomainError(
                 f"no witness construction covers n, k, g = {(*cell, args.g)} under {model.value}"
             )
         wit = build_witness(name, *cell, args.g)
-        if wit.descriptor != graph.descriptor:  # a star:n graph carries its witness on S_{n,n-1}
-            graph = from_descriptor(wit.descriptor)
-            report["graph"] = graph.descriptor  # the graph diagnosed below
+        graph = wit.graph  # a star:n graph carries its witness on S_{n,n-1}, S_{3,2} on C_6
+        report["graph"] = graph.descriptor  # the graph diagnosed below
         assignment = build_assignment(graph, model)
         syn = ambiguity_syndrome(assignment, wit.f1, wit.f2)
-        t = max(len(wit.f1), len(wit.f2))
+        t = wit.upper_bound + 1
         search: dict = {}
         candidates = diagnose(graph, syn, t, args.g, stats=search)
         sets = [sorted(c) for c in candidates]
@@ -257,7 +255,7 @@ def cmd_simulate(args) -> dict:
         t = tg_formula(*cell, args.g, model).value
         t_source = "formula"
     if t is None or t < 1:
-        raise StardiagError(f"t_g is {t}; nothing to simulate")
+        raise DomainError(f"t_g is {t}; nothing to simulate")
     rng = random.Random(args.seed)
     assignment = build_assignment(graph, model)
     trials = []

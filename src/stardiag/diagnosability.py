@@ -20,6 +20,8 @@ from itertools import combinations, permutations
 
 from .base import BudgetError, DomainError, Model, VerificationError
 from .faults import (
+    DEFAULT_ORACLE_BUDGET,
+    check_search,
     dist_mm_mask,
     g_core,
     good_faulty_sets,
@@ -32,9 +34,6 @@ from .faults import (
 )
 from .graph import LabelSet, TopologyGraph, _iter_bits
 from .topologies import arrangement_label, build_cycle, build_nk_star
-
-#: default vertex cap of the exhaustive oracle, under either model
-DEFAULT_ORACLE_BUDGET = 16
 
 
 @dataclass(frozen=True)
@@ -98,11 +97,8 @@ def tg_bruteforce(
     on the least set, when that pair checks out.  Graphs are capped at
     `budget` vertices.
     """
-    if g < 0:
-        raise DomainError("g must be nonnegative")
+    check_search(graph, g, budget)
     n = graph.vertex_count
-    if n > budget:
-        raise BudgetError(f"{n} vertices over the brute-force budget of {budget}")
     stats: dict = {}
     started = time.perf_counter()
     least = least_subgraph_mask(graph, g, stats=stats)
@@ -495,10 +491,6 @@ class WitnessReport:
     m1: int
     m2: int
     checks: dict[str, bool]
-
-    @property
-    def descriptor(self) -> str:
-        return self.graph.descriptor
 
     @functools.cached_property
     def a_set(self) -> LabelSet:

@@ -13,8 +13,18 @@ from itertools import combinations
 from .base import BudgetError, DomainError, Model, VerificationError
 from .graph import TopologyGraph, _iter_bits
 
-#: default vertex cap for the exhaustive searches in this module
+#: default vertex caps of the exhaustive searches: 16 for the t_g oracle keeps `table` fast,
+#: 20 for the kappa and least-subgraph searches takes in S_{5,2}
+DEFAULT_ORACLE_BUDGET = 16
 DEFAULT_SEARCH_BUDGET = 20
+
+
+def check_search(graph: TopologyGraph, g: int, budget: int):
+    """Refuse an exhaustive search for a negative g or on more than `budget` vertices."""
+    if g < 0:
+        raise DomainError("g must be nonnegative")
+    if graph.vertex_count > budget:
+        raise BudgetError(f"{graph.vertex_count} vertices over the brute-force budget of {budget}")
 
 
 # -- g-good-neighbor predicates -----------------------------------------
@@ -126,11 +136,8 @@ def rg_connectivity_bruteforce(
     connected.  `stats`, when given, receives `cuts_tested`, the number of
     candidate sets tested, and the least-set search's `m_cap_sets`.
     """
-    if g < 0:
-        raise DomainError("g must be nonnegative")
+    check_search(graph, g, budget)
     n = graph.vertex_count
-    if n > budget:
-        raise BudgetError(f"{n} vertices over the brute-force budget of {budget}")
     tested, found, search = 0, None, {"m_cap_sets": 0}
     smallest = least_subgraph_mask(graph, g, search).bit_count() if graph.min_degree() < n - 1 else 0
     for size in range(n - 2 * smallest + 1 if smallest else 0):
@@ -322,8 +329,5 @@ def min_subgraph_size_oracle(
     Returns None when no such set exists; `least_subgraph_mask` finds A.
     Graphs are capped at `budget` vertices.
     """
-    if graph.vertex_count > budget:
-        raise BudgetError(
-            f"{graph.vertex_count} vertices over the brute-force budget of {budget}"
-        )
+    check_search(graph, g, budget)
     return least_subgraph_mask(graph, g).bit_count() or None

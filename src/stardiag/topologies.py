@@ -47,16 +47,27 @@ def canonical_vertex_enumeration(n: int, k: int) -> list[str]:
     return sorted(arrangement_label(p, n) for p in arrangements(n, k))
 
 
-def _check_nk(n: int, k: int):
+def _check_nk(n: int, k: int, name: str | None = None):
     if n < 2:
         raise DomainError(f"n={n} out of range (need n >= 2)")
     if not 1 <= k <= n - 1:
         raise DomainError(f"k={k} out of range for n={n} (need 1 <= k <= n-1)")
-    count = math.perm(n, k)
-    if count > DEFAULT_VERTEX_BUDGET:
-        raise DomainError(
-            f"S_{{{n},{k}}} has {count} vertices, over the budget of {DEFAULT_VERTEX_BUDGET}"
-        )
+    _check_cap(name or f"S_{{{n},{k}}}", n, k)
+
+
+def within_vertex_cap(n: int, k: int) -> bool:
+    """True iff n!/(n-k)! <= DEFAULT_VERTEX_BUDGET (0 <= k <= n), in at most 13 multiplications."""
+    count = 1
+    for factor in range(n, n - k, -1):  # every factor but the last is >= 2
+        if factor > DEFAULT_VERTEX_BUDGET // count:
+            return False
+        count *= factor
+    return True
+
+
+def _check_cap(name: str, n: int, k: int):
+    if not within_vertex_cap(n, k):
+        raise DomainError(f"{name} is over the cap of {DEFAULT_VERTEX_BUDGET} vertices")
 
 
 def _swap_arrays(n: int, k: int) -> list[list[int]]:
@@ -162,11 +173,7 @@ def _arrangement_graph(n: int, k: int, descriptor: str) -> TopologyGraph:
 
 def build_star(n: int) -> TopologyGraph:
     """Star graph on all permutations of 1..n; edges swap position 1 with i."""
-    if not 2 <= n <= 9:
-        raise DomainError(f"n={n} out of range for a full star graph (need 2 <= n <= 9)")
-    count = math.factorial(n)
-    if count > DEFAULT_VERTEX_BUDGET:
-        raise DomainError(f"star graph on {count} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
+    _check_nk(n, n - 1, f"S_{n}")  # S_n has the vertex count of its cell S_{n,n-1}
     return _arrangement_graph(n, n, f"star:{n}")
 
 
@@ -184,8 +191,7 @@ def build_nk_star(n: int, k: int) -> TopologyGraph:
 def build_complete(n: int) -> TopologyGraph:
     if n < 1:
         raise DomainError("complete graph needs n >= 1")
-    if n > DEFAULT_VERTEX_BUDGET:
-        raise DomainError(f"complete graph on {n} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
+    _check_cap(f"K_{n}", n, 1)
     labels = sorted(f"u{i}" for i in range(1, n + 1))
     full = (1 << n) - 1
     masks = [full ^ 1 << i for i in range(n)]
@@ -197,8 +203,7 @@ def build_complete(n: int) -> TopologyGraph:
 def build_cycle(m: int) -> TopologyGraph:
     if m < 3:
         raise DomainError("cycle needs m >= 3")
-    if m > DEFAULT_VERTEX_BUDGET:
-        raise DomainError(f"cycle on {m} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
+    _check_cap(f"C_{m}", m, 1)
     labels = sorted(f"u{i}" for i in range(1, m + 1))
     at = {lab: i for i, lab in enumerate(labels)}
     ring = [at[f"u{i}"] for i in range(1, m + 1)]
@@ -267,7 +272,7 @@ class SplitWitness:
     @property
     def projection(self) -> dict[str, str]:
         """Each split label mapped to its k-prefix, built anew on each read."""
-        k = len(self.base.labels[0])  # n <= 9: one character per symbol
+        k = len(self.base.labels[0])  # the cap keeps n <= 7: one character per symbol
         return {lab: lab[:k] for lab in self.split.labels}
 
 
@@ -318,7 +323,7 @@ def verify_split(n: int, k: int) -> SplitWitness:
 
 def _block_sums_match(base: TopologyGraph, split: TopologyGraph, k: int, t: int) -> bool:
     """The whole-mask test of `verify_split`: True iff (i)-(iii) hold."""
-    # a star label has one character per symbol (n <= 9), so its k-prefix is a base label
+    # a star label has one character per symbol (n <= 7), so its k-prefix is a base label
     if [lab[:k] for lab in split.labels] != [x for x in base.labels for _ in range(t)]:
         return False  # some fiber is not its block
     if t == 1:  # E = B

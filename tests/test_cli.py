@@ -2,17 +2,19 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from stardiag.base import DomainError, Model
-from stardiag.cli import build_parser, main
+from stardiag.cli import _random_good_set, build_parser, main
 from stardiag.diagnosability import build_witness, witness_for
-from stardiag.topologies import _arrangement_graph, from_descriptor
+from stardiag.topologies import _arrangement_graph, build_cycle, from_descriptor
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -311,6 +313,20 @@ def _c6_file(tmp_path):
     return f"file:{path}"
 
 
+def test_simulate_rejects_outside_input_with_domain_error(tmp_path):
+    parse = build_parser().parse_args
+    args = parse(["simulate", "--graph", _c6_file(tmp_path), "--g", "1", "--model", "pmc",
+                  "--witness"])
+    with pytest.raises(DomainError, match="--witness needs a star-family graph descriptor"):
+        args.func(args)
+    args = parse(["simulate", "--graph", "nkstar:4,2", "--g", "3", "--model", "pmc"])
+    with pytest.raises(DomainError, match="t_g is 0; nothing to simulate"):
+        args.func(args)
+    # removing one vertex of C_6 leaves its two neighbours with one neighbour each, below g = 2
+    with pytest.raises(DomainError, match="found no nonempty g-good-neighbor set"):
+        _random_good_set(build_cycle(6), 2, 1, random.Random(0))
+
+
 def test_kappa_formula_notes_a_graph_off_the_family(capsys, tmp_path):
     argv = ["kappa", "--graph", _c6_file(tmp_path), "--g", "1", "--method", "formula"]
     code, report = run_json(capsys, *argv)
@@ -577,11 +593,32 @@ def test_error_exit_code(capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "desc, name",
+    [
+        ("nkstar:20000,10000", "S_{20000,10000}"),
+        ("nkstar:400000,200000", "S_{400000,200000}"),
+        ("nkstar:2000,1000", "S_{2000,1000}"),
+        ("star:100000", "S_100000"),
+        ("complete:5041", "K_5041"),
+        ("cycle:" + "9" * 30, "C_" + "9" * 30),
+    ],
+)
+def test_an_oversized_descriptor_fails_fast_in_one_short_line(capsys, desc, name):
+    # the vertex cap is checked in a bounded number of multiplications, never n!/(n-k)! in full
+    started = time.perf_counter()
+    code = main(["gen", "--graph", desc])
+    elapsed = time.perf_counter() - started
+    err = capsys.readouterr().err
+    assert code == 2 and err == f"error: {name} is over the cap of 5040 vertices\n"
+    assert len(err.encode()) <= 200 and elapsed < 1 / 6
+
+
 def test_gen_over_the_cap_is_not_a_bad_descriptor(capsys):
     code = main(["gen", "--graph", "nkstar:8,7"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == "error: S_{8,7} has 40320 vertices, over the budget of 5040\n"
+    assert err == "error: S_{8,7} is over the cap of 5040 vertices\n"
     code = main(["gen", "--graph", "nkstar:8,x"])
     assert code == 2 and capsys.readouterr().err.startswith("error: bad graph descriptor")
 

@@ -24,7 +24,6 @@ from stardiag.base import DomainError, VerificationError
 from stardiag.faults import good_faulty_sets, indist_mask
 from stardiag.graph import TopologyGraph
 from stardiag.syndrome import STRATEGIES
-from stardiag.topologies import from_descriptor
 
 from conftest import small_graphs
 from reference_diagnose import diagnose as reference_diagnose
@@ -213,7 +212,7 @@ def _witness_cases():
                 name = witness_for(n, 2, g, model)
                 if name:
                     wit = build_witness(name, n, 2, g)
-                    graph = from_descriptor(wit.descriptor)
+                    graph = wit.graph
                     syn = ambiguity_syndrome(build_assignment(graph, model), wit.f1, wit.f2)
                     yield graph, syn, max(len(wit.f1), len(wit.f2)), g
 
