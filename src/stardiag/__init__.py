@@ -21,8 +21,6 @@ from .diagnosability import (
 )
 from .faults import (
     distinguishable,
-    distinguishable_mm,
-    distinguishable_pmc,
     is_g_good_neighbor,
     is_g_good_neighbor_cut,
     min_subgraph_size_oracle,
@@ -47,7 +45,6 @@ from .topologies import (
     build_cycle,
     build_nk_star,
     build_star,
-    canonical_vertex_enumeration,
     from_descriptor,
     verify_split,
 )
@@ -73,12 +70,9 @@ __all__ = [
     "build_nk_star",
     "build_star",
     "build_witness",
-    "canonical_vertex_enumeration",
     "crosscheck",
     "diagnose",
     "distinguishable",
-    "distinguishable_mm",
-    "distinguishable_pmc",
     "from_descriptor",
     "generate_syndrome",
     "is_consistent",

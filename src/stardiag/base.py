@@ -12,7 +12,10 @@ class Model(str, enum.Enum):
     MM = "mm"
 
     @classmethod
-    def parse(cls, text: str) -> "Model":
+    def parse(cls, text: "Model | str") -> "Model":
+        """The member named by `text`; a member is returned as it is."""
+        if isinstance(text, cls):
+            return text
         t = text.strip().lower().rstrip("*")
         if t in ("pmc",):
             return cls.PMC

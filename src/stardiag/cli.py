@@ -28,6 +28,7 @@ from .diagnosability import (
 from .faults import (
     DEFAULT_ORACLE_BUDGET,
     DEFAULT_SEARCH_BUDGET,
+    check_g,
     good_mask,
     rg_connectivity_bruteforce,
     rg_connectivity_formula,
@@ -367,8 +368,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        if getattr(args, "g", 0) < 0:
-            raise DomainError("g must be nonnegative")
+        check_g(getattr(args, "g", 0))
         report = args.func(args)
         report["command"] = args.subcommand
         report["elapsed_s"] = round(time.perf_counter() - started, 3)

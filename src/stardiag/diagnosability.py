@@ -52,10 +52,6 @@ class DiagnosabilityResult:
     pair: tuple[tuple[str, ...], tuple[str, ...]] | None = None
     stats: dict = field(default_factory=dict, compare=False)  # work counters and phase seconds
 
-    @property
-    def applicable(self) -> bool:
-        return self.value is not None
-
 
 # -- exhaustive oracle ---------------------------------------------------
 
@@ -81,7 +77,7 @@ def _pair_scan(graph, g: int, model: Model):
 def tg_bruteforce(
     graph: TopologyGraph,
     g: int,
-    model: Model,
+    model: Model | str,
     budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> DiagnosabilityResult:
     """Exhaustive t_g over all proper g-good-neighbor faulty sets.
@@ -97,6 +93,7 @@ def tg_bruteforce(
     on the least set, when that pair checks out.  Graphs are capped at
     `budget` vertices.
     """
+    model = Model.parse(model)
     check_search(graph, g, budget)
     n = graph.vertex_count
     stats: dict = {}
@@ -415,13 +412,14 @@ def _pmc_sd_scan(
 # -- closed forms --------------------------------------------------------
 
 
-def tg_formula(n: int, k: int, g: int, model: Model) -> DiagnosabilityResult:
+def tg_formula(n: int, k: int, g: int, model: Model | str) -> DiagnosabilityResult:
     """Piecewise t_g(S_{n,k}) over the full case table.
 
     Every theorem band that covers the parameters is evaluated.  Some band
     covers each cell of the domain and overlapping bands agree; either
     failure would be an internal error.
     """
+    model = Model.parse(model)
     if n < 3 or not 1 <= k <= n - 1 or not 1 <= g <= n - 1:
         raise DomainError(
             f"t_g table needs n>=3, 1<=k<=n-1, 1<=g<=n-1; got n={n}, k={k}, g={g}"
@@ -478,8 +476,8 @@ def tg_formula(n: int, k: int, g: int, model: Model) -> DiagnosabilityResult:
 class WitnessReport:
     """An explicitly constructed indistinguishable pair, verified on build.
 
-    The pair is kept as masks on `graph`; the label sets `a_set`, `f1` and
-    `f2` are built on first use, for a report that prints them.  checks
+    The pair is kept as masks on `graph`; the label sets `f1` and `f2` are
+    built on first use, for a report that prints them.  checks
     records the re-derivable facts about the stored pair; any check
     required by the construction raises VerificationError instead of being
     recorded false.
@@ -491,10 +489,6 @@ class WitnessReport:
     m1: int
     m2: int
     checks: dict[str, bool]
-
-    @functools.cached_property
-    def a_set(self) -> LabelSet:
-        return self.graph.labels_of(self.a_mask)
 
     @functools.cached_property
     def f1(self) -> LabelSet:
@@ -598,7 +592,7 @@ def witness_cycle6() -> WitnessReport:
     return _certified("cycle6", c6, 1, 0, f1, f2)
 
 
-def witness_for(n: int, k: int, g: int, model: Model) -> str | None:
+def witness_for(n: int, k: int, g: int, model: Model | str) -> str | None:
     """The witness construction that covers cell (n, k, g) under `model`, or None.
 
     The three constructions cover disjoint cells, so at most one applies:
@@ -606,6 +600,7 @@ def witness_for(n: int, k: int, g: int, model: Model) -> str | None:
     models; `snk2-mm` covers S_{n,2} with n >= 4 and g = 1, and `cycle6`
     covers S_{3,2} with g = 1, both under MM* only.
     """
+    model = Model.parse(model)
     if n >= 4 and 2 <= k <= n - 1 and n - k <= g <= n - 2:
         return "general"
     if model is Model.MM and k == 2 and g == 1:
@@ -673,7 +668,7 @@ def run_methods(method: str, cell, formula, oracle, bounds=None) -> tuple[bool, 
 def crosscheck(
     graph: TopologyGraph,
     g: int,
-    models: tuple[Model, ...] = tuple(Model),
+    models: tuple[Model | str, ...] = tuple(Model),
     method: str = "all",
     budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> tuple[bool, dict[str, dict]]:
@@ -688,7 +683,7 @@ def crosscheck(
     ok = True
     results = {}
     witnesses: dict[str, WitnessReport] = {}
-    for model in models:
+    for model in map(Model.parse, models):
 
         def formula(n, k):
             res = tg_formula(n, k, g, model)

@@ -19,10 +19,15 @@ DEFAULT_ORACLE_BUDGET = 16
 DEFAULT_SEARCH_BUDGET = 20
 
 
-def check_search(graph: TopologyGraph, g: int, budget: int):
-    """Refuse an exhaustive search for a negative g or on more than `budget` vertices."""
+def check_g(g: int):
+    """Refuse a negative g: the one check of g for every predicate and search."""
     if g < 0:
         raise DomainError("g must be nonnegative")
+
+
+def check_search(graph: TopologyGraph, g: int, budget: int):
+    """Refuse an exhaustive search for a negative g or on more than `budget` vertices."""
+    check_g(g)
     if graph.vertex_count > budget:
         raise BudgetError(f"{graph.vertex_count} vertices over the brute-force budget of {budget}")
 
@@ -37,29 +42,15 @@ def good_mask(graph: TopologyGraph, fmask: int, g: int) -> bool:
     its full degree, so only N(F) - F is tested.  Above it every fault-free
     vertex is, since one far from F can already fall short.  So is every
     vertex when V - F is at most twice F: the walk over F that finds
-    N(F) then costs about as much as the test it spares.  When V - F is
-    wider than 64 bits both walks go through `_iter_bits`, which reads a
-    dense mask in one pass; on narrower masks they stay inline peels,
-    which spare the generator.
+    N(F) then costs about as much as the test it spares.
     """
     rest = graph.full_mask & ~fmask
     every = g > graph.min_degree() or rest.bit_count() <= 2 * fmask.bit_count()
-    if rest >> 64:
-        nbr = graph.nbr_masks
-        for i in _iter_bits(rest if every else graph.neighborhood_mask(fmask)):
-            if (nbr[i] & rest).bit_count() < g:
-                return False
-        return True
-    if every:
-        return has_min_degree(graph, rest, g)
     nbr = graph.nbr_masks
-    near = 0
-    m = fmask
-    while m:
-        low = m & -m
-        m ^= low
-        near |= nbr[low.bit_length() - 1]
-    return has_min_degree(graph, near & rest, g, rest)
+    for i in _iter_bits(rest if every else graph.neighborhood_mask(fmask)):
+        if (nbr[i] & rest).bit_count() < g:
+            return False
+    return True
 
 
 def has_min_degree(graph: TopologyGraph, mask: int, g: int, within: int | None = None) -> bool:
@@ -97,13 +88,13 @@ def g_core(graph: TopologyGraph, region: int, g: int) -> int:
 
 def is_g_good_neighbor(graph: TopologyGraph, fault_set, g: int) -> bool:
     """g-good-neighbor condition for a faulty set (vacuously true for F = V)."""
-    if g < 0:
-        raise DomainError("g must be nonnegative")
+    check_g(g)
     return good_mask(graph, graph.mask_of(fault_set), g)
 
 
 def is_g_good_neighbor_cut(graph: TopologyGraph, fault_set, g: int) -> bool:
     """True iff the set is g-good-neighbor and its removal disconnects the graph."""
+    check_g(g)
     fmask = graph.mask_of(fault_set)
     if fmask == graph.full_mask:
         raise DomainError("a cut must be a proper subset of V")
@@ -233,19 +224,12 @@ def indist_mask(graph: TopologyGraph, f1: int, f2: int, model: Model) -> bool:
     return not dist_mm_mask(graph, f1, f2)
 
 
-def distinguishable(graph: TopologyGraph, f1, f2, model: Model) -> bool:
+def distinguishable(graph: TopologyGraph, f1, f2, model: Model | str) -> bool:
+    model = Model.parse(model)
     m1, m2 = graph.mask_of(f1), graph.mask_of(f2)
     if m1 == m2:
         raise DomainError("distinguishability needs two distinct sets")
     return not indist_mask(graph, m1, m2, model)
-
-
-def distinguishable_pmc(graph: TopologyGraph, f1, f2) -> bool:
-    return distinguishable(graph, f1, f2, Model.PMC)
-
-
-def distinguishable_mm(graph: TopologyGraph, f1, f2) -> bool:
-    return distinguishable(graph, f1, f2, Model.MM)
 
 
 # -- minimum subgraph size oracle ----------------------------------------
@@ -294,8 +278,7 @@ def least_subgraph_mask(graph: TopologyGraph, g: int, stats: dict | None = None)
     seeded first anyway, so the set found is the same.  `stats`, when
     given, receives `m_cap_sets`, the number of sets tested.
     """
-    if g < 0:
-        raise DomainError("g must be nonnegative")
+    check_g(g)
     tested = found = 0
     core = g_core(graph, graph.full_mask, g) if g else 0
     comps = graph.component_masks(core) if core else []

@@ -100,9 +100,6 @@ class TopologyGraph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.nbr_masks) // 2
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TopologyGraph):
             return NotImplemented
@@ -153,29 +150,6 @@ class TopologyGraph:
     def degree(self, label: str) -> int:
         return self.nbr_masks[self._lookup(label)].bit_count()
 
-    def neighborhood_of_set(self, labels: Iterable[str]) -> LabelSet:
-        return self.labels_of(self.neighborhood_mask(self.mask_of(labels)))
-
-    def induced_subgraph(self, labels: Iterable[str]) -> "TopologyGraph":
-        """Subgraph on `labels` with exactly the edges of this graph inside it."""
-        mask = self.mask_of(labels)
-        if mask == 0:
-            raise DomainError("induced subgraph of an empty vertex set")
-        keep = self.sorted_labels_of(mask)
-        edges = []
-        for lab in keep:
-            i = self._index[lab]
-            for j in _iter_bits(self.nbr_masks[i] & mask):
-                if j > i:
-                    edges.append((lab, self.labels[j]))
-        return TopologyGraph(keep, edges, descriptor=f"induced({self.descriptor})")
-
-    def delete_vertices(self, labels: Iterable[str]) -> "TopologyGraph":
-        mask = self.mask_of(labels)
-        if mask == self.full_mask:
-            raise DomainError("cannot delete every vertex")
-        return self.induced_subgraph(self.labels_of(self.full_mask & ~mask))
-
     def component_masks(self, within: int | None = None) -> list[int]:
         """Connected components of the subgraph induced by `within` (default V)."""
         region = self.full_mask if within is None else within
@@ -196,12 +170,6 @@ class TopologyGraph:
             comps.append(comp)
             todo &= ~comp
         return comps
-
-    def components(self) -> list[LabelSet]:
-        """Partition of V into maximal connected sets, smallest first."""
-        comps = self.component_masks()
-        comps.sort(key=lambda m: (m.bit_count(), min(self.sorted_labels_of(m))))
-        return [self.labels_of(m) for m in comps]
 
     def is_connected(self) -> bool:
         return len(self.component_masks()) == 1

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .base import DomainError, Model, VerificationError
 # good_mask is not called here; perfbench/spans.py wraps syndrome.good_mask by name
-from .faults import good_mask, has_min_degree  # noqa: F401
+from .faults import check_g, good_mask, has_min_degree  # noqa: F401
 from .graph import TopologyGraph, _iter_bits
 
 STRATEGIES = ("random", "zeros", "ones")
@@ -51,7 +51,8 @@ class TestAssignment:
         ]
 
 
-def build_assignment(graph: TopologyGraph, model: Model) -> TestAssignment:
+def build_assignment(graph: TopologyGraph, model: Model | str) -> TestAssignment:
+    model = Model.parse(model)
     nbr = graph.nbr_masks
     if model is Model.PMC:
         units = [(u, v, None) for u in range(graph.vertex_count) for v in _iter_bits(nbr[u])]
@@ -176,6 +177,7 @@ def diagnose(
     `stats`, when given, receives the work counters of the search:
     search nodes, assignments forced by the clauses, and full assignments.
     """
+    check_g(g)
     n = graph.vertex_count
     if syndrome.assignment.graph is not graph and syndrome.assignment.graph != graph:
         raise DomainError("syndrome is bound to a different graph")

@@ -32,21 +32,6 @@ def parse_arrangement(label: str, n: int) -> tuple[int, ...]:
     return tuple(int(p) for p in label.split("-"))
 
 
-def arrangements(n: int, k: int) -> list[tuple[int, ...]]:
-    """All k-arrangements of 1..n in lexicographic order."""
-    return list(itertools.permutations(range(1, n + 1), k))
-
-
-def canonical_vertex_enumeration(n: int, k: int) -> list[str]:
-    """Labels of all k-arrangements of 1..n in the graph's index order.
-
-    That order sorts the labels as strings, so for n >= 10 it is not the
-    numeric order of the arrangements: "1-10" comes before "1-2".
-    """
-    _check_nk(n, k)
-    return sorted(arrangement_label(p, n) for p in arrangements(n, k))
-
-
 def _check_nk(n: int, k: int, name: str | None = None):
     if n < 2:
         raise DomainError(f"n={n} out of range (need n >= 2)")
@@ -256,8 +241,8 @@ def from_descriptor(desc: str) -> TopologyGraph:
 class SplitWitness:
     """Checked evidence that blowing up S_{n,k} by (n-k)! recovers S_n.
 
-    `projection` maps each full-permutation label to its k-prefix label;
-    the fibers of that map are the independent vertex classes and the
+    Each full-permutation label projects to its k-prefix label; the fibers
+    of that map are the independent vertex classes and the
     prefix-extension matching realizes every base edge.
     """
 
@@ -268,12 +253,6 @@ class SplitWitness:
     @property
     def fiber_count(self) -> int:
         return self.base.vertex_count
-
-    @property
-    def projection(self) -> dict[str, str]:
-        """Each split label mapped to its k-prefix, built anew on each read."""
-        k = len(self.base.labels[0])  # the cap keeps n <= 7: one character per symbol
-        return {lab: lab[:k] for lab in self.split.labels}
 
 
 def verify_split(n: int, k: int) -> SplitWitness:

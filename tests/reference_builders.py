@@ -6,7 +6,7 @@ the validating `TopologyGraph` constructor; the mask builders in
 and descriptor.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from stardiag.base import DomainError
 from stardiag.graph import TopologyGraph
@@ -14,7 +14,6 @@ from stardiag.topologies import (
     DEFAULT_VERTEX_BUDGET,
     _check_nk,
     arrangement_label,
-    arrangements,
 )
 
 
@@ -22,7 +21,7 @@ def build_star(n: int) -> TopologyGraph:
     """Star graph on all permutations of 1..n; edges swap position 1 with i."""
     if not 2 <= n <= 9:
         raise DomainError(f"n={n} out of range for a full star graph (need 2 <= n <= 9)")
-    perms = arrangements(n, n)
+    perms = list(permutations(range(1, n + 1)))
     if len(perms) > DEFAULT_VERTEX_BUDGET:
         raise DomainError(
             f"star graph on {len(perms)} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}"
@@ -46,7 +45,7 @@ def build_nk_star(n: int, k: int) -> TopologyGraph:
     is (n-1)-regular with n!/(n-k)! vertices; k=1 yields the complete graph.
     """
     _check_nk(n, k)
-    verts = arrangements(n, k)
+    verts = list(permutations(range(1, n + 1), k))
     labels = [arrangement_label(p, n) for p in verts]
     alphabet = set(range(1, n + 1))
     edges = []

@@ -15,8 +15,7 @@ from stardiag import (
     build_assignment,
     build_nk_star,
     diagnose,
-    distinguishable_mm,
-    distinguishable_pmc,
+    distinguishable,
     generate_syndrome,
     is_consistent,
     is_g_good_neighbor,
@@ -75,7 +74,7 @@ def test_criterion_01():
     assert is_g_good_neighbor(s32, f1, 1) and is_g_good_neighbor(s32, f2, 1)
     assert max(len(f1), len(f2)) == pmc.value + 1
     assert f1 | f2 == set(s32.labels)
-    assert not distinguishable_pmc(s32, f1, f2)
+    assert not distinguishable(s32, f1, f2, Model.PMC)
     # the gap between exhaustion and the published closed form is a checked fact
     assert tg_formula(3, 2, 1, Model.PMC).value == 3
 
@@ -126,7 +125,7 @@ def test_criterion_05():
         graph = build_nk_star(n, 2)
         assert is_g_good_neighbor(graph, wit.f1, 1)
         assert is_g_good_neighbor(graph, wit.f2, 1)
-        assert not distinguishable_mm(graph, wit.f1, wit.f2)
+        assert not distinguishable(graph, wit.f1, wit.f2, Model.MM)
 
 
 @criterion(6, "split lemma", 60.0)
@@ -205,8 +204,8 @@ def test_criterion_10():
             continue
         s1 = graph.labels_of(f1)
         s2 = graph.labels_of(f2)
-        if distinguishable_mm(graph, s1, s2):
-            assert distinguishable_pmc(graph, s1, s2)
+        if distinguishable(graph, s1, s2, Model.MM):
+            assert distinguishable(graph, s1, s2, Model.PMC)
         checked += 1
     for graph in graphs:
         if graph.vertex_count > 12:
@@ -215,5 +214,5 @@ def test_criterion_10():
         for g in range(1, n):
             pmc = tg_bruteforce(graph, g, Model.PMC)
             mm = tg_bruteforce(graph, g, Model.MM)
-            if pmc.applicable and mm.applicable:
+            if pmc.value is not None and mm.value is not None:
                 assert mm.value <= pmc.value, (graph.descriptor, g)

@@ -6,12 +6,14 @@ import pytest
 
 from stardiag import (
     Model,
+    build_assignment,
     build_complete,
     build_cycle,
     build_nk_star,
     build_star,
     build_witness,
     crosscheck,
+    distinguishable,
     tg_bruteforce,
     tg_formula,
     witness_cycle6,
@@ -75,7 +77,7 @@ def test_formula_total_over_domain():
             for g in range(1, n):
                 for model in Model:
                     res = tg_formula(n, k, g, model)
-                    assert res.applicable, (n, k, g, model)
+                    assert res.value is not None, (n, k, g, model)
                     assert res.value >= 0
 
 
@@ -160,7 +162,7 @@ def test_bruteforce_degenerate_g():
     assert tg_bruteforce(s42, 3, Model.MM).value == 0
     # K3 with g=3: no proper 3-good-neighbor faulty set exists at all
     res = tg_bruteforce(build_complete(3), 3, Model.PMC)
-    assert not res.applicable
+    assert res.value is None
 
 
 def test_bruteforce_rejects_negative_g():
@@ -168,6 +170,31 @@ def test_bruteforce_rejects_negative_g():
     for model in Model:
         with pytest.raises(DomainError):
             tg_bruteforce(s42, -1, model)
+
+
+#: one call per function that takes a model, on a cell where the two models differ
+_ANSWER_BY_MODEL = {
+    "distinguishable": lambda m: distinguishable(build_cycle(6), {"u1", "u2"}, {"u4", "u5"}, m),
+    "build_assignment": lambda m: build_assignment(build_cycle(6), m).units,
+    "tg_bruteforce": lambda m: tg_bruteforce(build_nk_star(4, 2), 1, m).value,
+    "tg_formula": lambda m: tg_formula(4, 2, 1, m).value,
+    "witness_for": lambda m: witness_for(3, 2, 1, m),
+    "crosscheck": lambda m: {
+        name: (entry["formula"], entry["bruteforce"])
+        for name, entry in crosscheck(build_nk_star(4, 2), 1, (m,))[1].items()
+    },
+}
+
+
+@pytest.mark.parametrize("call", list(_ANSWER_BY_MODEL))
+def test_a_model_given_by_name_gets_that_models_answer(call):
+    answer = _ANSWER_BY_MODEL[call]
+    assert answer(Model.PMC) != answer(Model.MM)
+    for model in Model:
+        assert answer(model.value) == answer(model), model
+    assert answer("MM*") == answer(Model.MM)
+    with pytest.raises(DomainError, match="unknown model 'pcm'"):
+        answer("pcm")
 
 
 def test_bruteforce_budget_errors():
@@ -200,7 +227,7 @@ def test_mm_value_never_exceeds_pmc_value():
         for g in range(1, 4):
             pmc = tg_bruteforce(graph, g, Model.PMC, budget=12)
             mm = tg_bruteforce(graph, g, Model.MM, budget=12)
-            if pmc.applicable and mm.applicable:
+            if pmc.value is not None and mm.value is not None:
                 assert mm.value <= pmc.value
 
 
@@ -312,7 +339,7 @@ def test_start_pair_keeps_the_result_and_cuts_the_work(monkeypatch):
         plain = tg_bruteforce(graph, g, model, budget=30)
         where = (graph.descriptor, g, model)
         assert (res.value, res.pair, res.note) == (plain.value, plain.pair, plain.note), where
-        if not res.applicable:
+        if res.value is None:
             continue
         smallest = min_subgraph_size_oracle(graph, g, budget=30)
         assert plain.stats["start_p"] == graph.vertex_count - smallest + 1, where
@@ -490,7 +517,7 @@ def test_sd_scan_matches_pair_scan_both_models():
                 res = tg_bruteforce(graph, g, model)
                 p, _ = _pair_scan(graph, g, model)
                 where = (graph.descriptor, g, model)
-                if not res.applicable:
+                if res.value is None:
                     assert not good_faulty_sets(graph, g), where
                     continue
                 if p is None:
@@ -662,7 +689,7 @@ def test_formula_matches_bruteforce_where_both_exist():
                     continue
                 formula = tg_formula(n, k, g, model)
                 brute = tg_bruteforce(graph, g, model)
-                if formula.applicable and brute.applicable:
+                if formula.value is not None and brute.value is not None:
                     assert formula.value == brute.value, (n, k, g, model)
 
 
@@ -687,13 +714,11 @@ def test_witness_general_full_range():
 def test_witness_general_pair_independently_verified():
     wit = witness_general(4, 2, 2)
     graph = build_nk_star(4, 2)
-    assert wit.f2 == wit.f1 | wit.a_set
+    assert wit.f2 == wit.f1 | graph.labels_of(wit.a_mask)
     assert is_g_good_neighbor(graph, wit.f1, 2)
     assert is_g_good_neighbor(graph, wit.f2, 2)
-    from stardiag import distinguishable_mm, distinguishable_pmc
-
-    assert not distinguishable_pmc(graph, wit.f1, wit.f2)
-    assert not distinguishable_mm(graph, wit.f1, wit.f2)
+    for model in Model:
+        assert not distinguishable(graph, wit.f1, wit.f2, model)
 
 
 def test_witness_general_domain():

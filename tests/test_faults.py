@@ -10,8 +10,6 @@ from stardiag import (
     build_complete,
     build_nk_star,
     distinguishable,
-    distinguishable_mm,
-    distinguishable_pmc,
     is_g_good_neighbor,
     is_g_good_neighbor_cut,
     min_subgraph_size_oracle,
@@ -68,8 +66,8 @@ def test_good_mask_is_min_degree_of_the_complement():
 
 
 def test_good_mask_is_min_degree_of_the_complement_on_wide_graphs():
-    # over 64 vertices good_mask walks through _iter_bits; sparse F takes the
-    # N(F) - F test, dense F and g above the minimum degree test all of V - F
+    # over 64 vertices _iter_bits reads dense masks in one pass; sparse F takes
+    # the N(F) - F test, dense F and g above the minimum degree test all of V - F
     rng = random.Random(5)
     for graph in (random_graph(100, 0.05, 1), build_nk_star(5, 4)):
         n, seen = graph.vertex_count, set()
@@ -141,15 +139,18 @@ def test_good_neighbor_monotone_in_g(c6, s42):
 
 
 def test_good_neighbor_rejects_negative_g(c6):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="g must be nonnegative"):
         is_g_good_neighbor(c6, set(), -1)
+    with pytest.raises(DomainError, match="g must be nonnegative"):
+        is_g_good_neighbor_cut(c6, {"u1", "u4"}, -1)
 
 
 def test_good_neighbor_cut(c6, s42):
     assert is_g_good_neighbor_cut(c6, {"u1", "u4"}, 1)  # leaves two paths
     assert not is_g_good_neighbor_cut(c6, {"u1", "u2"}, 1)  # leaves one path
     assert not is_g_good_neighbor_cut(c6, {"u1", "u3"}, 1)  # isolates u2
-    assert is_g_good_neighbor_cut(s42, s42.neighborhood_of_set({"12", "21"}), 0)
+    n12 = s42.labels_of(s42.neighborhood_mask(s42.mask_of({"12", "21"})))
+    assert is_g_good_neighbor_cut(s42, n12, 0)
     with pytest.raises(DomainError):
         is_g_good_neighbor_cut(c6, set(c6.labels), 1)
 
@@ -172,20 +173,18 @@ def test_good_faulty_sets_reference(c6):
 
 def test_distinguishability_cycle_pairs(c6):
     f1, f2 = {"u1", "u2"}, {"u4", "u5"}
-    assert not distinguishable_mm(c6, f1, f2)
+    assert not distinguishable(c6, f1, f2, Model.MM)
     # ...but u3 and u6 each border the symmetric difference, so PMC tells them apart
-    assert distinguishable_pmc(c6, f1, f2)
+    assert distinguishable(c6, f1, f2, Model.PMC)
     # complementary halves leave no fault-free vertex at all
-    assert not distinguishable_pmc(c6, {"u1", "u2", "u3"}, {"u4", "u5", "u6"})
-    assert distinguishable_pmc(c6, {"u1"}, {"u2"})
+    assert not distinguishable(c6, {"u1", "u2", "u3"}, {"u4", "u5", "u6"}, Model.PMC)
     assert distinguishable(c6, {"u1"}, {"u2"}, Model.PMC)
 
 
 def test_distinguishability_rejects_equal_sets(c6):
-    with pytest.raises(DomainError):
-        distinguishable_pmc(c6, {"u1"}, {"u1"})
-    with pytest.raises(DomainError):
-        distinguishable_mm(c6, {"u1"}, {"u1"})
+    for model in Model:
+        with pytest.raises(DomainError):
+            distinguishable(c6, {"u1"}, {"u1"}, model)
 
 
 def test_mm_distinguishable_implies_pmc_distinguishable(c6, s42):
@@ -198,8 +197,8 @@ def test_mm_distinguishable_implies_pmc_distinguishable(c6, s42):
             f2 = frozenset(lab for lab in labs if rng.random() < 0.3)
             if f1 == f2:
                 continue
-            if distinguishable_mm(graph, f1, f2):
-                assert distinguishable_pmc(graph, f1, f2)
+            if distinguishable(graph, f1, f2, Model.MM):
+                assert distinguishable(graph, f1, f2, Model.PMC)
 
 
 def test_distinguishability_symmetric(s42):
@@ -210,8 +209,8 @@ def test_distinguishability_symmetric(s42):
         f2 = frozenset(lab for lab in labs if rng.random() < 0.25)
         if f1 == f2:
             continue
-        assert distinguishable_pmc(s42, f1, f2) == distinguishable_pmc(s42, f2, f1)
-        assert distinguishable_mm(s42, f1, f2) == distinguishable_mm(s42, f2, f1)
+        for model in Model:
+            assert distinguishable(s42, f1, f2, model) == distinguishable(s42, f2, f1, model)
 
 
 def test_dist_mm_mask_matches_the_all_vertex_loop():

@@ -71,40 +71,20 @@ def test_neighbors_and_degree():
 
 def test_neighborhood_of_set_excludes_the_set():
     g = small()
-    assert g.neighborhood_of_set({"a"}) == {"b", "c"}
-    assert g.neighborhood_of_set({"a", "b"}) == {"c"}
-    assert g.neighborhood_of_set({"a", "b", "c"}) == frozenset()
-
-
-def test_components_sorted_smallest_first():
-    g = small()
-    assert g.components() == [{"d", "e"}, {"a", "b", "c"}]
-    assert not g.is_connected()
-    assert g.induced_subgraph({"a", "b", "c"}).is_connected()
+    for fset, want in [({"a"}, {"b", "c"}), ({"a", "b"}, {"c"}), ({"a", "b", "c"}, set())]:
+        assert g.labels_of(g.neighborhood_mask(g.mask_of(fset))) == want
 
 
 def test_components_match_union_find_reference():
+    g = small()
+    assert g.component_masks() == [g.mask_of("abc"), g.mask_of("de")]
+    assert g.component_masks(g.mask_of("abce")) == [g.mask_of("abc"), g.mask_of("e")]
+    assert not g.is_connected()
     for seed in range(20):
         g = random_graph(10, 0.25, seed)
-        assert [frozenset(c) for c in g.components()] == ref_components(g)
-
-
-def test_induced_subgraph_keeps_inner_edges_only():
-    g = small()
-    sub = g.induced_subgraph({"a", "b", "d"})
-    assert sub.labels == ("a", "b", "d")
-    assert sub.edges() == [("a", "b")]
-    with pytest.raises(DomainError):
-        g.induced_subgraph(set())
-
-
-def test_delete_equals_induced_on_complement():
-    g = random_graph(9, 0.4, 7)
-    drop = {"v01", "v04", "v07"}
-    keep = set(g.labels) - drop
-    assert g.delete_vertices(drop) == g.induced_subgraph(keep)
-    with pytest.raises(DomainError):
-        g.delete_vertices(g.labels)
+        comps = sorted(map(g.labels_of, g.component_masks()), key=lambda s: (len(s), min(s)))
+        assert comps == ref_components(g)
+        assert g.is_connected() == (len(comps) == 1)
 
 
 def test_edges_symmetric_and_sorted():

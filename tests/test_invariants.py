@@ -1,4 +1,4 @@
-"""Source-level rules for the package: internal invariants raise, never assert."""
+"""Source-level rules for the package: internal invariants raise, never assert, and `__all__` holds."""
 
 import ast
 from pathlib import Path
@@ -19,3 +19,9 @@ def test_no_assert_or_assertion_error_in_the_package():
                 found.append(f"{path.name}:{node.lineno}")
     assert list(PACKAGE.glob("*.py")), PACKAGE
     assert not found, found
+
+
+def test_the_public_names_are_sorted_unique_and_resolve():
+    names = stardiag.__all__
+    assert names == sorted(set(names))
+    assert [name for name in names if not hasattr(stardiag, name)] == []

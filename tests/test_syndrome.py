@@ -197,6 +197,12 @@ def test_diagnose_rejects_a_syndrome_of_another_graph(c6, s42):
         diagnose(s42, syn, 2, 1)
 
 
+def test_diagnose_rejects_negative_g(c6):
+    syn = generate_syndrome(build_assignment(c6, Model.PMC), {"u3"}, "zeros")
+    with pytest.raises(DomainError, match="g must be nonnegative"):
+        diagnose(c6, syn, 2, -1)
+
+
 def test_diagnose_finds_both_sets_of_the_cycle6_pair(c6):
     wit = witness_cycle6()
     assignment = build_assignment(c6, Model.MM)
