@@ -121,16 +121,12 @@ def cmd_kappa(args) -> dict:
         cut = rg_connectivity_bruteforce(graph, args.g, args.budget, stats)
         return {"bruteforce": "no cut" if cut is None else cut, "bruteforce_stats": stats}
 
-    ok, entry = run_methods(args.method, graph.cell, formula, oracle)
-    return {"graph": graph.descriptor, "g": args.g, **entry, "ok": ok}
+    entry = run_methods(args.method, graph.cell, formula, oracle)
+    return {"graph": graph.descriptor, "g": args.g, **entry, "ok": "disagreement" not in entry}
 
 
 def cmd_witness(args) -> dict:
-    cell = (args.n, args.k, args.g)
-    name = witness_for(*cell, Model.PMC) or witness_for(*cell, Model.MM)
-    if name is None:
-        raise DomainError(f"no witness construction covers n, k, g = {cell}")
-    wit = build_witness(name, *cell)
+    wit = build_witness(args.n, args.k, args.g)
     return {"ok": wit.checks["sizes_match_formula"], "witness": _witness_dict(wit)}
 
 
@@ -217,19 +213,19 @@ def cmd_simulate(args) -> dict:
     if args.witness:
         if cell is None:
             raise DomainError("--witness needs a star-family graph descriptor")
-        name = witness_for(*cell, args.g, model)
-        if name is None:
+        _, certified = witness_for(*cell, args.g) or (None, ())
+        if model not in certified:
             raise DomainError(
                 f"no witness construction covers n, k, g = {(*cell, args.g)} under {model.value}"
             )
-        wit = build_witness(name, *cell, args.g)
+        wit = build_witness(*cell, args.g)
         graph = wit.graph  # a star:n graph carries its witness on S_{n,n-1}, S_{3,2} on C_6
         report["graph"] = graph.descriptor  # the graph diagnosed below
         assignment = build_assignment(graph, model)
         syn = ambiguity_syndrome(assignment, wit.f1, wit.f2)
         t = wit.upper_bound + 1
         search: dict = {}
-        candidates = diagnose(graph, syn, t, args.g, stats=search)
+        candidates = diagnose(syn, t, args.g, stats=search)
         sets = [sorted(c) for c in candidates]
         ambiguous = sorted(wit.f1) in sets and sorted(wit.f2) in sets and len(sets) >= 2
         report.update(
@@ -259,7 +255,7 @@ def cmd_simulate(args) -> dict:
         raise DomainError(f"t_g is {t}; nothing to simulate")
     rng = random.Random(args.seed)
     assignment = build_assignment(graph, model)
-    trials = []
+    trial_log = []  # the report shows the first 10 trials only
     successes = 0
     totals: Counter = Counter()  # search counters summed over the trials
     for trial in range(args.trials):
@@ -267,18 +263,19 @@ def cmd_simulate(args) -> dict:
         truth = graph.labels_of(fmask)
         syn = generate_syndrome(assignment, truth, args.strategy, seed=rng.getrandbits(64))
         search: dict = {}
-        found = diagnose(graph, syn, t, args.g, stats=search)
+        found = diagnose(syn, t, args.g, stats=search)
         totals.update(search)
         unique = found == [truth]
         successes += unique
-        trials.append(
-            {
-                "truth": sorted(truth),
-                "syndrome_seed": syn.seed,
-                "candidates": [sorted(c) for c in found],
-                "unique": unique,
-            }
-        )
+        if trial < 10:
+            trial_log.append(
+                {
+                    "truth": sorted(truth),
+                    "syndrome_seed": syn.seed,
+                    "candidates": [sorted(c) for c in found],
+                    "unique": unique,
+                }
+            )
     report.update(
         {
             "mode": "injection",
@@ -289,7 +286,7 @@ def cmd_simulate(args) -> dict:
             "unique_diagnoses": successes,
             "diagnosis_stats": dict(totals),
             "ok": successes == args.trials,
-            "trial_log": trials[:10],
+            "trial_log": trial_log,
         }
     )
     return report

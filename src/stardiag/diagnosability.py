@@ -6,7 +6,7 @@ table, and bounded from above by explicit witness-pair constructions.
 `run_methods` is the one check of a cell: it runs the selected methods
 and records where they disagree; `crosscheck` runs it on a t_g cell under
 each model.  `witness_for` is the one rule for which construction covers
-a cell.
+a cell, and under which models.
 """
 
 from __future__ import annotations
@@ -513,15 +513,16 @@ def _require(ok: bool, what: str):
         raise VerificationError(f"witness self-check failed: {what}")
 
 
-def _certified(construction, graph, g, a_mask, m1, m2) -> WitnessReport:
+def _certified(graph, g, a_mask, m1, m2) -> WitnessReport:
     """The report for the pair of masks (F1, F2) on `graph`, once its self-checks pass.
 
-    The pair certifies each model for which `witness_for` names
-    `construction` on the graph's cell: both sets must be g-good-neighbor
-    and the pair indistinguishable under each.  The other model's status
-    and whether max(|F1|, |F2|) - 1 equals the closed form are recorded only.
+    The construction and the models its pair certifies are what `witness_for`
+    gives for the graph's cell: both sets must be g-good-neighbor and the
+    pair indistinguishable under each of those models.  The other model's
+    status and whether max(|F1|, |F2|) - 1 equals the closed form are
+    recorded only.
     """
-    claims = [model for model in Model if witness_for(*graph.cell, g, model) == construction]
+    construction, claims = witness_for(*graph.cell, g)
     _require(good_mask(graph, m1, g), f"F1 not {g}-good-neighbor")
     _require(good_mask(graph, m2, g), f"F2 not {g}-good-neighbor")
     indist = {model: indist_mask(graph, m1, m2, model) for model in Model}
@@ -551,7 +552,7 @@ def witness_general(n: int, k: int, g: int) -> WitnessReport:
     1..n-g-1 and whose leading coordinates come from the top g+1 symbols;
     F1 = N(A) and F2 = F1 | A.  |F2| - 1 is recorded against t_g, not required.
     """
-    if witness_for(n, k, g, Model.PMC) != "general":
+    if (witness_for(n, k, g) or (None,))[0] != "general":
         raise DomainError(
             f"general witness needs n>=4, 2<=k<=n-1, n-k<=g<=n-2; got n={n}, k={k}, g={g}"
         )
@@ -569,12 +570,12 @@ def witness_general(n: int, k: int, g: int) -> WitnessReport:
     _require(n_a == size_a, f"|A|={n_a}, expected {size_a}")
     _require(n_f1 == size_a * (n - g - 1), f"|F1|={n_f1}, expected {size_a * (n - g - 1)}")
     _require(n_f2 == size_a * (n - g), f"|F2|={n_f2}, expected {size_a * (n - g)}")
-    return _certified("general", graph, g, a_mask, f1, f2)
+    return _certified(graph, g, a_mask, f1, f2)
 
 
 def witness_snk2_mm(n: int) -> WitnessReport:
     """MM* upper-bound pair for S_{n,2}, n>=4: A = N({12,32,42}), F_i = A + one seed."""
-    if witness_for(n, 2, 1, Model.MM) != "snk2-mm":
+    if (witness_for(n, 2, 1) or (None,))[0] != "snk2-mm":
         raise DomainError(f"S_{{n,2}} MM* witness needs n >= 4, got n={n}")
     graph = build_nk_star(n, 2)
     s12, s32, s42 = (graph.mask_of([arrangement_label(p, n)]) for p in ((1, 2), (3, 2), (4, 2)))
@@ -582,50 +583,47 @@ def witness_snk2_mm(n: int) -> WitnessReport:
     f1, f2 = a_mask | s12, a_mask | s32
     _require(a_mask.bit_count() == n - 1, f"|A|={a_mask.bit_count()}, expected {n - 1}")
     _require(f1.bit_count() == n and f2.bit_count() == n, "|F1| or |F2| != n")
-    return _certified("snk2-mm", graph, 1, a_mask, f1, f2)
+    return _certified(graph, 1, a_mask, f1, f2)
 
 
 def witness_cycle6() -> WitnessReport:
     """The six-cycle MM* pair {u1,u2} vs {u4,u5}, certifying t_1 <= 1."""
     c6 = build_cycle(6)
     f1, f2 = c6.mask_of(("u1", "u2")), c6.mask_of(("u4", "u5"))
-    return _certified("cycle6", c6, 1, 0, f1, f2)
+    return _certified(c6, 1, 0, f1, f2)
 
 
-def witness_for(n: int, k: int, g: int, model: Model | str) -> str | None:
-    """The witness construction that covers cell (n, k, g) under `model`, or None.
+def witness_for(n: int, k: int, g: int) -> tuple[str, tuple[Model, ...]] | None:
+    """(construction, models it certifies) for cell (n, k, g), or None when none covers it.
 
     The three constructions cover disjoint cells, so at most one applies:
     `general` covers n >= 4, 2 <= k <= n-1, n-k <= g <= n-2 under both
     models; `snk2-mm` covers S_{n,2} with n >= 4 and g = 1, and `cycle6`
     covers S_{3,2} with g = 1, both under MM* only.
     """
-    model = Model.parse(model)
     if n >= 4 and 2 <= k <= n - 1 and n - k <= g <= n - 2:
-        return "general"
-    if model is Model.MM and k == 2 and g == 1:
-        if n >= 4:
-            return "snk2-mm"
-        if n == 3:
-            return "cycle6"
+        return "general", tuple(Model)
+    if k == 2 and g == 1 and n >= 3:
+        return "snk2-mm" if n >= 4 else "cycle6", (Model.MM,)
     return None
 
 
-def build_witness(name: str, n: int, k: int, g: int) -> WitnessReport:
-    """Build the construction `name` that `witness_for` picked for cell (n, k, g)."""
+def build_witness(n: int, k: int, g: int) -> WitnessReport:
+    """Build the construction that `witness_for` names for cell (n, k, g)."""
+    name, _ = witness_for(n, k, g) or (None, ())
     if name == "general":
         return witness_general(n, k, g)
     if name == "snk2-mm":
         return witness_snk2_mm(n)
     if name == "cycle6":
         return witness_cycle6()
-    raise DomainError(f"unknown witness construction {name!r}")
+    raise DomainError(f"no witness construction covers n, k, g = {(n, k, g)}")
 
 
 # -- crosscheck ----------------------------------------------------------
 
 
-def run_methods(method: str, cell, formula, oracle, bounds=None) -> tuple[bool, dict]:
+def run_methods(method: str, cell, formula, oracle, bounds=None) -> dict:
     """Run the methods that `method` selects on one cell and compare their values.
 
     The one rule for checking a cell, under `tg` (through `crosscheck`) and
@@ -636,9 +634,8 @@ def run_methods(method: str, cell, formula, oracle, bounds=None) -> tuple[bool, 
     its BudgetError is recorded as `bruteforce_skipped`, under "brute" it
     propagates.  `bounds`, when given, maps each witness construction to
     its upper bound.  Only integer values are compared: a `formula` or
-    `bruteforce` that is None or "no cut" is not.  Returns (ok, entry);
-    when the compared values differ the entry records them as
-    `disagreement`, and ok is False.
+    `bruteforce` that is None or "no cut" is not.  Returns the entry; when
+    the compared values differ it records them as `disagreement`.
     """
     entry: dict = {}
     if method in ("formula", "all"):
@@ -661,8 +658,7 @@ def run_methods(method: str, cell, formula, oracle, bounds=None) -> tuple[bool, 
         values.update((f"witness:{name}", bound) for name, bound in bounds.items())
     if len(set(values.values())) > 1:
         entry["disagreement"] = values
-        return False, entry
-    return True, entry
+    return entry
 
 
 def crosscheck(
@@ -677,13 +673,16 @@ def crosscheck(
     Returns (ok, results), where results maps each model's value to its
     entry: the closed form and its provenance; the oracle's value, note,
     counters and refuting pair, capped at `budget` vertices; and, under
-    "witness" or "all", the bound of the witness that `witness_for` names.
-    The witness is built once, whichever models it serves.
+    "witness" or "all", the bound of the witness that `witness_for` names
+    under each model it certifies.  That witness is built at most once,
+    and only when it serves a requested model.
     """
-    ok = True
+    models = [Model.parse(model) for model in models]
+    covered = graph.cell and method in ("witness", "all") and witness_for(*graph.cell, g)
+    name, certified = covered or (None, ())
+    wit = build_witness(*graph.cell, g) if set(certified) & set(models) else None
     results = {}
-    witnesses: dict[str, WitnessReport] = {}
-    for model in map(Model.parse, models):
+    for model in models:
 
         def formula(n, k):
             res = tg_formula(n, k, g, model)
@@ -697,12 +696,6 @@ def crosscheck(
                 fields["bruteforce_pair"] = [list(p) for p in res.pair]
             return fields
 
-        bounds = {}
-        name = witness_for(*graph.cell, g, model) if graph.cell else None
-        if method in ("witness", "all") and name:
-            if name not in witnesses:
-                witnesses[name] = build_witness(name, *graph.cell, g)
-            bounds[name] = witnesses[name].upper_bound
-        cell_ok, results[model.value] = run_methods(method, graph.cell, formula, oracle, bounds)
-        ok &= cell_ok
-    return ok, results
+        bounds = {name: wit.upper_bound} if model in certified else None
+        results[model.value] = run_methods(method, graph.cell, formula, oracle, bounds)
+    return not any("disagreement" in entry for entry in results.values()), results

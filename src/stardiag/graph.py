@@ -198,12 +198,13 @@ class TopologyGraph:
         return "".join(f"{a} {b}\n" for a, b in self.edges())
 
     def to_dot(self) -> str:
-        lines = [f'graph "{self.descriptor}" {{']
+        """Every ID quoted, with each backslash and double quote in it escaped by a backslash."""
+        lines = [f"graph {_dot_id(self.descriptor)} {{"]
         for i, lab in enumerate(self.labels):
             if self.nbr_masks[i] == 0:
-                lines.append(f'  "{lab}";')
+                lines.append(f"  {_dot_id(lab)};")
         for a, b in self.edges():
-            lines.append(f'  "{a}" -- "{b}";')
+            lines.append(f"  {_dot_id(a)} -- {_dot_id(b)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -223,6 +224,10 @@ class TopologyGraph:
         if not labels:
             raise DomainError("edge-list input contains no edges")
         return cls(labels, edges, descriptor=descriptor)
+
+
+def _dot_id(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 #: binary digits '0'/'1' to the bytes 0/1 that `compress` reads as selectors

@@ -102,15 +102,14 @@ def generate_syndrome(
     return Syndrome(assignment=assignment, outcomes=tuple(bits), strategy=strategy, seed=seed)
 
 
-def consistent_mask(assignment: TestAssignment, outcomes, fmask: int) -> bool:
-    expected = assignment.expected(fmask)
-    return all(want is None or want == bit for want, bit in zip(expected, outcomes))
+def consistent_mask(syndrome: Syndrome, fmask: int) -> bool:
+    expected = syndrome.assignment.expected(fmask)
+    return all(want is None or want == bit for want, bit in zip(expected, syndrome.outcomes))
 
 
 def is_consistent(fault_set, syndrome: Syndrome) -> bool:
     """True iff `fault_set` could have produced the syndrome."""
-    graph = syndrome.assignment.graph
-    return consistent_mask(syndrome.assignment, syndrome.outcomes, graph.mask_of(fault_set))
+    return consistent_mask(syndrome, syndrome.assignment.graph.mask_of(fault_set))
 
 
 def ambiguity_syndrome(assignment: TestAssignment, f1, f2) -> Syndrome:
@@ -141,13 +140,7 @@ def ambiguity_syndrome(assignment: TestAssignment, f1, f2) -> Syndrome:
     return Syndrome(assignment=assignment, outcomes=tuple(bits), strategy="ambiguity")
 
 
-def diagnose(
-    graph: TopologyGraph,
-    syndrome: Syndrome,
-    t: int,
-    g: int,
-    stats: dict | None = None,
-) -> list[frozenset]:
+def diagnose(syndrome: Syndrome, t: int, g: int, stats: dict | None = None) -> list[frozenset]:
     """All proper g-good-neighbor hypotheses of size <= t consistent with the syndrome.
 
     Hypotheses come in increasing size then lexicographic label order.
@@ -178,9 +171,8 @@ def diagnose(
     search nodes, assignments forced by the clauses, and full assignments.
     """
     check_g(g)
+    graph = syndrome.assignment.graph
     n = graph.vertex_count
-    if syndrome.assignment.graph is not graph and syndrome.assignment.graph != graph:
-        raise DomainError("syndrome is bound to a different graph")
     limit = min(t, n - 1)
     full = graph.full_mask
     # per vertex x: x faulty forces these faulty; x fault-free forces these
@@ -280,18 +272,20 @@ def diagnose(
 # -- syndrome file format ------------------------------------------------
 
 
+def _unit_text(graph: TopologyGraph, unit) -> str:
+    """A unit as its line names it, before ' -> b': 'u v' (PMC) or 'u v | w' (MM*)."""
+    u, v, w = unit
+    pair = f"{graph.labels[u]} {graph.labels[v]}"
+    return pair if w is None else f"{pair} | {graph.labels[w]}"
+
+
 def syndrome_to_text(syndrome: Syndrome) -> str:
     """Header 'model n k seed strategy', n k the graph's `cell` or 0 0, then one line per unit."""
     assignment = syndrome.assignment
     graph = assignment.graph
     n, k = graph.cell or (0, 0)
-    lines = []
-    for (u, v, w), bit in zip(assignment.units, syndrome.outcomes):
-        if w is None:
-            lines.append(f"{graph.labels[u]} {graph.labels[v]} -> {bit}")
-        else:
-            lines.append(f"{graph.labels[u]} {graph.labels[v]} | {graph.labels[w]} -> {bit}")
-    lines.sort()
+    units = zip(assignment.units, syndrome.outcomes)
+    lines = sorted(f"{_unit_text(graph, unit)} -> {bit}" for unit, bit in units)
     header = f"{assignment.model.value} {n} {k} {syndrome.seed} {syndrome.strategy}"
     return header + "\n" + "\n".join(lines) + "\n"
 
@@ -315,7 +309,8 @@ def syndrome_from_text(graph: TopologyGraph, text: str) -> Syndrome:
         raise DomainError(f"bad syndrome seed {head[3]!r}") from None
     strategy = head[4]
     assignment = build_assignment(graph, model)
-    outcome_map = {}
+    at = {unit: i for i, unit in enumerate(assignment.units)}
+    outcomes: list[int | None] = [None] * len(at)
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) == 4 and parts[2] == "->":
@@ -328,13 +323,12 @@ def syndrome_from_text(graph: TopologyGraph, text: str) -> Syndrome:
         if bit_s not in ("0", "1"):
             raise DomainError(f"syndrome outcome must be 0 or 1 in {ln!r}")
         key = (graph._lookup(u_s), graph._lookup(v_s), None if w_s is None else graph._lookup(w_s))
-        if key in outcome_map:
+        if key not in at:
+            raise DomainError(f"syndrome text carries units not in the assignment: {ln!r}")
+        if outcomes[at[key]] is not None:
             raise DomainError(f"duplicate syndrome unit {' '.join(parts[:-2])!r}")
-        outcome_map[key] = int(bit_s)
-    try:
-        outcomes = tuple(outcome_map[unit] for unit in assignment.units)
-    except KeyError as missing:
-        raise DomainError(f"syndrome text is missing unit {missing}") from None
-    if len(outcome_map) != len(assignment.units):
-        raise DomainError("syndrome text carries units not in the assignment")
-    return Syndrome(assignment=assignment, outcomes=outcomes, strategy=strategy, seed=seed)
+        outcomes[at[key]] = int(bit_s)
+    if None in outcomes:
+        missing = _unit_text(graph, assignment.units[outcomes.index(None)])
+        raise DomainError(f"syndrome text is missing unit {missing!r}")
+    return Syndrome(assignment=assignment, outcomes=tuple(outcomes), strategy=strategy, seed=seed)

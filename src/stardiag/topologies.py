@@ -83,8 +83,8 @@ def _unrotate(sigmas: list[list[int]], count: int) -> list[int]:
 
 
 @functools.cache
-def _arrangement_graph(n: int, k: int, descriptor: str) -> TopologyGraph:
-    """The graph on k-arrangements of 1..n, built straight into neighbour masks.
+def _arrangement_graph(n: int, k: int) -> TopologyGraph:
+    """The graph on k-arrangements of 1..n, built straight into neighbour masks: S_n at k = n.
 
     A process builds each graph once and keeps it: the vertex cap holds a
     graph to about 3.6 MB, and `table --n-min 4 --n-max 7` builds 18.
@@ -151,6 +151,7 @@ def _arrangement_graph(n: int, k: int, descriptor: str) -> TopologyGraph:
     for s in sigmas:  # in place: a second list of masks would double the peak memory
         for i, q in enumerate(s):
             masks[i] |= 1 << q
+    descriptor = f"star:{n}" if k == n else f"nkstar:{n},{k}"
     return TopologyGraph.from_masks(
         labels, masks, descriptor, min_degree=n - 1, vertex_transitive=True, cell=(n, min(k, n - 1))
     )
@@ -159,7 +160,7 @@ def _arrangement_graph(n: int, k: int, descriptor: str) -> TopologyGraph:
 def build_star(n: int) -> TopologyGraph:
     """Star graph on all permutations of 1..n; edges swap position 1 with i."""
     _check_nk(n, n - 1, f"S_{n}")  # S_n has the vertex count of its cell S_{n,n-1}
-    return _arrangement_graph(n, n, f"star:{n}")
+    return _arrangement_graph(n, n)
 
 
 def build_nk_star(n: int, k: int) -> TopologyGraph:
@@ -170,7 +171,7 @@ def build_nk_star(n: int, k: int) -> TopologyGraph:
     is (n-1)-regular with n!/(n-k)! vertices; k=1 yields the complete graph.
     """
     _check_nk(n, k)
-    return _arrangement_graph(n, k, f"nkstar:{n},{k}")
+    return _arrangement_graph(n, k)
 
 
 def build_complete(n: int) -> TopologyGraph:

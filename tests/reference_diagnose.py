@@ -42,7 +42,7 @@ def diagnose(
                 fmask |= 1 << i
             if not good_mask(graph, fmask, g):
                 continue
-            if consistent_mask(syndrome.assignment, syndrome.outcomes, fmask):
+            if consistent_mask(syndrome, fmask):
                 found.append(graph.labels_of(fmask))
                 if first_two and len(found) >= 2:
                     return found

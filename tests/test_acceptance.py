@@ -178,7 +178,7 @@ def test_criterion_09():
                 break
         truth = graph.labels_of(fmask)
         syn = generate_syndrome(assignment, truth, "random", seed=rng.getrandbits(64))
-        assert diagnose(graph, syn, t, g) == [truth], (trial, sorted(truth))
+        assert diagnose(syn, t, g) == [truth], (trial, sorted(truth))
     # the size-6 witness pair is ambiguous under both models
     wit = witness_general(4, 2, 2)
     assert wit.sizes["F2"] == 6

@@ -258,21 +258,20 @@ def _witness_cells(n_max):
     for n in range(3, n_max + 1):
         for k in range(1, n):
             for g in range(n):
-                name = witness_for(n, k, g, Model.PMC) or witness_for(n, k, g, Model.MM)
-                if name is not None:
-                    yield name, n, k, g
+                if witness_for(n, k, g):
+                    yield n, k, g
 
 
 def test_witness_reports_are_pinned(capsys):
     got = {}
-    for name, n, k, g in _witness_cells(7):
+    for n, k, g in _witness_cells(7):
         code, report = run_json(capsys, "witness", "--n", str(n), "--k", str(k), "--g", str(g))
         assert code == 0 and report["ok"]
         del report["elapsed_s"]
         text = json.dumps(report, sort_keys=True)
         got[n, k, g] = hashlib.sha256(text.encode()).hexdigest()
         # the label sets are read off the stored masks, and the report prints them
-        wit = build_witness(name, n, k, g)
+        wit = build_witness(n, k, g)
         graph = wit.graph
         assert (wit.f1, wit.f2) == (graph.labels_of(wit.m1), graph.labels_of(wit.m2))
         sets = {"A": graph.labels_of(wit.a_mask), "F1": wit.f1, "F2": wit.f2}
@@ -407,8 +406,9 @@ def test_a_closed_form_error_in_the_general_band_is_reported(capsys, monkeypatch
     code, report = run_json(capsys, "table", "--n-min", "4", "--n-max", "4")
     assert code == 1 and not report["ok"]
     assert len(report["rows"]) == 18
-    general = [row for row in report["rows"] if witness_for(4, row["k"], row["g"], Model.PMC)]
-    assert len(general) == 6 and all(row["status"] == "DISAGREE" for row in general)
+    general = ("general", tuple(Model))
+    rows = [row for row in report["rows"] if witness_for(4, row["k"], row["g"]) == general]
+    assert len(rows) == 6 and all(row["status"] == "DISAGREE" for row in rows)
     code, report = run_json(capsys, "tg", "--graph", "nkstar:4,2", "--g", "2")
     assert code == 1 and not report["ok"]
     for entry in report["results"].values():
@@ -684,7 +684,7 @@ def test_commands_leave_the_shared_graphs_as_built(capsys):
         graph = from_descriptor(desc)  # a hit: the object the commands used
         assert _arrangement_graph.cache_info().misses == len(shared), desc
         # every field, the vertex index, vertex_transitive and _min_degree included
-        assert vars(graph) == vars(_arrangement_graph.__wrapped__(n, k, desc)), desc
+        assert vars(graph) == vars(_arrangement_graph.__wrapped__(n, k)), desc
         assert graph.vertex_transitive is True and graph._min_degree == n - 1, desc
 
 

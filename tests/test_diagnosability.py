@@ -178,7 +178,6 @@ _ANSWER_BY_MODEL = {
     "build_assignment": lambda m: build_assignment(build_cycle(6), m).units,
     "tg_bruteforce": lambda m: tg_bruteforce(build_nk_star(4, 2), 1, m).value,
     "tg_formula": lambda m: tg_formula(4, 2, 1, m).value,
-    "witness_for": lambda m: witness_for(3, 2, 1, m),
     "crosscheck": lambda m: {
         name: (entry["formula"], entry["bruteforce"])
         for name, entry in crosscheck(build_nk_star(4, 2), 1, (m,))[1].items()
@@ -759,11 +758,12 @@ def test_witness_size_check_compares_with_the_formula(monkeypatch):
 
 def test_witness_claims_are_read_off_witness_for(monkeypatch):
     # witness_for names snk2-mm under MM* only, so its PMC-distinguishable pair passes
+    assert witness_for(5, 2, 1) == ("snk2-mm", (Model.MM,))
     wit = witness_snk2_mm(5)
     assert wit.checks["indistinguishable_mm"] and not wit.checks["indistinguishable_pmc"]
     real = witness_for
     monkeypatch.setattr(
-        "stardiag.diagnosability.witness_for", lambda n, k, g, model: real(n, k, g, Model.MM)
+        "stardiag.diagnosability.witness_for", lambda n, k, g: (real(n, k, g)[0], tuple(Model))
     )
     with pytest.raises(VerificationError, match="distinguishable under pmc"):
         witness_snk2_mm(5)
@@ -780,41 +780,40 @@ def test_witness_for_builds_what_it_names():
     # every cell the rule assigns, up to n = 8, builds and certifies the
     # closed form exactly; S_{8,k} for k >= 5 is over the vertex cap
     for n, k, g in _table_cells(8):
-        names = {model: witness_for(n, k, g, model) for model in Model}
-        name = names[Model.PMC] or names[Model.MM]
-        if name is None:
+        covered = witness_for(n, k, g)
+        if covered is None:
             continue
+        name, certified = covered
         if math.perm(n, k) > DEFAULT_VERTEX_BUDGET:
             assert name == "general", (n, k, g)
             continue
-        wit = build_witness(name, n, k, g)
+        wit = build_witness(n, k, g)
         assert wit.construction == name
         assert wit.checks["indistinguishable_mm"] and wit.checks["sizes_match_formula"]
-        for model in Model:
-            if names[model] is not None:
-                assert wit.upper_bound == tg_formula(n, k, g, model).value, (n, k, g, model)
-                assert wit.checks["indistinguishable_pmc"] or model is Model.MM
+        for model in certified:
+            assert wit.upper_bound == tg_formula(n, k, g, model).value, (n, k, g, model)
+            assert wit.checks[f"indistinguishable_{model.value}"], (n, k, g, model)
 
 
 def test_witness_for_gives_no_cell_two_constructions():
     covered = {}
     for n, k, g in _table_cells(12):
-        names = {witness_for(n, k, g, model) for model in Model} - {None}
-        assert len(names) <= 1, (n, k, g, names)
-        for name in names:
+        name, certified = witness_for(n, k, g) or (None, ())
+        if name is not None:
             covered.setdefault(name, set()).add((n, k, g))
+            assert certified == (tuple(Model) if name == "general" else (Model.MM,)), (n, k, g)
         # each builder's guard agrees with the rule
-        if "general" not in names:
+        if name != "general":
             with pytest.raises(DomainError):
                 witness_general(n, k, g)
-        if (k, g) == (2, 1) and "snk2-mm" not in names:
+        if (k, g) == (2, 1) and name != "snk2-mm":
             with pytest.raises(DomainError):
                 witness_snk2_mm(n)
     assert covered["cycle6"] == {(3, 2, 1)}
     assert covered["snk2-mm"] == {(n, 2, 1) for n in range(4, 13)}
-    assert witness_for(5, 2, 1, Model.PMC) is None
-    with pytest.raises(DomainError):
-        build_witness("petersen", 5, 2, 1)
+    assert witness_for(5, 2, 2) is None
+    with pytest.raises(DomainError, match="no witness construction covers"):
+        build_witness(5, 2, 2)
 
 
 # -- crosscheck ----------------------------------------------------------
@@ -841,6 +840,25 @@ def test_crosscheck_skips_the_oracle_over_budget_only_under_all():
     assert entry["formula"] == entry["witness_upper_bounds"]["general"] == 7
     with pytest.raises(BudgetError):
         crosscheck(s52, 3, method="brute")
+
+
+def test_crosscheck_builds_a_witness_only_for_a_model_it_certifies(monkeypatch):
+    builds = []
+    real = diagnosability.build_witness
+
+    def counted(*cell):
+        builds.append(cell)
+        return real(*cell)
+
+    monkeypatch.setattr(diagnosability, "build_witness", counted)
+    s42 = build_nk_star(4, 2)
+    crosscheck(s42, 1, (Model.PMC,))  # snk2-mm certifies MM* only
+    crosscheck(s42, 1, method="formula")
+    assert builds == []
+    _, results = crosscheck(s42, 1)
+    assert builds == [(4, 2, 1)]
+    assert "witness_upper_bounds" not in results["pmc"]
+    assert results["mm"]["witness_upper_bounds"] == {"snk2-mm": 3}
 
 
 def test_crosscheck_reports_known_pmc_gap_at_3_2_1():

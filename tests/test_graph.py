@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -121,6 +122,16 @@ def test_dot_output_names_isolated_vertices():
     dot = g.to_dot()
     assert '"c";' in dot
     assert '"a" -- "b";' in dot
+
+
+def test_dot_escapes_quotes_and_backslashes_in_every_id():
+    g = TopologyGraph(['a"b', "c\\", "d"], [('a"b', "c\\")], descriptor='file:x"y')
+    dot = g.to_dot()
+    assert dot.splitlines()[2] == r'  "a\"b" -- "c\\";'
+    # a quoted ID ends at the first quote no backslash escapes; \\ and \" stand for \ and "
+    quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', dot)
+    ids = [re.sub(r"\\(.)", r"\1", raw) for raw in quoted]
+    assert ids[0] == g.descriptor and sorted(set(ids[1:])) == list(g.labels)
 
 
 def test_construction_deterministic():

@@ -188,39 +188,32 @@ def test_syndrome_rejects_an_outcome_other_than_0_or_1(c6):
 def test_diagnose_recovers_unique_fault(c6):
     assignment = build_assignment(c6, Model.PMC)
     syn = generate_syndrome(assignment, {"u3"}, "zeros")
-    assert diagnose(c6, syn, 2, 1) == [frozenset({"u3"})]
-
-
-def test_diagnose_rejects_a_syndrome_of_another_graph(c6, s42):
-    syn = generate_syndrome(build_assignment(c6, Model.PMC), set(), "zeros")
-    with pytest.raises(DomainError, match="bound to a different graph"):
-        diagnose(s42, syn, 2, 1)
+    assert diagnose(syn, 2, 1) == [frozenset({"u3"})]
 
 
 def test_diagnose_rejects_negative_g(c6):
     syn = generate_syndrome(build_assignment(c6, Model.PMC), {"u3"}, "zeros")
     with pytest.raises(DomainError, match="g must be nonnegative"):
-        diagnose(c6, syn, 2, -1)
+        diagnose(syn, 2, -1)
 
 
 def test_diagnose_finds_both_sets_of_the_cycle6_pair(c6):
     wit = witness_cycle6()
     assignment = build_assignment(c6, Model.MM)
     syn = ambiguity_syndrome(assignment, wit.f1, wit.f2)
-    assert diagnose(c6, syn, 2, 1) == [wit.f1, wit.f2]
+    assert diagnose(syn, 2, 1) == [wit.f1, wit.f2]
 
 
 def _witness_cases():
     """(graph, ambiguity syndrome, t, g) for every witness cell on S_{3,2}, S_{4,2} and S_{5,2}."""
     for n in (3, 4, 5):
         for g in range(1, n):
-            for model in Model:
-                name = witness_for(n, 2, g, model)
-                if name:
-                    wit = build_witness(name, n, 2, g)
-                    graph = wit.graph
-                    syn = ambiguity_syndrome(build_assignment(graph, model), wit.f1, wit.f2)
-                    yield graph, syn, max(len(wit.f1), len(wit.f2)), g
+            covered = witness_for(n, 2, g)
+            if covered:
+                wit = build_witness(n, 2, g)
+                for model in covered[1]:
+                    syn = ambiguity_syndrome(build_assignment(wit.graph, model), wit.f1, wit.f2)
+                    yield wit.graph, syn, max(len(wit.f1), len(wit.f2)), g
 
 
 def test_diagnose_matches_the_reference_enumeration():
@@ -243,11 +236,11 @@ def test_diagnose_matches_the_reference_enumeration():
                 cases += [(graph, syn, t, g) for syn in syndromes[: 2 if graph is s52 else None]]
     for graph, syn, t, g in cases:
         want = reference_diagnose(graph, syn, t, g, budget=20)
-        assert diagnose(graph, syn, t, g) == want, (graph.descriptor, syn.strategy, t, g)
+        assert diagnose(syn, t, g) == want, (graph.descriptor, syn.strategy, t, g)
 
 
 def test_diagnose_counts_its_search(s42):
-    wit = build_witness("general", 4, 2, 2)
+    wit = build_witness(4, 2, 2)
     for model in Model:
         assignment = build_assignment(s42, model)
         for syn in (
@@ -255,19 +248,19 @@ def test_diagnose_counts_its_search(s42):
             generate_syndrome(assignment, wit.f1, "random", seed=4),
         ):
             stats = {}
-            found = diagnose(s42, syn, len(wit.f2), 2, stats=stats)
+            found = diagnose(syn, len(wit.f2), 2, stats=stats)
             assert set(stats) == {"search_nodes", "forced", "leaves"}
             assert min(stats.values()) > 0
             assert stats["leaves"] >= len(found) >= 1
     # at t = 0 every vertex is fault-free from the root on
     stats = {}
     silent = generate_syndrome(build_assignment(s42, Model.PMC), set(), "zeros")
-    assert diagnose(s42, silent, 0, 2, stats=stats) == [frozenset()]
+    assert diagnose(silent, 0, 2, stats=stats) == [frozenset()]
     assert stats == {"search_nodes": 1, "forced": 0, "leaves": 1}
     # all ones: a fault-free vertex has every neighbor faulty, so at g = 1 each
     # fault-free branch dies where it starts and the search stays linear in |V|
     assignment = build_assignment(s42, Model.PMC)
-    assert diagnose(s42, Syndrome(assignment, (1,) * 36), 11, 1, stats=stats) == []
+    assert diagnose(Syndrome(assignment, (1,) * 36), 11, 1, stats=stats) == []
     assert stats["search_nodes"] < 2 * s42.vertex_count
 
 
@@ -382,6 +375,21 @@ def test_syndrome_text_rejects_damage(c6):
     # u1 and u3 are not adjacent on C_6, so no PMC test runs between them
     with pytest.raises(DomainError, match="units not in the assignment"):
         syndrome_from_text(c6, text + "u1 u3 -> 0\n")
+
+
+def test_syndrome_text_names_a_missing_unit_as_its_line_does(c6):
+    text = syndrome_to_text(generate_syndrome(build_assignment(c6, Model.MM), set(), "zeros"))
+    assert "\nu1 u3 | u2 -> 0\n" in text
+    with pytest.raises(DomainError, match=r"missing unit 'u1 u3 \| u2'$"):
+        syndrome_from_text(c6, text.replace("u1 u3 | u2 -> 0\n", ""))
+
+
+def test_syndrome_text_rejects_a_foreign_unit_at_its_line(c6):
+    # u and v swapped: every label is a vertex, but no MM* unit reads (u3, u1; u2)
+    text = syndrome_to_text(generate_syndrome(build_assignment(c6, Model.MM), set(), "zeros"))
+    swapped = text.replace("u1 u3 | u2 -> 0", "u3 u1 | u2 -> 0")
+    with pytest.raises(DomainError, match=r"not in the assignment: 'u3 u1 \| u2 -> 0'"):
+        syndrome_from_text(c6, swapped)
 
 
 def test_syndrome_text_rejects_bad_outcomes(c6):

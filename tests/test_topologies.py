@@ -229,7 +229,7 @@ def test_kernel_memo_hands_out_the_first_build(n, k, desc):
     first = from_descriptor(desc)
     assert from_descriptor(desc) is first
     assert _arrangement_graph.cache_info()[:2] == (1, 1)  # (hits, misses)
-    fresh = _arrangement_graph.__wrapped__(n, k, desc)
+    fresh = _arrangement_graph.__wrapped__(n, k)
     assert fresh is not first
     _same_graph(first, fresh)
 
