@@ -38,16 +38,19 @@ def check_search(graph: TopologyGraph, g: int, budget: int):
 def good_mask(graph: TopologyGraph, fmask: int, g: int) -> bool:
     """True iff every vertex outside `fmask` keeps >= g neighbors outside it.
 
-    With g at most the minimum degree, a vertex with no neighbor in F keeps
-    its full degree, so only N(F) - F is tested.  Above it every fault-free
-    vertex is, since one far from F can already fall short.  So is every
-    vertex when V - F is at most twice F: the walk over F that finds
-    N(F) then costs about as much as the test it spares.
+    A fault-free vertex of degree d falls short iff it has more than d - g
+    neighbors in F, and d is at least the minimum degree, so only the
+    vertices with at least min degree - g + 1 neighbors in F are tested
+    (every one when g is above the minimum degree).  Every vertex is
+    tested when V - F is at most twice F: the count over F then costs
+    about as much as the test it spares.
     """
     rest = graph.full_mask & ~fmask
-    every = g > graph.min_degree() or rest.bit_count() <= 2 * fmask.bit_count()
+    tested = rest
+    if rest.bit_count() > 2 * fmask.bit_count():
+        tested &= graph.with_neighbors_in(fmask, graph.min_degree() - g + 1)
     nbr = graph.nbr_masks
-    for i in _iter_bits(rest if every else graph.neighborhood_mask(fmask)):
+    for i in _iter_bits(tested):
         if (nbr[i] & rest).bit_count() < g:
             return False
     return True

@@ -136,11 +136,27 @@ class TopologyGraph:
 
     def neighborhood_mask(self, mask: int) -> int:
         """Union of neighbor masks of the bits in `mask`, minus `mask`."""
+        return self.with_neighbors_in(mask, 1) & ~mask
+
+    def with_neighbors_in(self, mask: int, c: int) -> int:
+        """Vertices with at least `c` neighbors in `mask` (all of V when c <= 0).
+
+        A bit-sliced count that saturates at c: after each bit of `mask`,
+        levels[j] holds the vertices seen with more than j neighbors so far.
+        """
+        if c <= 0:
+            return self.full_mask
+        if c > mask.bit_count():
+            return 0
         nbr = self.nbr_masks
-        out = 0
+        levels = [0] * c
+        higher = range(c - 1, 0, -1)
         for i in _iter_bits(mask):
-            out |= nbr[i]
-        return out & ~mask
+            m = nbr[i]
+            for j in higher:
+                levels[j] |= levels[j - 1] & m
+            levels[0] |= m
+        return levels[-1]
 
     # -- graph operations ------------------------------------------------
 

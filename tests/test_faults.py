@@ -15,6 +15,7 @@ from stardiag import (
     min_subgraph_size_oracle,
     rg_connectivity_bruteforce,
     rg_connectivity_formula,
+    witness_for,
     witness_general,
 )
 from stardiag import faults
@@ -65,9 +66,17 @@ def test_good_mask_is_min_degree_of_the_complement():
                 assert has_min_degree(graph, full & ~fmask, g, within) == in_within
 
 
+def _good_mask_case(graph, fmask, g):
+    """Which way `good_mask` picks the vertices it tests: c = min degree - g + 1."""
+    size, c = fmask.bit_count(), graph.min_degree() - g + 1
+    if graph.vertex_count - size <= 2 * size:
+        return "dense guard"
+    return "threshold <= 0" if c <= 0 else "threshold above |F|" if c > size else "counted"
+
+
 def test_good_mask_is_min_degree_of_the_complement_on_wide_graphs():
-    # over 64 vertices _iter_bits reads dense masks in one pass; sparse F takes
-    # the N(F) - F test, dense F and g above the minimum degree test all of V - F
+    # over 64 vertices _iter_bits reads dense masks in one pass; sparse F tests
+    # only the vertices with at least min degree - g + 1 neighbours in F
     rng = random.Random(5)
     for graph in (random_graph(100, 0.05, 1), build_nk_star(5, 4)):
         n, seen = graph.vertex_count, set()
@@ -78,9 +87,34 @@ def test_good_mask_is_min_degree_of_the_complement_on_wide_graphs():
                 for g in range(graph.min_degree() + 3):
                     want = has_min_degree(graph, rest, g)
                     assert good_mask(graph, fmask, g) == want, (graph.descriptor, fmask, g)
-                    seen.add((g > graph.min_degree(), rest.bit_count() > 2 * fmask.bit_count(), want))
-        assert {branch[:2] for branch in seen} == set(itertools.product((False, True), repeat=2))
-        assert {branch[2] for branch in seen} == {False, True}
+                    seen.add((_good_mask_case(graph, fmask, g), want))
+        assert {case for case, _ in seen} == {
+            "threshold <= 0", "threshold above |F|", "counted", "dense guard"
+        }, graph.descriptor
+        assert {want for _, want in seen} == {False, True}
+
+
+def test_good_mask_on_every_general_witness_up_to_s7():
+    # F1, F2, F2 plus a vertex next to it, F2 minus a vertex of A (which then
+    # keeps no fault-free neighbour) and F1 plus one: the 5040-vertex sets the
+    # witness self-checks hand to good_mask
+    outcomes, counted_false, cells = set(), False, 0
+    for n in range(4, 8):
+        for k in range(2, n):
+            for g in range(n):
+                if (witness_for(n, k, g) or (None,))[0] != "general":
+                    continue
+                w, cells = witness_general(n, k, g), cells + 1
+                graph, low_a = w.graph, w.a_mask & -w.a_mask
+                outside = graph.neighborhood_mask(w.m2)
+                for fmask in (w.m1, w.m2, w.m2 | outside & -outside, w.m2 & ~low_a, w.m1 | low_a):
+                    want = has_min_degree(graph, graph.full_mask & ~fmask, g)
+                    assert good_mask(graph, fmask, g) == want, (n, k, g, fmask.bit_count())
+                    outcomes.add(want)
+                    counted_false |= not want and _good_mask_case(graph, fmask, g) == "counted"
+    assert cells == 34
+    assert outcomes == {False, True}
+    assert counted_false
 
 
 def test_good_mask_checks_every_vertex_above_the_min_degree():

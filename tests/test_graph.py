@@ -3,11 +3,11 @@ import re
 
 import pytest
 
-from stardiag import TopologyGraph, build_star
+from stardiag import TopologyGraph, build_nk_star, build_star
 from stardiag.base import DomainError
 from stardiag.graph import _iter_bits
 
-from conftest import random_graph, ref_components
+from conftest import random_graph, ref_components, small_graphs
 
 
 def small():
@@ -74,6 +74,38 @@ def test_neighborhood_of_set_excludes_the_set():
     g = small()
     for fset, want in [({"a"}, {"b", "c"}), ({"a", "b"}, {"c"}), ({"a", "b", "c"}, set())]:
         assert g.labels_of(g.neighborhood_mask(g.mask_of(fset))) == want
+
+
+def _with_neighbors_in_by_definition(graph, mask, c):
+    counts = [(m & mask).bit_count() for m in graph.nbr_masks]
+    return sum(1 << v for v, count in enumerate(counts) if count >= c)
+
+
+def test_with_neighbors_in_counts_neighbours_in_the_mask():
+    rng = random.Random(6)
+    for graph in small_graphs(12):
+        top = max(map(int.bit_count, graph.nbr_masks)) + 2
+        for _ in range(10):
+            mask = rng.getrandbits(graph.vertex_count)
+            for c in range(-1, top + 1):
+                want = _with_neighbors_in_by_definition(graph, mask, c)
+                assert graph.with_neighbors_in(mask, c) == want, (graph.descriptor, mask, c)
+
+
+def test_with_neighbors_in_on_wide_graphs_with_sparse_and_dense_masks():
+    # a sparse mask is peeled by _iter_bits, a dense one read in one pass
+    rng = random.Random(7)
+    for graph in (random_graph(100, 0.05, 1), build_nk_star(7, 6)):
+        n, top = graph.vertex_count, max(map(int.bit_count, graph.nbr_masks)) + 2
+        read = set()
+        for density in (0.005, 0.05, 0.3):
+            for _ in range(2):
+                mask = sum(1 << i for i in range(n) if rng.random() < density)
+                read.add(mask.bit_length() > 64 and 8 * mask.bit_count() >= mask.bit_length())
+                for c in range(-1, top + 1):
+                    want = _with_neighbors_in_by_definition(graph, mask, c)
+                    assert graph.with_neighbors_in(mask, c) == want, (graph.descriptor, c)
+        assert read == {False, True}, graph.descriptor
 
 
 def test_components_match_union_find_reference():
