@@ -14,10 +14,7 @@ from .diagnosability import (
     crosscheck,
     tg_bruteforce,
     tg_formula,
-    witness_cycle6,
     witness_for,
-    witness_general,
-    witness_snk2_mm,
 )
 from .faults import (
     distinguishable,
@@ -86,8 +83,5 @@ __all__ = [
     "tg_bruteforce",
     "tg_formula",
     "verify_split",
-    "witness_cycle6",
     "witness_for",
-    "witness_general",
-    "witness_snk2_mm",
 ]

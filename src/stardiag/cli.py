@@ -34,6 +34,7 @@ from .faults import (
     rg_connectivity_formula,
 )
 from .syndrome import (
+    STRATEGIES,
     ambiguity_syndrome,
     build_assignment,
     diagnose,
@@ -301,7 +302,7 @@ OPTIONS = {
     "n-min": (["--n-min"], {"type": int, "required": True}),
     "n-max": (["--n-max"], {"type": int, "default": None}),
     "format": (["--format"], {"choices": ["dot", "edgelist", "text"], "default": "text"}),
-    "model": (["--model"], {"choices": ["pmc", "mm", "both"], "default": "both"}),
+    "model": (["--model"], {"choices": [*(m.value for m in Model), "both"], "default": "both"}),
     "method": (["--method"], {"choices": ["formula", "brute", "witness", "all"], "default": "all"}),
     "budget": (
         ["--budget", "--budget-pair", "--budget-sd"],
@@ -310,7 +311,7 @@ OPTIONS = {
     ),
     "seed": (["--seed"], {"type": int, "default": 0}),
     "trials": (["--trials"], {"type": int, "default": 10}),
-    "strategy": (["--strategy"], {"choices": ["random", "zeros", "ones"], "default": "random"}),
+    "strategy": (["--strategy"], {"choices": STRATEGIES, "default": "random"}),
     "witness": (["--witness"], {"action": "store_true"}),
     "workers": (["--workers"], {"type": int, "default": 1, "help": "ignored"}),
     "budget-diag": (["--budget-diag"], {"type": int, "default": None, "help": "ignored"}),
@@ -333,7 +334,7 @@ SUBCOMMANDS = {
     "table": (cmd_table, "regenerate the t_g case table for a range of n",
               ["n-min", "n-max", "budget", "seed", "out"]),
     "simulate": (cmd_simulate, "inject faults, generate syndromes, diagnose",
-                 ["graph", "g", ("model", {"choices": ["pmc", "mm"], "required": True}),
+                 ["graph", "g", ("model", {"choices": [m.value for m in Model], "required": True}),
                   "trials", "strategy", "witness", "budget", "seed", "budget-diag", "out"]),
 }
 

@@ -474,7 +474,7 @@ def tg_formula(n: int, k: int, g: int, model: Model | str) -> DiagnosabilityResu
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """An explicitly constructed indistinguishable pair, verified on build.
+    """An explicitly constructed indistinguishable pair, built and verified by `build_witness`.
 
     The pair is kept as masks on `graph`; the label sets `f1` and `f2` are
     built on first use, for a report that prints them.  checks
@@ -513,49 +513,13 @@ def _require(ok: bool, what: str):
         raise VerificationError(f"witness self-check failed: {what}")
 
 
-def _certified(graph, g, a_mask, m1, m2) -> WitnessReport:
-    """The report for the pair of masks (F1, F2) on `graph`, once its self-checks pass.
-
-    The construction and the models its pair certifies are what `witness_for`
-    gives for the graph's cell: both sets must be g-good-neighbor and the
-    pair indistinguishable under each of those models.  The other model's
-    status and whether max(|F1|, |F2|) - 1 equals the closed form are
-    recorded only.
-    """
-    construction, claims = witness_for(*graph.cell, g)
-    _require(good_mask(graph, m1, g), f"F1 not {g}-good-neighbor")
-    _require(good_mask(graph, m2, g), f"F2 not {g}-good-neighbor")
-    indist = {model: indist_mask(graph, m1, m2, model) for model in Model}
-    for model in claims:
-        _require(indist[model], f"pair distinguishable under {model.value}")
-    formula = tg_formula(*graph.cell, g, claims[0]).value
-    return WitnessReport(
-        construction=construction,
-        graph=graph,
-        a_mask=a_mask,
-        m1=m1,
-        m2=m2,
-        checks={
-            "f1_good": True,
-            "f2_good": True,
-            "indistinguishable_pmc": indist[Model.PMC],
-            "indistinguishable_mm": indist[Model.MM],
-            "sizes_match_formula": max(m1.bit_count(), m2.bit_count()) - 1 == formula,
-        },
-    )
-
-
-def witness_general(n: int, k: int, g: int) -> WitnessReport:
-    """Upper-bound pair for S_{n,k} in the range 2<=k<=n-1, n-k<=g<=n-2.
+def witness_general(n: int, k: int, g: int):
+    """(graph, A, F1, F2) for S_{n,k} in the range 2<=k<=n-1, n-k<=g<=n-2, as masks.
 
     A is the set of vertices whose trailing n-g-1 coordinates are literally
     1..n-g-1 and whose leading coordinates come from the top g+1 symbols;
-    F1 = N(A) and F2 = F1 | A.  |F2| - 1 is recorded against t_g, not required.
+    F1 = N(A) and F2 = F1 | A.  `build_witness` certifies the pair.
     """
-    if (witness_for(n, k, g) or (None,))[0] != "general":
-        raise DomainError(
-            f"general witness needs n>=4, 2<=k<=n-1, n-k<=g<=n-2; got n={n}, k={k}, g={g}"
-        )
     graph = build_nk_star(n, k)
     tail = tuple(range(1, n - g))  # the n-g-1 fixed trailing symbols
     lead = k - (n - g - 1)
@@ -570,27 +534,24 @@ def witness_general(n: int, k: int, g: int) -> WitnessReport:
     _require(n_a == size_a, f"|A|={n_a}, expected {size_a}")
     _require(n_f1 == size_a * (n - g - 1), f"|F1|={n_f1}, expected {size_a * (n - g - 1)}")
     _require(n_f2 == size_a * (n - g), f"|F2|={n_f2}, expected {size_a * (n - g)}")
-    return _certified(graph, g, a_mask, f1, f2)
+    return graph, a_mask, f1, f2
 
 
-def witness_snk2_mm(n: int) -> WitnessReport:
-    """MM* upper-bound pair for S_{n,2}, n>=4: A = N({12,32,42}), F_i = A + one seed."""
-    if (witness_for(n, 2, 1) or (None,))[0] != "snk2-mm":
-        raise DomainError(f"S_{{n,2}} MM* witness needs n >= 4, got n={n}")
+def witness_snk2_mm(n: int):
+    """(graph, A, F1, F2) for S_{n,2}, n>=4, under MM*: A = N({12,32,42}), F_i = A + one seed."""
     graph = build_nk_star(n, 2)
     s12, s32, s42 = (graph.mask_of([arrangement_label(p, n)]) for p in ((1, 2), (3, 2), (4, 2)))
     a_mask = graph.neighborhood_mask(s12 | s32 | s42)
     f1, f2 = a_mask | s12, a_mask | s32
     _require(a_mask.bit_count() == n - 1, f"|A|={a_mask.bit_count()}, expected {n - 1}")
     _require(f1.bit_count() == n and f2.bit_count() == n, "|F1| or |F2| != n")
-    return _certified(graph, 1, a_mask, f1, f2)
+    return graph, a_mask, f1, f2
 
 
-def witness_cycle6() -> WitnessReport:
-    """The six-cycle MM* pair {u1,u2} vs {u4,u5}, certifying t_1 <= 1."""
+def witness_cycle6():
+    """(graph, A, F1, F2) for the six-cycle MM* pair {u1,u2} vs {u4,u5}, with A empty."""
     c6 = build_cycle(6)
-    f1, f2 = c6.mask_of(("u1", "u2")), c6.mask_of(("u4", "u5"))
-    return _certified(c6, 1, 0, f1, f2)
+    return c6, 0, c6.mask_of(("u1", "u2")), c6.mask_of(("u4", "u5"))
 
 
 def witness_for(n: int, k: int, g: int) -> tuple[str, tuple[Model, ...]] | None:
@@ -609,15 +570,42 @@ def witness_for(n: int, k: int, g: int) -> tuple[str, tuple[Model, ...]] | None:
 
 
 def build_witness(n: int, k: int, g: int) -> WitnessReport:
-    """Build the construction that `witness_for` names for cell (n, k, g)."""
-    name, _ = witness_for(n, k, g) or (None, ())
-    if name == "general":
-        return witness_general(n, k, g)
-    if name == "snk2-mm":
-        return witness_snk2_mm(n)
-    if name == "cycle6":
-        return witness_cycle6()
-    raise DomainError(f"no witness construction covers n, k, g = {(n, k, g)}")
+    """The checked report of the construction that `witness_for` names for cell (n, k, g).
+
+    The only way to a `WitnessReport`: both sets must be g-good-neighbor
+    and the pair indistinguishable under each model `witness_for` names.
+    The other model's status and whether max(|F1|, |F2|) - 1 equals the
+    closed form are recorded only.
+    """
+    construction, claims = witness_for(n, k, g) or (None, ())
+    if construction == "general":
+        graph, a_mask, m1, m2 = witness_general(n, k, g)
+    elif construction == "snk2-mm":
+        graph, a_mask, m1, m2 = witness_snk2_mm(n)
+    elif construction == "cycle6":
+        graph, a_mask, m1, m2 = witness_cycle6()
+    else:
+        raise DomainError(f"no witness construction covers n, k, g = {(n, k, g)}")
+    _require(good_mask(graph, m1, g), f"F1 not {g}-good-neighbor")
+    _require(good_mask(graph, m2, g), f"F2 not {g}-good-neighbor")
+    indist = {model: indist_mask(graph, m1, m2, model) for model in Model}
+    for model in claims:
+        _require(indist[model], f"pair distinguishable under {model.value}")
+    formula = tg_formula(n, k, g, claims[0]).value
+    return WitnessReport(
+        construction=construction,
+        graph=graph,
+        a_mask=a_mask,
+        m1=m1,
+        m2=m2,
+        checks={
+            "f1_good": True,
+            "f2_good": True,
+            "indistinguishable_pmc": indist[Model.PMC],
+            "indistinguishable_mm": indist[Model.MM],
+            "sizes_match_formula": max(m1.bit_count(), m2.bit_count()) - 1 == formula,
+        },
+    )
 
 
 # -- crosscheck ----------------------------------------------------------

@@ -101,9 +101,12 @@ def is_g_good_neighbor_cut(graph: TopologyGraph, fault_set, g: int) -> bool:
     fmask = graph.mask_of(fault_set)
     if fmask == graph.full_mask:
         raise DomainError("a cut must be a proper subset of V")
-    if not good_mask(graph, fmask, g):
-        return False
-    return len(graph.component_masks(graph.full_mask & ~fmask)) > 1
+    return good_cut_mask(graph, fmask, g)
+
+
+def good_cut_mask(graph: TopologyGraph, fmask: int, g: int) -> bool:
+    """True iff `fmask` is g-good-neighbor and V - F has more than one component."""
+    return good_mask(graph, fmask, g) and len(graph.component_masks(graph.full_mask & ~fmask)) > 1
 
 
 def good_faulty_sets(graph: TopologyGraph, g: int) -> list[int]:
@@ -143,9 +146,7 @@ def rg_connectivity_bruteforce(
             fmask = 0
             for i in combo:
                 fmask |= 1 << i
-            if not good_mask(graph, fmask, g):
-                continue
-            if len(graph.component_masks(graph.full_mask & ~fmask)) > 1:
+            if good_cut_mask(graph, fmask, g):
                 found = size
                 break
         if found is not None:

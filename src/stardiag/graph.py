@@ -38,14 +38,12 @@ class TopologyGraph:
         edges: Iterable[tuple[str, str]] = (),
         descriptor: str = "custom",
     ):
-        self.labels: tuple[str, ...] = tuple(sorted(set(labels)))
+        self._bind(sorted(set(labels)), descriptor)
         if not self.labels:
             raise DomainError("a graph needs at least one vertex")
         for lab in self.labels:
             if lab.split() != [lab] or lab.startswith("#"):
                 raise DomainError(f"label {lab!r} is empty, holds whitespace or starts with '#'")
-        self.descriptor = descriptor
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
         masks = [0] * len(self.labels)
         for a, b in edges:
             ia = self._lookup(a)
@@ -55,6 +53,12 @@ class TopologyGraph:
             masks[ia] |= 1 << ib
             masks[ib] |= 1 << ia
         self.nbr_masks: tuple[int, ...] = tuple(masks)
+
+    def _bind(self, labels, descriptor: str):
+        """Set the fields both constructors share, from the sorted distinct labels."""
+        self.labels: tuple[str, ...] = tuple(labels)
+        self.descriptor = descriptor
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
         self.full_mask: int = (1 << len(self.labels)) - 1
 
     @classmethod
@@ -64,28 +68,22 @@ class TopologyGraph:
         masks,
         descriptor: str,
         *,
-        min_degree: int,
         vertex_transitive: bool,
         cell: tuple[int, int] | None,
     ) -> "TopologyGraph":
         """Trusted constructor from sorted distinct labels and their neighbour masks.
 
         Nothing is checked: `masks` must be symmetric and loop-free,
-        `min_degree` must be their smallest bit count (the builder knows
-        it, which saves `min_degree()` the count), `vertex_transitive`
-        must hold of the graph and `cell` name its S_{n,k}, if any.  The
-        family builders use it; the tests hold their output equal to the
-        edge-list constructor's.  Their graphs may be shared, so nothing
-        writes to a graph after its builder returns, except
-        `min_degree()`'s lazy cache, which those builders fill already.
+        `vertex_transitive` must hold of the graph and `cell` name its
+        S_{n,k}, if any.  The family builders use it; the tests hold their
+        output equal to the edge-list constructor's.  Their graphs may be
+        shared, so nothing writes to a graph after its builder returns,
+        except `min_degree()`'s lazy cache, which holds the same value
+        whichever caller fills it.
         """
         graph = cls.__new__(cls)
-        graph.labels = tuple(labels)
-        graph.descriptor = descriptor
-        graph._index = {lab: i for i, lab in enumerate(graph.labels)}
+        graph._bind(labels, descriptor)
         graph.nbr_masks = tuple(masks)
-        graph.full_mask = (1 << len(graph.labels)) - 1
-        graph._min_degree = min_degree
         graph.vertex_transitive = vertex_transitive
         graph.cell = cell
         return graph

@@ -69,7 +69,11 @@ def build_assignment(graph: TopologyGraph, model: Model | str) -> TestAssignment
 
 @dataclass(frozen=True)
 class Syndrome:
-    """One outcome, 0 or 1, per unit of an assignment."""
+    """One outcome, 0 or 1, per unit of an assignment.
+
+    `strategy` says where the outcomes came from: one of `STRATEGIES`,
+    "given" or "ambiguity".
+    """
 
     assignment: TestAssignment
     outcomes: tuple[int, ...]
@@ -81,6 +85,8 @@ class Syndrome:
             raise DomainError("syndrome must carry exactly one bit per unit")
         if not set(self.outcomes) <= {0, 1}:
             raise DomainError("every syndrome outcome must be 0 or 1")
+        if self.strategy not in (*STRATEGIES, "given", "ambiguity"):
+            raise DomainError(f"unknown syndrome strategy {self.strategy!r}")
 
 
 def generate_syndrome(

@@ -26,12 +26,6 @@ def arrangement_label(symbols: tuple[int, ...], n: int) -> str:
     return "-".join(map(str, symbols))
 
 
-def parse_arrangement(label: str, n: int) -> tuple[int, ...]:
-    if n <= 9:
-        return tuple(int(c) for c in label)
-    return tuple(int(p) for p in label.split("-"))
-
-
 def _check_nk(n: int, k: int, name: str | None = None):
     if n < 2:
         raise DomainError(f"n={n} out of range (need n >= 2)")
@@ -153,7 +147,7 @@ def _arrangement_graph(n: int, k: int) -> TopologyGraph:
             masks[i] |= 1 << q
     descriptor = f"star:{n}" if k == n else f"nkstar:{n},{k}"
     return TopologyGraph.from_masks(
-        labels, masks, descriptor, min_degree=n - 1, vertex_transitive=True, cell=(n, min(k, n - 1))
+        labels, masks, descriptor, vertex_transitive=True, cell=(n, min(k, n - 1))
     )
 
 
@@ -182,7 +176,7 @@ def build_complete(n: int) -> TopologyGraph:
     full = (1 << n) - 1
     masks = [full ^ 1 << i for i in range(n)]
     return TopologyGraph.from_masks(
-        labels, masks, f"complete:{n}", min_degree=n - 1, vertex_transitive=True, cell=(n, 1)
+        labels, masks, f"complete:{n}", vertex_transitive=True, cell=(n, 1)
     )
 
 
@@ -199,8 +193,7 @@ def build_cycle(m: int) -> TopologyGraph:
         masks[b] |= 1 << a
     # rotations carry any vertex to any other
     return TopologyGraph.from_masks(
-        labels, masks, f"cycle:{m}", min_degree=2, vertex_transitive=True,
-        cell=(3, 2) if m == 6 else None,
+        labels, masks, f"cycle:{m}", vertex_transitive=True, cell=(3, 2) if m == 6 else None
     )
 
 

@@ -14,6 +14,7 @@ from stardiag import (
     ambiguity_syndrome,
     build_assignment,
     build_nk_star,
+    build_witness,
     diagnose,
     distinguishable,
     generate_syndrome,
@@ -25,8 +26,6 @@ from stardiag import (
     tg_bruteforce,
     tg_formula,
     verify_split,
-    witness_general,
-    witness_snk2_mm,
 )
 from stardiag.faults import good_mask
 
@@ -106,7 +105,7 @@ def test_criterion_04():
     for n in (4, 5, 6):
         for k in range(2, n):
             for g in range(n - k, n - 1):
-                wit = witness_general(n, k, g)
+                wit = build_witness(n, k, g)
                 size_a = math.factorial(g + 1) // math.factorial(n - k)
                 assert wit.sizes["A"] == size_a
                 assert wit.sizes["F1"] == size_a * (n - g - 1)
@@ -120,7 +119,7 @@ def test_criterion_04():
 @criterion(5, "S_{n,2} MM* witness", 30.0)
 def test_criterion_05():
     for n in (4, 5, 6):
-        wit = witness_snk2_mm(n)
+        wit = build_witness(n, 2, 1)
         assert wit.sizes["F1"] == wit.sizes["F2"] == n
         graph = build_nk_star(n, 2)
         assert is_g_good_neighbor(graph, wit.f1, 1)
@@ -180,7 +179,7 @@ def test_criterion_09():
         syn = generate_syndrome(assignment, truth, "random", seed=rng.getrandbits(64))
         assert diagnose(syn, t, g) == [truth], (trial, sorted(truth))
     # the size-6 witness pair is ambiguous under both models
-    wit = witness_general(4, 2, 2)
+    wit = build_witness(4, 2, 2)
     assert wit.sizes["F2"] == 6
     for model in Model:
         assignment = build_assignment(graph, model)

@@ -683,9 +683,11 @@ def test_commands_leave_the_shared_graphs_as_built(capsys):
     for n, k, desc in shared:
         graph = from_descriptor(desc)  # a hit: the object the commands used
         assert _arrangement_graph.cache_info().misses == len(shared), desc
-        # every field, the vertex index, vertex_transitive and _min_degree included
-        assert vars(graph) == vars(_arrangement_graph.__wrapped__(n, k)), desc
-        assert graph.vertex_transitive is True and graph._min_degree == n - 1, desc
+        # every field, the vertex index, vertex_transitive and the filled _min_degree included
+        fresh = _arrangement_graph.__wrapped__(n, k)
+        assert graph.min_degree() == fresh.min_degree() == n - 1, desc
+        assert vars(graph) == vars(fresh), desc
+        assert graph.vertex_transitive is True, desc
 
 
 def test_python_dash_m_runs_the_cli():

@@ -16,10 +16,7 @@ from stardiag import (
     distinguishable,
     tg_bruteforce,
     tg_formula,
-    witness_cycle6,
     witness_for,
-    witness_general,
-    witness_snk2_mm,
 )
 from stardiag import diagnosability
 from stardiag.base import BudgetError, DomainError, VerificationError
@@ -110,7 +107,7 @@ def test_high_band_count_is_the_factorial_quotient():
             assert tg_formula(n, k, g, model).value == quotient * (n - g) - 1, (n, k, g, model)
         assert rg_connectivity_formula(n, k, g) == quotient * (n - g - 1), (n, k, g)
         if math.perm(n, k) <= DEFAULT_VERTEX_BUDGET:
-            sizes = witness_general(n, k, g).sizes
+            sizes = build_witness(n, k, g).sizes
             assert sizes == {"A": quotient, "F1": quotient * (n - g - 1), "F2": quotient * (n - g)}
             built += 1
     assert built == 64
@@ -203,15 +200,6 @@ def test_bruteforce_budget_errors():
         tg_bruteforce(s52, 1, Model.MM)  # over the default budget
     with pytest.raises(BudgetError, match=message):
         tg_bruteforce(s52, 1, Model.PMC)  # under either model, in the same words
-
-
-def test_bruteforce_workers_agree():
-    # the symmetric-difference scan, serial for both models, agrees with the pair scan
-    s42 = build_nk_star(4, 2)
-    for model in Model:
-        solo = tg_bruteforce(s42, 1, model)
-        p, _ = _pair_scan(s42, 1, model)
-        assert solo.value == p - 1
 
 
 def test_mm_value_never_exceeds_pmc_value():
@@ -699,7 +687,7 @@ def test_witness_general_full_range():
     for n in (4, 5, 6):
         for k in range(2, n):
             for g in range(n - k, n - 1):
-                wit = witness_general(n, k, g)
+                wit = build_witness(n, k, g)
                 size_a = math.factorial(g + 1) // math.factorial(n - k)
                 assert wit.sizes == {
                     "A": size_a,
@@ -711,7 +699,7 @@ def test_witness_general_full_range():
 
 
 def test_witness_general_pair_independently_verified():
-    wit = witness_general(4, 2, 2)
+    wit = build_witness(4, 2, 2)
     graph = build_nk_star(4, 2)
     assert wit.f2 == wit.f1 | graph.labels_of(wit.a_mask)
     assert is_g_good_neighbor(graph, wit.f1, 2)
@@ -721,30 +709,36 @@ def test_witness_general_pair_independently_verified():
 
 
 def test_witness_general_domain():
+    # off its range the general construction is never built: another one or none covers the cell
     for n, k, g in [(3, 2, 1), (4, 1, 2), (4, 2, 1), (4, 2, 3)]:
-        with pytest.raises(DomainError):
-            witness_general(n, k, g)
+        name, _ = witness_for(n, k, g) or (None, ())
+        assert name != "general", (n, k, g)
+        if name is None:
+            with pytest.raises(DomainError, match="no witness construction covers"):
+                build_witness(n, k, g)
+        else:
+            assert build_witness(n, k, g).construction == name
 
 
 def test_witness_snk2_mm():
     for n in (4, 5, 6):
-        wit = witness_snk2_mm(n)
+        wit = build_witness(n, 2, 1)
+        assert wit.construction == "snk2-mm"
         assert wit.sizes["F1"] == wit.sizes["F2"] == n
         assert wit.checks["indistinguishable_mm"]
         assert wit.upper_bound == n - 1 == tg_formula(n, 2, 1, Model.MM).value
-    with pytest.raises(DomainError):
-        witness_snk2_mm(3)
+    assert build_witness(3, 2, 1).construction == "cycle6"
 
 
 def test_witness_cycle6():
-    wit = witness_cycle6()
+    wit = build_witness(3, 2, 1)
     assert wit.f1 == {"u1", "u2"} and wit.f2 == {"u4", "u5"}
     assert wit.upper_bound == 1 == tg_formula(3, 2, 1, Model.MM).value
 
 
 def test_witness_size_check_compares_with_the_formula(monkeypatch):
-    builds = (witness_cycle6, lambda: witness_snk2_mm(5), lambda: witness_general(4, 2, 2))
-    assert all(build().checks["sizes_match_formula"] for build in builds)
+    cells = ((3, 2, 1), (5, 2, 1), (4, 2, 2))  # cycle6, snk2-mm, general
+    assert all(build_witness(*cell).checks["sizes_match_formula"] for cell in cells)
     real = tg_formula
 
     def off_by_one(n, k, g, model):
@@ -753,20 +747,35 @@ def test_witness_size_check_compares_with_the_formula(monkeypatch):
 
     monkeypatch.setattr("stardiag.diagnosability.tg_formula", off_by_one)
     # recorded, never required: a witness does not raise on a formula it disagrees with
-    assert not any(build().checks["sizes_match_formula"] for build in builds)
+    assert not any(build_witness(*cell).checks["sizes_match_formula"] for cell in cells)
 
 
 def test_witness_claims_are_read_off_witness_for(monkeypatch):
     # witness_for names snk2-mm under MM* only, so its PMC-distinguishable pair passes
     assert witness_for(5, 2, 1) == ("snk2-mm", (Model.MM,))
-    wit = witness_snk2_mm(5)
+    wit = build_witness(5, 2, 1)
     assert wit.checks["indistinguishable_mm"] and not wit.checks["indistinguishable_pmc"]
     real = witness_for
     monkeypatch.setattr(
         "stardiag.diagnosability.witness_for", lambda n, k, g: (real(n, k, g)[0], tuple(Model))
     )
     with pytest.raises(VerificationError, match="distinguishable under pmc"):
-        witness_snk2_mm(5)
+        build_witness(5, 2, 1)
+
+
+def test_build_witness_asks_witness_for_once(monkeypatch):
+    calls = []
+    real = witness_for
+
+    def counted(n, k, g):
+        calls.append((n, k, g))
+        return real(n, k, g)
+
+    monkeypatch.setattr("stardiag.diagnosability.witness_for", counted)
+    for cell in ((4, 2, 2), (5, 2, 1), (3, 2, 1)):  # general, snk2-mm, cycle6
+        calls.clear()
+        build_witness(*cell)
+        assert calls == [cell]
 
 
 def _table_cells(n_max):
@@ -802,13 +811,6 @@ def test_witness_for_gives_no_cell_two_constructions():
         if name is not None:
             covered.setdefault(name, set()).add((n, k, g))
             assert certified == (tuple(Model) if name == "general" else (Model.MM,)), (n, k, g)
-        # each builder's guard agrees with the rule
-        if name != "general":
-            with pytest.raises(DomainError):
-                witness_general(n, k, g)
-        if (k, g) == (2, 1) and name != "snk2-mm":
-            with pytest.raises(DomainError):
-                witness_snk2_mm(n)
     assert covered["cycle6"] == {(3, 2, 1)}
     assert covered["snk2-mm"] == {(n, 2, 1) for n in range(4, 13)}
     assert witness_for(5, 2, 2) is None

@@ -9,6 +9,7 @@ from stardiag import (
     Model,
     build_complete,
     build_nk_star,
+    build_witness,
     distinguishable,
     is_g_good_neighbor,
     is_g_good_neighbor_cut,
@@ -16,7 +17,6 @@ from stardiag import (
     rg_connectivity_bruteforce,
     rg_connectivity_formula,
     witness_for,
-    witness_general,
 )
 from stardiag import faults
 from stardiag.base import BudgetError, DomainError, VerificationError
@@ -104,7 +104,7 @@ def test_good_mask_on_every_general_witness_up_to_s7():
             for g in range(n):
                 if (witness_for(n, k, g) or (None,))[0] != "general":
                     continue
-                w, cells = witness_general(n, k, g), cells + 1
+                w, cells = build_witness(n, k, g), cells + 1
                 graph, low_a = w.graph, w.a_mask & -w.a_mask
                 outside = graph.neighborhood_mask(w.m2)
                 for fmask in (w.m1, w.m2, w.m2 | outside & -outside, w.m2 & ~low_a, w.m1 | low_a):
@@ -293,7 +293,7 @@ def test_dist_mm_mask_on_s76():
     f2 = graph.nbr_masks[far.bit_length() - 1] | far
     assert dist_mm_mask(graph, f1, f2) and reference(graph, f1, f2)
     for g in range(1, 6):
-        wit = witness_general(7, 6, g)
+        wit = build_witness(7, 6, g)
         m1, m2 = graph.mask_of(wit.f1), graph.mask_of(wit.f2)
         assert not dist_mm_mask(graph, m1, m2) and not reference(graph, m1, m2), g
 

@@ -17,7 +17,6 @@ from stardiag import (
     is_consistent,
     syndrome_from_text,
     syndrome_to_text,
-    witness_cycle6,
     witness_for,
 )
 from stardiag.base import DomainError, VerificationError
@@ -198,7 +197,7 @@ def test_diagnose_rejects_negative_g(c6):
 
 
 def test_diagnose_finds_both_sets_of_the_cycle6_pair(c6):
-    wit = witness_cycle6()
+    wit = build_witness(3, 2, 1)
     assignment = build_assignment(c6, Model.MM)
     syn = ambiguity_syndrome(assignment, wit.f1, wit.f2)
     assert diagnose(syn, 2, 1) == [wit.f1, wit.f2]
@@ -265,7 +264,7 @@ def test_diagnose_counts_its_search(s42):
 
 
 def test_ambiguity_syndrome_on_witness_pair(c6):
-    wit = witness_cycle6()
+    wit = build_witness(3, 2, 1)
     for model in Model:
         assignment = build_assignment(c6, model)
         if model is Model.PMC:
@@ -413,6 +412,22 @@ def test_syndrome_text_rejects_a_foreign_header(c6, s42):
     s42_text = syndrome_to_text(generate_syndrome(build_assignment(s42, Model.MM), set(), "zeros"))
     with pytest.raises(DomainError):
         syndrome_from_text(s42, s42_text.replace("mm 4 2 ", "mm 4 3 ", 1))
+
+
+def test_syndrome_text_takes_only_the_strategies_a_syndrome_can_carry(c6):
+    assignment = build_assignment(c6, Model.MM)
+    given = Syndrome(assignment, generate_syndrome(assignment, {"u1"}, "ones").outcomes)
+    syndromes = [generate_syndrome(assignment, {"u1"}, strategy) for strategy in STRATEGIES]
+    syndromes += [given, ambiguity_syndrome(assignment, {"u1", "u2"}, {"u4", "u5"})]
+    assert [syn.strategy for syn in syndromes] == [*STRATEGIES, "given", "ambiguity"]
+    for syn in syndromes:
+        text = syndrome_to_text(syn)
+        assert syndrome_to_text(syndrome_from_text(c6, text)) == text
+    head, sep, body = syndrome_to_text(given).partition("\n")
+    with pytest.raises(DomainError, match="unknown syndrome strategy 'banana'"):
+        syndrome_from_text(c6, head.replace(" given", " banana") + sep + body)
+    with pytest.raises(DomainError, match="unknown syndrome strategy 'banana'"):
+        Syndrome(assignment, given.outcomes, strategy="banana")
 
 
 def test_syndrome_text_rejects_duplicate_units(c6):

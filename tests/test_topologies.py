@@ -25,9 +25,15 @@ from stardiag.topologies import (
     _unrotate,
     _walk_split,
     arrangement_label,
-    parse_arrangement,
     within_vertex_cap,
 )
+
+
+def parse_arrangement(label: str, n: int) -> tuple[int, ...]:
+    """The symbols of an `arrangement_label`: one digit each for n <= 9, hyphen-split above."""
+    if n <= 9:
+        return tuple(int(c) for c in label)
+    return tuple(int(p) for p in label.split("-"))
 
 
 def test_arrangement_labels_concatenate_up_to_nine():
@@ -245,11 +251,11 @@ def test_kernel_memo_keeps_every_build():
 
 
 def test_kernel_stores_the_min_degree_it_builds():
-    # every arrangement graph is (n - 1)-regular, so the kernel hands that
-    # value to the graph instead of having min_degree() count it
-    graphs = [build_nk_star(n, k) for n in range(2, 8) for k in range(1, n)]
-    for graph in graphs + [build_star(n) for n in range(2, 8)]:
-        assert graph._min_degree == min(map(int.bit_count, graph.nbr_masks)), graph.descriptor
+    # every arrangement graph is (n - 1)-regular: min_degree() counts that on
+    # its first call and keeps it on the graph
+    for n in range(2, 8):
+        for graph in [build_nk_star(n, k) for k in range(1, n)] + [build_star(n)]:
+            assert graph.min_degree() == graph._min_degree == n - 1, graph.descriptor
 
 
 def test_only_family_builders_claim_vertex_transitivity(tmp_path):
