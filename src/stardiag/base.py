@@ -13,10 +13,10 @@ class Model(str, enum.Enum):
 
     @classmethod
     def parse(cls, text: "Model | str") -> "Model":
-        """The member named by `text`; a member is returned as it is."""
+        """The member named by `text`, or `text` if a member; anything else raises DomainError."""
         if isinstance(text, cls):
             return text
-        t = text.strip().lower().rstrip("*")
+        t = text.strip().lower().rstrip("*") if isinstance(text, str) else None
         if t in ("pmc",):
             return cls.PMC
         if t in ("mm", "mmstar", "mm_star"):

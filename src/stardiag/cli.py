@@ -18,6 +18,7 @@ from collections import Counter
 
 from .base import BudgetError, DomainError, Model, StardiagError
 from .diagnosability import (
+    METHODS,
     build_witness,
     crosscheck,
     run_methods,
@@ -138,7 +139,7 @@ def cmd_split(args) -> dict:
         "base": wit.base.descriptor,
         "split": wit.split.descriptor,
         "t": wit.t,
-        "fibers": wit.fiber_count,
+        "fibers": wit.base.vertex_count,
         "fiber_size": wit.t,
     }
 
@@ -303,7 +304,7 @@ OPTIONS = {
     "n-max": (["--n-max"], {"type": int, "default": None}),
     "format": (["--format"], {"choices": ["dot", "edgelist", "text"], "default": "text"}),
     "model": (["--model"], {"choices": [*(m.value for m in Model), "both"], "default": "both"}),
-    "method": (["--method"], {"choices": ["formula", "brute", "witness", "all"], "default": "all"}),
+    "method": (["--method"], {"choices": METHODS, "default": "all"}),
     "budget": (
         ["--budget", "--budget-pair", "--budget-sd"],
         {"type": int, "default": DEFAULT_ORACLE_BUDGET, "help": "vertex cap of the exhaustive "

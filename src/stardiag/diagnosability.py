@@ -610,12 +610,15 @@ def build_witness(n: int, k: int, g: int) -> WitnessReport:
 
 # -- crosscheck ----------------------------------------------------------
 
+#: the `method` values that `run_methods`, and through it `crosscheck`, accept
+METHODS = ("formula", "brute", "witness", "all")
+
 
 def run_methods(method: str, cell, formula, oracle, bounds=None) -> dict:
     """Run the methods that `method` selects on one cell and compare their values.
 
     The one rule for checking a cell, under `tg` (through `crosscheck`) and
-    `kappa` alike.  `method` is "formula", "brute", "witness" or "all".
+    `kappa` alike.  `method` is one of `METHODS`; any other raises DomainError.
     `formula(n, k)` returns the closed form's entry fields on `cell`; off
     its domain, or with no cell, it is recorded as None with a
     `formula_note`.  `oracle()` returns the oracle's fields; under "all"
@@ -625,6 +628,8 @@ def run_methods(method: str, cell, formula, oracle, bounds=None) -> dict:
     `bruteforce` that is None or "no cut" is not.  Returns the entry; when
     the compared values differ it records them as `disagreement`.
     """
+    if method not in METHODS:
+        raise DomainError(f"unknown method {method!r} (expected one of {', '.join(METHODS)})")
     entry: dict = {}
     if method in ("formula", "all"):
         try:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 
 from .base import DomainError, VerificationError
@@ -233,20 +235,11 @@ def from_descriptor(desc: str) -> TopologyGraph:
 
 @dataclass(frozen=True)
 class SplitWitness:
-    """Checked evidence that blowing up S_{n,k} by (n-k)! recovers S_n.
-
-    Each full-permutation label projects to its k-prefix label; the fibers
-    of that map are the independent vertex classes and the
-    prefix-extension matching realizes every base edge.
-    """
+    """Checked evidence that blowing up S_{n,k} by t = (n-k)! recovers S_n; see `verify_split`."""
 
     base: TopologyGraph
     split: TopologyGraph
     t: int
-
-    @property
-    def fiber_count(self) -> int:
-        return self.base.vertex_count
 
 
 def verify_split(n: int, k: int) -> SplitWitness:
@@ -256,125 +249,96 @@ def verify_split(n: int, k: int) -> SplitWitness:
     independent in S_n; (ii) the S_n edges between the fibers of each
     S_{n,k} edge form a perfect matching; (iii) every S_n edge projects
     onto an S_{n,k} edge.  Any failure raises VerificationError.
-
-    The check runs on whole masks.  The labels are sorted, so their
-    k-prefixes come out sorted too, and once every fiber has t = (n-k)!
-    vertices fiber x is the index block [x*t, (x+1)*t).  Let E[x] be the
-    union of the blocks of x's base neighbours.  Then (i)-(iii) hold iff
-    the split masks of block x add up to E[x] for every x and their bit
-    counts add up to t times the base masks' bit counts.  Adding masks
-    carries wherever two of them overlap, so the sum has at most as many
-    bits as its terms together, and exactly as many only when they are
-    disjoint.  The bit counts therefore give sum |N(i)| >= sum |E[x]| =
-    t * sum deg(x), and equality forces the masks of each fiber to be
-    disjoint with union E[x].  Both graphs have symmetric, loop-free masks
-    (`from_masks` trusts its builders for that, the edge-list constructor
-    makes it so), whence:
-
-    (i) E[x] misses block x, so each fiber is independent;
-    (ii) for a base edge x-y, the fiber of x covers the block of y with
-    disjoint neighbourhoods, so each vertex of y has exactly one neighbour
-    in x; the same holds with x and y swapped, a perfect matching;
-    (iii) every neighbour of a vertex in x lies in a block of E[x], a
-    fiber next to x.
-
-    Conversely (i)-(iii) give each vertex exactly one neighbour in each
-    fiber next to its own and no other, so the sums and counts hold.  Only
-    when they fail does the per-vertex walk run, to name the first fault; a
-    walk that finds none disagrees with the sums, and that raises as well.
     """
     if not 2 <= k <= n - 1:
         raise DomainError(f"verify_split needs 2 <= k <= n-1, got n={n}, k={k}")
     base = build_nk_star(n, k)
     split = build_star(n)
     t = math.factorial(n - k)
-    if not _block_sums_match(base, split, k, t):
-        _walk_split(base, split, k, t)
-        raise VerificationError(f"split n={n}, k={k}: the block sums fail, the vertex walk passes")
+    _check_split(base, split, k, t)
     return SplitWitness(base=base, split=split, t=t)
 
 
-def _block_sums_match(base: TopologyGraph, split: TopologyGraph, k: int, t: int) -> bool:
-    """The whole-mask test of `verify_split`: True iff (i)-(iii) hold."""
+def _check_split(base: TopologyGraph, split: TopologyGraph, k: int, t: int):
+    """Check (i)-(iii) of `verify_split` fiber by fiber; VerificationError names the first fault.
+
+    The labels are sorted, so once every fiber has t vertices fiber x is the
+    index block [x*t, (x+1)*t).  Let E[x] be the union of the blocks of x's
+    base neighbours.  Fiber x passes when the sum and the OR of its split
+    masks both equal E[x]: as a + b = (a | b) + (a & b), masks add up to
+    their OR only when they are disjoint.  Both graphs have symmetric,
+    loop-free masks (`from_masks` trusts its builders for that, the
+    edge-list constructor makes it so), so every fiber passes iff (i)-(iii)
+    hold: E[x] misses block x; the disjoint masks of x cover each block y
+    next to x once, so each vertex of y has one neighbour in x, and with x
+    and y swapped that is a perfect matching; no edge leaves E[x].  And
+    (i)-(iii) give each vertex one neighbour in each fiber next to its own
+    and no other.  No count over the whole graph is needed.
+    """
     # a star label has one character per symbol (n <= 7), so its k-prefix is a base label
-    if [lab[:k] for lab in split.labels] != [x for x in base.labels for _ in range(t)]:
-        return False  # some fiber is not its block
-    if t == 1:  # E = B
-        return split.nbr_masks == base.nbr_masks
+    prefixes = [lab[:k] for lab in split.labels]
+    if prefixes != [x for x in base.labels for _ in range(t)]:
+        for lab, prefix in zip(split.labels, prefixes):
+            if prefix not in base._index:
+                raise VerificationError(
+                    f"split vertex {lab!r} has prefix {prefix!r}, which names no base vertex"
+                )
+        sizes = Counter(prefixes)
+        x = next(x for x in base.labels if sizes[x] != t)
+        raise VerificationError(f"fiber {x!r} has {sizes[x]} vertices, expected {t}")
     masks = split.nbr_masks
-    if sum(map(int.bit_count, masks)) != t * sum(map(int.bit_count, base.nbr_masks)):
-        return False
+    if t == 1 and masks == base.nbr_masks:  # each fiber one vertex, E[x] its base mask
+        return
     block = (1 << t) - 1
-    x = 0
-    for nbrs in base.nbr_masks:
-        union = 0
+    fibers = zip(*[iter(masks)] * t)  # one tuple of t masks per fiber, in index order
+    for x, (nbrs, fiber) in enumerate(zip(base.nbr_masks, fibers)):
+        reach = 0  # E[x]
         while nbrs:
             low = nbrs & -nbrs
-            union |= block << (low.bit_length() - 1) * t
+            reach |= block << (low.bit_length() - 1) * t
             nbrs ^= low
-        if sum(masks[x : x + t]) != union:
-            return False
-        x += t
-    return True
+        if sum(fiber) != reach or functools.reduce(operator.or_, fiber) != reach:
+            raise VerificationError(next(_fiber_faults(base, split, x, t)))
 
 
-def _walk_split(base: TopologyGraph, split: TopologyGraph, k: int, t: int):
-    """Checks (i)-(iii) vertex by vertex; raises VerificationError at the first fault."""
-    owner = [base._index.get(lab[:k]) for lab in split.labels]
-    if None in owner:
-        lab = split.labels[owner.index(None)]
-        raise VerificationError(
-            f"split vertex {lab!r} has prefix {lab[:k]!r}, which names no base vertex"
+def _fiber_faults(base: TopologyGraph, split: TopologyGraph, x: int, t: int):
+    """The faults of fiber x, one that fails `_check_split`, in the order its vertices show them.
+
+    At each vertex a of x: a neighbour in x; for each fiber y next to x, a
+    link count other than 1 from a into y, or a link to a vertex of y that
+    an earlier vertex of x links to as well; a neighbour in a fiber not next
+    to x.  A failing fiber shows one: with none, each of the t vertices of x
+    links once into each y, no two at the same vertex, and nowhere else, so
+    the masks are disjoint with union E[x].
+    """
+    masks, labels, block = split.nbr_masks, base.labels, (1 << t) - 1
+    own = block << x * t
+    ys = list(_iter_bits(base.nbr_masks[x]))
+    reach = sum(block << y * t for y in ys)
+    seen = dict.fromkeys(ys, 0)
+
+    def links(v: int, y: int, count: int) -> str:
+        return (
+            f"vertex {split.labels[v]!r} has {count} links into fiber {labels[y]!r}; "
+            f"perfect matching violated for edge {labels[v // t]!r}-{labels[y]!r}"
         )
-    fibers = [0] * base.vertex_count
-    for i, x in enumerate(owner):
-        fibers[x] |= 1 << i
 
-    # (i) fiber sizes and independence
-    for x, fmask in enumerate(fibers):
-        if fmask.bit_count() != t:
-            raise VerificationError(
-                f"fiber {base.labels[x]!r} has {fmask.bit_count()} vertices, expected {t}"
-            )
-        for i in _iter_bits(fmask):
-            if split.nbr_masks[i] & fmask:
-                raise VerificationError(
-                    f"fiber {base.labels[x]!r} is not independent in the split graph"
-                )
-
-    # (ii) perfect matchings across every base edge
-    for x, fx in enumerate(fibers):
-        for y in _iter_bits(base.nbr_masks[x] >> (x + 1) << (x + 1)):  # each edge once, x < y
-            fy = fibers[y]
-            matched = 0
-            for i in _iter_bits(fx):
-                link = split.nbr_masks[i] & fy
-                if link.bit_count() != 1:
-                    raise VerificationError(
-                        f"vertex {split.labels[i]!r} has {link.bit_count()} links into "
-                        f"fiber {base.labels[y]!r}; perfect matching violated for edge "
-                        f"{base.labels[x]!r}-{base.labels[y]!r}"
-                    )
-                matched |= link
-            if matched != fy:
-                raise VerificationError(
-                    f"matching for edge {base.labels[x]!r}-{base.labels[y]!r} misses part "
-                    f"of fiber {base.labels[y]!r}"
-                )
-
-    # (iii) every split edge projects onto a base edge.  After (i) and (ii) each
-    # vertex has one neighbour in every fiber next to its own, so (iii) fails
-    # exactly at the vertices of higher degree than their base vertex; the first
-    # one and its lowest stray neighbour are the first offending edge in sorted order.
-    for a, nbrs in enumerate(split.nbr_masks):
-        x = owner[a]
-        if nbrs.bit_count() != base.nbr_masks[x].bit_count():
-            reach = 0
-            for y in _iter_bits(base.nbr_masks[x]):
-                reach |= fibers[y]
-            stray = nbrs & ~reach
+    for a in range(x * t, x * t + t):
+        nbrs = masks[a]
+        if nbrs & own:
+            yield f"fiber {labels[x]!r} is not independent in the split graph"
+        for y in ys:
+            link = nbrs & block << y * t
+            if link.bit_count() != 1:
+                yield links(a, y, link.bit_count())
+            elif link & seen[y]:  # a vertex of y with two links into x
+                b = link.bit_length() - 1
+                yield links(b, x, (masks[b] & own).bit_count())
+            seen[y] |= link
+        stray = nbrs & ~(reach | own)
+        if stray:
             b = (stray & -stray).bit_length() - 1
-            raise VerificationError(
+            yield (
                 f"split edge {split.labels[a]!r}-{split.labels[b]!r} projects to "
-                f"non-adjacent pair {base.labels[x]!r},{base.labels[owner[b]]!r}"
+                f"non-adjacent pair {labels[x]!r},{labels[b // t]!r}"
             )

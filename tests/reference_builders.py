@@ -3,9 +3,11 @@
 The builders below label both ends of every edge and hand the edge list to
 the validating `TopologyGraph` constructor; the mask builders in
 ``stardiag.topologies`` must return the identical labels, neighbour masks
-and descriptor.
+and descriptor.  `split_holds` is the verdict of the split check, read
+vertex by vertex.
 """
 
+from collections import Counter
 from itertools import combinations, permutations
 
 from stardiag.base import DomainError
@@ -71,3 +73,18 @@ def build_cycle(m: int) -> TopologyGraph:
     labels = [f"u{i}" for i in range(1, m + 1)]
     edges = [(labels[i], labels[(i + 1) % m]) for i in range(m)]
     return TopologyGraph(labels, edges, descriptor=f"cycle:{m}")
+
+
+def split_holds(base: TopologyGraph, split: TopologyGraph, k: int, t: int) -> bool:
+    """(i)-(iii) of `verify_split`, read vertex by vertex.
+
+    True iff every fiber has t vertices and each split vertex's neighbours
+    have distinct k-prefixes, which are exactly its base vertex's neighbours.
+    """
+    if Counter(lab[:k] for lab in split.labels) != dict.fromkeys(base.labels, t):
+        return False
+    for lab in split.labels:
+        prefixes = [nb[:k] for nb in split.neighbors(lab)]
+        if len(set(prefixes)) < len(prefixes) or set(prefixes) != base.neighbors(lab[:k]):
+            return False
+    return True

@@ -191,6 +191,8 @@ def test_a_model_given_by_name_gets_that_models_answer(call):
     assert answer("MM*") == answer(Model.MM)
     with pytest.raises(DomainError, match="unknown model 'pcm'"):
         answer("pcm")
+    with pytest.raises(DomainError, match="unknown model None"):  # not a string at all
+        answer(None)
 
 
 def test_bruteforce_budget_errors():
@@ -708,18 +710,6 @@ def test_witness_general_pair_independently_verified():
         assert not distinguishable(graph, wit.f1, wit.f2, model)
 
 
-def test_witness_general_domain():
-    # off its range the general construction is never built: another one or none covers the cell
-    for n, k, g in [(3, 2, 1), (4, 1, 2), (4, 2, 1), (4, 2, 3)]:
-        name, _ = witness_for(n, k, g) or (None, ())
-        assert name != "general", (n, k, g)
-        if name is None:
-            with pytest.raises(DomainError, match="no witness construction covers"):
-                build_witness(n, k, g)
-        else:
-            assert build_witness(n, k, g).construction == name
-
-
 def test_witness_snk2_mm():
     for n in (4, 5, 6):
         wit = build_witness(n, 2, 1)
@@ -813,9 +803,13 @@ def test_witness_for_gives_no_cell_two_constructions():
             assert certified == (tuple(Model) if name == "general" else (Model.MM,)), (n, k, g)
     assert covered["cycle6"] == {(3, 2, 1)}
     assert covered["snk2-mm"] == {(n, 2, 1) for n in range(4, 13)}
-    assert witness_for(5, 2, 2) is None
-    with pytest.raises(DomainError, match="no witness construction covers"):
-        build_witness(5, 2, 2)
+    assert covered["general"] == {
+        (n, k, g) for n in range(4, 13) for k in range(2, n) for g in range(n - k, n - 1)
+    }
+    for cell in [(5, 2, 2), (4, 1, 2), (4, 2, 3)]:  # no construction covers these
+        assert witness_for(*cell) is None
+        with pytest.raises(DomainError, match="no witness construction covers"):
+            build_witness(*cell)
 
 
 # -- crosscheck ----------------------------------------------------------
@@ -830,6 +824,11 @@ def test_crosscheck_agreeing_case():
     for model in ("pmc", "mm"):
         assert results[model]["witness_upper_bounds"] == {"general": 5}
         assert "disagreement" not in results[model]
+
+
+def test_crosscheck_refuses_an_unknown_method():
+    with pytest.raises(DomainError, match="unknown method 'bogus'"):
+        crosscheck(build_nk_star(4, 2), 1, method="bogus")
 
 
 def test_crosscheck_skips_the_oracle_over_budget_only_under_all():

@@ -20,10 +20,9 @@ from stardiag.base import DomainError, VerificationError
 from stardiag.graph import TopologyGraph
 from stardiag.topologies import (
     _arrangement_graph,
-    _block_sums_match,
+    _check_split,
     _swap_arrays,
     _unrotate,
-    _walk_split,
     arrangement_label,
     within_vertex_cap,
 )
@@ -374,7 +373,7 @@ def test_crosscheck_takes_the_cell_from_the_graph_not_its_descriptor():
 def test_split_relationship(n, k):
     wit = verify_split(n, k)
     assert wit.t == math.factorial(n - k)
-    assert wit.fiber_count == math.factorial(n) // math.factorial(n - k)
+    assert wit.base.vertex_count == math.factorial(n) // math.factorial(n - k)
     assert wit.split.vertex_count == math.factorial(n)
     # the fibers are the k-prefix classes of the split labels
     assert {lab[:k] for lab in wit.split.labels} == set(wit.base.labels)
@@ -469,7 +468,7 @@ def _edit_edges(rng, labels, edges, k):
 
 @pytest.mark.parametrize("n,k", [(4, 2), (4, 3), (5, 2), (5, 3)])
 def test_split_block_sums_agree_with_the_walk(n, k):
-    # the whole-mask test accepts exactly the graphs the per-vertex walk accepts
+    # the check on fiber blocks accepts exactly the graphs the per-vertex reference accepts
     rng = random.Random(n * 10 + k)
     base, star = build_nk_star(n, k), build_star(n)
     t = math.factorial(n - k)
@@ -484,28 +483,31 @@ def test_split_block_sums_agree_with_the_walk(n, k):
         b = TopologyGraph(base.labels, base_edges)
         s = TopologyGraph(star.labels, split_edges)
         try:
-            _walk_split(b, s, k, t)
-            walk = True
+            _check_split(b, s, k, t)
+            verdict = True
         except VerificationError:
-            walk = False
-        assert _block_sums_match(b, s, k, t) == walk, (trial, base_edges, split_edges)
-        verdicts.add(walk)
+            verdict = False
+        expected = reference_builders.split_holds(b, s, k, t)
+        assert expected == verdict, (trial, base_edges, split_edges)
+        verdicts.add(verdict)
     assert verdicts == {True, False}
 
 
-def test_split_check_raises_when_its_two_checks_disagree(monkeypatch):
-    # block sums that fail on a sound split leave the walk nothing to name
-    import stardiag.topologies as topo
-
-    monkeypatch.setattr(topo, "_block_sums_match", lambda *args: False)
-    with pytest.raises(VerificationError, match="block sums fail, the vertex walk passes"):
-        topo.verify_split(4, 2)
+def test_split_check_sees_overlapping_masks_that_add_up_right():
+    # a1 and a2 both link to b2, yet their masks add up to E['a'] = {c1, c2}:
+    # only their OR shows fiber 'a' failing, before fiber 'b' fails its sum
+    base = TopologyGraph("abc", [("a", "c")])
+    edges = [("a1", "b2"), ("a2", "b2"), ("a2", "c2")]
+    split = TopologyGraph(["a1", "a2", "b1", "b2", "c1", "c2"], edges)
+    message = "vertex 'a1' has 0 links into fiber 'c'; perfect matching violated for edge 'a'-'c'"
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        _check_split(base, split, 1, 2)
 
 
 def test_split_walk_names_a_fiber_of_the_wrong_size():
     # S_{4,2}'s fibers in S_4 have 2! = 2 vertices each, not 3
     with pytest.raises(VerificationError, match="^fiber '12' has 2 vertices, expected 3$"):
-        _walk_split(build_nk_star(4, 2), build_star(4), 2, 3)
+        _check_split(build_nk_star(4, 2), build_star(4), 2, 3)
 
 
 def test_split_check_actually_bites(monkeypatch):
