@@ -803,7 +803,14 @@ def test_witness_for_gives_no_cell_two_constructions():
             assert certified == (tuple(Model) if name == "general" else (Model.MM,)), (n, k, g)
     assert covered["cycle6"] == {(3, 2, 1)}
     assert covered["snk2-mm"] == {(n, 2, 1) for n in range(4, 13)}
-    assert covered["general"] == {
+
+
+def test_witness_general_domain():
+    # the general construction covers exactly n - k <= g <= n - 2, k >= 2; off
+    # that range another construction or none covers the cell
+    names = {cell: (witness_for(*cell) or (None,))[0] for cell in _table_cells(12)}
+    general = {cell for cell, name in names.items() if name == "general"}
+    assert general == {
         (n, k, g) for n in range(4, 13) for k in range(2, n) for g in range(n - k, n - 1)
     }
     for cell in [(5, 2, 2), (4, 1, 2), (4, 2, 3)]:  # no construction covers these
