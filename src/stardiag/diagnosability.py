@@ -22,14 +22,12 @@ from .base import BudgetError, DomainError, Model, VerificationError
 from .faults import (
     DEFAULT_ORACLE_BUDGET,
     check_search,
-    dist_mm_mask,
     g_core,
     good_faulty_sets,
     good_mask,
     has_min_degree,
     high_band_count,
     indist_mask,
-    indist_pmc_mask,
     least_subgraph_mask,
 )
 from .graph import LabelSet, TopologyGraph, _iter_bits
@@ -65,11 +63,9 @@ def _pair_scan(graph, g: int, model: Model):
     the tests call it, to cross-check the symmetric-difference scan.
     """
     good = sorted(good_faulty_sets(graph, g), key=lambda m: (m.bit_count(), m))
-    pmc = model is Model.PMC  # not `indist_mask`: the O(M^2) loop is spared a call per pair
     for j, fj in enumerate(good):
-        for i in range(j):
-            fi = good[i]
-            if indist_pmc_mask(graph, fi, fj) if pmc else not dist_mm_mask(graph, fi, fj):
+        for fi in good[:j]:
+            if indist_mask(graph, fi, fj, model):
                 return fj.bit_count(), (fi, fj)
     return None, None
 
@@ -171,13 +167,13 @@ def _pmc_sd_scan(
     Returns (P, (F1, F2)) for the first pair of smallest max size in the
     order below, or (None, None) when every admissible pair is
     distinguishable.  Write S1 = F1 - F2, S2 = F2 - F1, S = S1 | S2 and
-    O = V - (F1 | F2).  By Sengupta-Dahbura a pair is MM*-indistinguishable
-    iff every vertex b of the bridge set B = O & N(S) has no neighbor in O
-    and at most one in each of S1 and S2; F1 and F2 being g-good-neighbor,
-    each b also has >= g neighbors in each side and each vertex of S_i has
-    >= g neighbors in S_i | B.  PMC-indistinguishability is B empty, and
-    so is MM* for g >= 2, so bridges are admitted only with `bridges`
-    (MM*, g <= 1).
+    O = V - (F1 | F2).  B = O & N(S) is the bridge set, and `indist_mask`
+    states the rule each model puts on it: B empty under PMC, and under
+    MM* no bridge with a neighbor in O or two in one side.  F1 and F2 being
+    g-good-neighbor, each b in B also has >= g neighbors in each side and
+    each vertex of S_i has >= g neighbors in S_i | B.  MM* for g >= 2 also
+    forces B empty, so bridges are admitted only with `bridges` (MM*,
+    g <= 1).
 
     Each candidate U = S | B is taken in increasing size and, within a
     size, in `combinations` order.  With C = _sd_closure(U), all of V - U
@@ -668,9 +664,12 @@ def crosscheck(
     counters and refuting pair, capped at `budget` vertices; and, under
     "witness" or "all", the bound of the witness that `witness_for` names
     under each model it certifies.  That witness is built at most once,
-    and only when it serves a requested model.
+    and only when it serves a requested model.  No model, or a `method`
+    not in `METHODS`, raises DomainError before any method runs.
     """
     models = [Model.parse(model) for model in models]
+    if not models:
+        raise DomainError("crosscheck needs at least one model")
     covered = graph.cell and method in ("witness", "all") and witness_for(*graph.cell, g)
     name, certified = covered or (None, ())
     wit = build_witness(*graph.cell, g) if set(certified) & set(models) else None

@@ -22,13 +22,11 @@ from stardiag import diagnosability
 from stardiag.base import BudgetError, DomainError, VerificationError
 from stardiag.diagnosability import _pair_scan, _pmc_sd_scan, _sd_closure, _start_pair
 from stardiag.faults import (
-    dist_mm_mask,
     good_faulty_sets,
     good_mask,
     has_min_degree,
     high_band_count,
     indist_mask,
-    indist_pmc_mask,
     is_g_good_neighbor,
     least_subgraph_mask,
     min_subgraph_size_oracle,
@@ -137,7 +135,7 @@ def test_bruteforce_frozen_small_values():
     f1, f2 = (frozenset(p) for p in res.pair)
     assert f1 != f2
     assert is_g_good_neighbor(s32, f1, 1) and is_g_good_neighbor(s32, f2, 1)
-    assert indist_pmc_mask(s32, s32.mask_of(f1), s32.mask_of(f2))
+    assert indist_mask(s32, s32.mask_of(f1), s32.mask_of(f2), Model.PMC)
 
 
 def test_bruteforce_n4_values():
@@ -564,14 +562,15 @@ def test_mm_indistinguishable_pairs_have_no_bridge_for_g_at_least_2():
             good = good_faulty_sets(graph, g)
             for i, f1 in enumerate(good):
                 for f2 in good[i + 1 :]:
-                    mm = not dist_mm_mask(graph, f1, f2)
-                    assert mm == indist_pmc_mask(graph, f1, f2), (graph.descriptor, g, f1, f2)
+                    mm = indist_mask(graph, f1, f2, Model.MM)
+                    pmc = indist_mask(graph, f1, f2, Model.PMC)
+                    assert mm == pmc, (graph.descriptor, g, f1, f2)
                     if mm:
                         assert _bridge_sets(graph, f1, f2)[2] == 0
 
 
 def test_bridge_characterization_of_mm():
-    # the characterization the bridged scan enumerates, against dist_mm_mask:
+    # the characterization the bridged scan enumerates, against indist_mask:
     # a pair is MM*-indistinguishable iff every bridge b has no fault-free
     # neighbor and at most one neighbor in each side; for admissible pairs
     # each b also has >= g neighbors per side, each vertex of a side keeps
@@ -593,7 +592,7 @@ def test_bridge_characterization_of_mm():
                     for v in range(graph.vertex_count)
                     if b >> v & 1
                 )
-                assert quiet == (not dist_mm_mask(graph, f1, f2)), (graph.descriptor, f1, f2)
+                assert quiet == indist_mask(graph, f1, f2, Model.MM), (graph.descriptor, f1, f2)
                 if not quiet or f2 == graph.full_mask:
                     continue
                 for g in (0, 1, 2):
@@ -611,7 +610,7 @@ def test_bridge_characterization_of_mm():
                     assert c & ~(f1 & f2) == 0
                     if (c | s1) != graph.full_mask:
                         assert good_mask(graph, c | s1, g) and good_mask(graph, c | s2, g)
-                        assert not dist_mm_mask(graph, c | s1, c | s2)
+                        assert indist_mask(graph, c | s1, c | s2, Model.MM)
 
 
 def test_bridge_degree_is_at_most_the_common_part_plus_two():
@@ -626,7 +625,7 @@ def test_bridge_degree_is_at_most_the_common_part_plus_two():
             good = good_faulty_sets(graph, g)
             for i, f1 in enumerate(good):
                 for f2 in good[i + 1 :]:
-                    if dist_mm_mask(graph, f1, f2):
+                    if not indist_mask(graph, f1, f2, Model.MM):
                         continue
                     common = (f1 & f2).bit_count()
                     for b in _iter_bits(_bridge_sets(graph, f1, f2)[2]):
@@ -637,7 +636,7 @@ def test_bridge_degree_is_at_most_the_common_part_plus_two():
     assert min(slack) == 0
     k4 = build_complete(4)
     f1, f2 = k4.mask_of(["u1", "u4"]), k4.mask_of(["u3", "u4"])
-    assert good_mask(k4, f1, 1) and good_mask(k4, f2, 1) and not dist_mm_mask(k4, f1, f2)
+    assert good_mask(k4, f1, 1) and good_mask(k4, f2, 1) and indist_mask(k4, f1, f2, Model.MM)
     assert _bridge_sets(k4, f1, f2)[2] == k4.mask_of(["u2"]) and k4.degree("u2") == 3
 
 
@@ -836,6 +835,14 @@ def test_crosscheck_agreeing_case():
 def test_crosscheck_refuses_an_unknown_method():
     with pytest.raises(DomainError, match="unknown method 'bogus'"):
         crosscheck(build_nk_star(4, 2), 1, method="bogus")
+
+
+def test_crosscheck_refuses_an_empty_model_list():
+    # with no model nothing would be checked, so the call is refused rather
+    # than read ok, whatever the method
+    for method in ("all", "bogus"):
+        with pytest.raises(DomainError, match="at least one model"):
+            crosscheck(build_nk_star(4, 2), 1, (), method=method)
 
 
 def test_crosscheck_skips_the_oracle_over_budget_only_under_all():

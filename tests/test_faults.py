@@ -22,11 +22,11 @@ from stardiag import faults
 from stardiag.base import BudgetError, DomainError, VerificationError
 from stardiag.faults import (
     _connected_subsets,
-    dist_mm_mask,
     g_core,
     good_faulty_sets,
     good_mask,
     has_min_degree,
+    indist_mask,
 )
 from stardiag.graph import TopologyGraph, _iter_bits
 
@@ -247,11 +247,20 @@ def test_distinguishability_symmetric(s42):
             assert distinguishable(s42, f1, f2, model) == distinguishable(s42, f2, f1, model)
 
 
-def test_dist_mm_mask_matches_the_all_vertex_loop():
-    # comparators are looked for only next to F1 ^ F2; the reference walks
-    # every fault-free vertex.  The four random graphs are the bridge graphs
-    # of the scan tests
-    from reference_predicates import dist_mm_mask as reference
+@pytest.mark.parametrize("model", list(Model), ids=lambda model: model.value)
+def test_indist_mask_matches_the_all_vertex_loop(model):
+    # indist_mask looks only at the fault-free neighbors of F1 ^ F2; the
+    # references walk every fault-free vertex.  On every pair a
+    # PMC-indistinguishable pair is MM*-indistinguishable too, which lets
+    # the walk stop at the first bridge under PMC.  The four random graphs
+    # are the bridge graphs of the scan tests
+    from reference_predicates import indist as reference
+
+    def check(graph, f1, f2):
+        want = {each: reference(graph, f1, f2, each) for each in Model}
+        assert want[Model.MM] or not want[Model.PMC], (graph.descriptor, f1, f2)
+        assert indist_mask(graph, f1, f2, model) == want[model], (graph.descriptor, f1, f2)
+        return want[model]
 
     rng = random.Random(11)
     extra = [random_graph(8, 0.5, 1294), random_graph(6, 0.3, 1357)]
@@ -263,22 +272,23 @@ def test_dist_mm_mask_matches_the_all_vertex_loop():
             for _ in range(60):
                 f1 = sum(1 << i for i in range(n) if rng.random() < p)
                 f2 = sum(1 << i for i in range(n) if rng.random() < p)
-                want = reference(graph, f1, f2)
-                assert dist_mm_mask(graph, f1, f2) == want, (graph.descriptor, f1, f2)
-                seen.add(want)
+                seen.add(check(graph, f1, f2))
     assert seen == {True, False}
     # every admissible pair of S_{4,2} for g = 2, 3, and for g = 1 up to the
     # size t_1 + 1 = 4 that decides t_1 under MM*
     s42 = build_nk_star(4, 2)
+    seen = set()
     for g in (1, 2, 3):
         good = [m for m in good_faulty_sets(s42, g) if g > 1 or m.bit_count() <= 4]
         for i, f1 in enumerate(good):
             for f2 in good[i + 1 :]:
-                assert dist_mm_mask(s42, f1, f2) == reference(s42, f1, f2), (g, f1, f2)
+                seen.add(check(s42, f1, f2))
+    assert seen == {True, False}
 
 
-def test_dist_mm_mask_on_s76():
-    from reference_predicates import dist_mm_mask as reference
+@pytest.mark.parametrize("model", list(Model), ids=lambda model: model.value)
+def test_indist_mask_on_s76(model):
+    from reference_predicates import indist as reference
 
     graph = build_nk_star(7, 6)
     # breadth-first layers from vertex 0; the last holds the vertices farthest from it
@@ -291,11 +301,11 @@ def test_dist_mm_mask_on_s76():
     far = layer & -layer
     f1 = graph.nbr_masks[0] | 1
     f2 = graph.nbr_masks[far.bit_length() - 1] | far
-    assert dist_mm_mask(graph, f1, f2) and reference(graph, f1, f2)
+    assert not indist_mask(graph, f1, f2, model) and not reference(graph, f1, f2, model)
     for g in range(1, 6):
         wit = build_witness(7, 6, g)
         m1, m2 = graph.mask_of(wit.f1), graph.mask_of(wit.f2)
-        assert not dist_mm_mask(graph, m1, m2) and not reference(graph, m1, m2), g
+        assert indist_mask(graph, m1, m2, model) and reference(graph, m1, m2, model), g
 
 
 # -- connectivity --------------------------------------------------------
