@@ -328,8 +328,8 @@ SUBCOMMANDS = {
     "tg": (cmd_tg, "compute t_g by the selected methods",
            ["graph", "g", "model", "method", "budget", "seed", "workers", "out"]),
     "kappa": (cmd_kappa, "R_g-connectivity, formula and/or brute force",
-              ["graph", "g", ("method", {"choices": ["formula", "brute", "all"]}),
-               ("budget", {"default": DEFAULT_SEARCH_BUDGET}), "seed", "out"]),
+              ["graph", "g", "method", ("budget", {"default": DEFAULT_SEARCH_BUDGET}), "seed",
+               "out"]),
     "witness": (cmd_witness, "build and verify an indistinguishable pair", ["n", "k", "g", "out"]),
     "split": (cmd_split, "verify the split relationship S_{n,k} -> S_n", ["n", "k", "seed", "out"]),
     "table": (cmd_table, "regenerate the t_g case table for a range of n",

@@ -78,49 +78,39 @@ def tg_bruteforce(
 ) -> DiagnosabilityResult:
     """Exhaustive t_g over all proper g-good-neighbor faulty sets.
 
-    t_g = min(P-1, M) where P is the smallest max(|F1|,|F2|) over
-    indistinguishable distinct pairs (infinity if all pairs are
-    distinguishable) and M is the largest admissible faulty-set size.
+    t_g = P-1 where P <= M+1 is the smallest max(|F1|,|F2|) over
+    indistinguishable distinct pairs, or M if all pairs are distinguishable;
+    M is the largest admissible faulty-set size.
     M = |V| - min_subgraph_size_oracle(G, g), because the complements of
     the proper admissible sets are exactly the nonempty sets inducing min
     degree >= g.  Both models take P from the symmetric-difference scan;
     MM* with g <= 1 admits bridge vertices there, and for g >= 2 it is the
-    PMC scan unchanged.  The scan starts from the pair `_start_pair` builds
-    on the least set, when that pair checks out.  Graphs are capped at
-    `budget` vertices.
+    PMC scan unchanged.  Both start from the one pair `_start_pair` builds
+    on the least set.  Graphs are capped at `budget` vertices.
     """
     model = Model.parse(model)
     check_search(graph, g, budget)
-    n = graph.vertex_count
     stats: dict = {}
     started = time.perf_counter()
     least = least_subgraph_mask(graph, g, stats=stats)
     stats["m_cap_s"] = round(time.perf_counter() - started, 6)
-    if not least:
-        return DiagnosabilityResult(
-            value=None,
-            model=model,
-            method="bruteforce",
-            provenance="exhaustive symmetric-difference scan",
-            note=f"no admissible g-good-neighbor faulty set exists for g={g}",
-            stats=stats,
-        )
-    m_cap = n - least.bit_count()
-
-    started = time.perf_counter()
     bridges = model is Model.MM and g <= 1
-    start = _start_pair(graph, g, model, least)
-    p_val, pair_masks = _pmc_sd_scan(graph, g, m_cap, stats, bridges, start)
-    stats["scan_s"] = round(time.perf_counter() - started, 6)
-
-    if p_val is None:
-        value = m_cap
-        note = f"all pairs distinguishable; capped by max admissible set size {m_cap}"
-        pair = None
+    value = pair = None
+    if not least:
+        note = f"no admissible g-good-neighbor faulty set exists for g={g}"
     else:
-        value = min(p_val - 1, m_cap)
-        note = f"minimal indistinguishable pair at max size {p_val}; max set size {m_cap}"
-        pair = tuple(graph.sorted_labels_of(m) for m in pair_masks)
+        m_cap = graph.vertex_count - least.bit_count()
+        started = time.perf_counter()
+        start = _start_pair(graph, g, least)
+        p_val, pair_masks = _pmc_sd_scan(graph, g, m_cap, stats, bridges, start)
+        stats["scan_s"] = round(time.perf_counter() - started, 6)
+        if p_val is None:
+            value = m_cap
+            note = f"all pairs distinguishable; capped by max admissible set size {m_cap}"
+        else:
+            value = p_val - 1  # P <= m_cap + 1 by facts (a) and (e) of `_pmc_sd_scan`
+            note = f"minimal indistinguishable pair at max size {p_val}; max set size {m_cap}"
+            pair = tuple(graph.sorted_labels_of(m) for m in pair_masks)
     return DiagnosabilityResult(
         value=value,
         model=model,
@@ -133,18 +123,21 @@ def tg_bruteforce(
     )
 
 
-def _start_pair(graph, g: int, model: Model, a_mask: int):
-    """(N(A), N(A) | A) as masks when it is an indistinguishable admissible pair, else None.
+def _start_pair(graph, g: int, a_mask: int):
+    """(N(A), N(A) | A) as masks when both sets are admissible, else None.
 
     Both sets must be g-good-neighbor and N(A) | A a proper subset of V.
-    The pair is checked here, not taken from the closed form, so the oracle
-    stays independent of it.
+    F1 ^ F2 = A and N(A) lies in F1, so no fault-free vertex is next to A:
+    the pair is PMC-, hence MM*-indistinguishable.  The PMC check keeps the
+    oracle independent of the closed form; its failure raises VerificationError.
     """
     f1 = graph.neighborhood_mask(a_mask)
     f2 = f1 | a_mask
     if f2 == graph.full_mask or not (good_mask(graph, f1, g) and good_mask(graph, f2, g)):
         return None
-    return (f1, f2) if indist_mask(graph, f1, f2, model) else None
+    if not indist_mask(graph, f1, f2, Model.PMC):
+        raise VerificationError("the start pair (N(A), N(A) | A) is distinguishable")
+    return f1, f2
 
 
 def _sd_closure(graph, smask: int, g: int) -> int:
@@ -206,11 +199,12 @@ def _pmc_sd_scan(
     (c) T comes from the same generator restricted to S, with B counted
         toward each vertex's g, and the first admissible T of the largest
         size wins, since a larger side always gives a smaller max size.
-        The order of S's bits only breaks ties within a size: descending
-        without bridges, which keeps the numerically largest T as the walk
-        over all submasks of S in tests/reference_scan.py does, and
-        ascending with them, which keeps the MM* pairs as first reported
-        (the K_12 test pins one).  Either order gives the same P.
+        S's bits, in descending order under both models, only break ties
+        within a size: the numerically largest T wins, as in the submask
+        walk of tests/reference_scan.py.  So an MM* pair with B empty is
+        the PMC pair: U comes in the same order under both models, MM* only
+        adds bridged cuts and prunes less, so a first best cut with B
+        empty is the PMC cut.
     (d) On a vertex-transitive graph only U through vertex 0 are tried.
         The best cut of U is invariant under automorphisms, and an
         automorphism carries the least vertex of any U to 0.  Every U
@@ -356,7 +350,7 @@ def _pmc_sd_scan(
                 bridge_sets += b_size > 0
                 smask = umask ^ bmask
                 pairs = [nbr[b] for b in combo if in_u[b] == 2]
-                tables = layout(sorted(_iter_bits(smask), reverse=not bridges), bmask)  # see (c)
+                tables = layout(sorted(_iter_bits(smask), reverse=True), bmask)  # see (c)
                 # a side of t vertices scores base + s - t; only scores below P matter
                 for t_size in range(s_size // 2, max(-1, base + s_size - best_p), -1):
                     found = None
@@ -607,7 +601,7 @@ def build_witness(n: int, k: int, g: int) -> WitnessReport:
 # -- crosscheck ----------------------------------------------------------
 
 #: the `method` values that `run_methods`, and through it `crosscheck`, accept
-METHODS = ("formula", "brute", "witness", "all")
+METHODS = ("formula", "brute", "all")
 
 
 def run_methods(method: str, cell, formula, oracle, bounds=None) -> dict:
@@ -620,9 +614,10 @@ def run_methods(method: str, cell, formula, oracle, bounds=None) -> dict:
     `formula_note`.  `oracle()` returns the oracle's fields; under "all"
     its BudgetError is recorded as `bruteforce_skipped`, under "brute" it
     propagates.  `bounds`, when given, maps each witness construction to
-    its upper bound.  Only integer values are compared: a `formula` or
-    `bruteforce` that is None or "no cut" is not.  Returns the entry; when
-    the compared values differ it records them as `disagreement`.
+    its upper bound, compared but never a method: alone it checks nothing.
+    Only integer values are compared: a `formula` or `bruteforce` that is
+    None or "no cut" is not.  Returns the entry; when the compared values
+    differ it records them as `disagreement`.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r} (expected one of {', '.join(METHODS)})")
@@ -662,15 +657,15 @@ def crosscheck(
     Returns (ok, results), where results maps each model's value to its
     entry: the closed form and its provenance; the oracle's value, note,
     counters and refuting pair, capped at `budget` vertices; and, under
-    "witness" or "all", the bound of the witness that `witness_for` names
-    under each model it certifies.  That witness is built at most once,
-    and only when it serves a requested model.  No model, or a `method`
-    not in `METHODS`, raises DomainError before any method runs.
+    "all", the bound of the witness that `witness_for` names under each
+    model it certifies.  That witness is built at most once, and only when
+    it serves a requested model.  No model, or a `method` not in
+    `METHODS`, raises DomainError before any method runs.
     """
     models = [Model.parse(model) for model in models]
     if not models:
         raise DomainError("crosscheck needs at least one model")
-    covered = graph.cell and method in ("witness", "all") and witness_for(*graph.cell, g)
+    covered = graph.cell and method == "all" and witness_for(*graph.cell, g)
     name, certified = covered or (None, ())
     wit = build_witness(*graph.cell, g) if set(certified) & set(models) else None
     results = {}

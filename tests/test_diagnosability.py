@@ -336,12 +336,50 @@ def test_start_pair_keeps_the_result_and_cuts_the_work(monkeypatch):
     assert lower == 30  # of the 62 cells; on the other 32, N(A) | A is all of V
 
 
+def test_start_pair_has_no_bridge():
+    # the lemma behind one start pair for both models: with F1 = N(A) and
+    # F2 = N(A) | A, F1 ^ F2 = A and N(A) lies in F1, so no fault-free vertex
+    # is next to A and the pair is indistinguishable under PMC and MM* alike;
+    # A is the least set, each vertex and each edge
+    from conftest import small_graphs
+
+    checked = 0
+    for graph in small_graphs(10):
+        small = [1 << v for v in range(graph.vertex_count)]
+        small += [graph.mask_of(edge) for edge in graph.edges()]
+        for g in range(4):
+            least = least_subgraph_mask(graph, g)
+            for a_mask in ([least] if least else []) + small:
+                f1 = graph.neighborhood_mask(a_mask)
+                f2 = f1 | a_mask
+                admissible = f2 != graph.full_mask and all(good_mask(graph, f, g) for f in (f1, f2))
+                assert _start_pair(graph, g, a_mask) == ((f1, f2) if admissible else None)
+                if not admissible:
+                    continue
+                where = (graph.descriptor, g, a_mask)
+                assert _bridge_sets(graph, f1, f2)[2] == 0, where
+                assert all(indist_mask(graph, f1, f2, model) for model in Model), where
+                checked += 1
+    assert checked > 100, checked
+
+
+def test_a_distinguishable_start_pair_raises(monkeypatch):
+    # the start pair is PMC-indistinguishable by proof, so a check that says
+    # otherwise is a broken invariant, not a reason to scan from m_cap + 1
+    s42 = build_nk_star(4, 2)
+    assert _start_pair(s42, 1, least_subgraph_mask(s42, 1)) is not None
+    monkeypatch.setattr(diagnosability, "indist_mask", lambda *args: False)
+    for model in Model:
+        with pytest.raises(VerificationError, match="start pair"):
+            tg_bruteforce(s42, 1, model)
+
+
 def test_scan_that_finds_nothing_below_its_start_pair_raises(monkeypatch):
     # a checked start pair promises a pair no larger than itself; a scan that
     # ends with none has a broken invariant, while without a start pair the
     # same empty scan just means every pair is distinguishable
     s42 = build_nk_star(4, 2)
-    start = _start_pair(s42, 2, Model.PMC, least_subgraph_mask(s42, 2))
+    start = _start_pair(s42, 2, least_subgraph_mask(s42, 2))
     assert start is not None
     monkeypatch.setattr(diagnosability, "has_min_degree", lambda *args: False)
     assert _pmc_sd_scan(s42, 2, 6) == (None, None)
@@ -494,14 +532,19 @@ def test_watkins_bound_on_vertex_transitive_graphs():
 
 def test_sd_scan_matches_pair_scan_both_models():
     # the one symmetric-difference oracle against the serial O(M^2) pair scan:
-    # equal values, and a returned pair that really refutes t_g = value + 1
+    # equal values, and a returned pair that really refutes t_g = value + 1;
+    # with one tie-break order, an MM* pair that is PMC-indistinguishable (no
+    # bridge) is the pair PMC reports, fact (c) of the scan
     from conftest import small_graphs
 
+    bridgeless = 0
     for graph in small_graphs(12) + _bridge_graphs() + _vertex_transitive_extras():
         # C_7[K_2]'s pair scan takes seconds at g = 1 and 2; the orbit test covers those
         for g in (0, 3) if graph.vertex_count > 12 else range(4):
+            pairs = {}
             for model in Model:
                 res = tg_bruteforce(graph, g, model)
+                pairs[model] = res.pair
                 p, _ = _pair_scan(graph, g, model)
                 where = (graph.descriptor, g, model)
                 if res.value is None:
@@ -517,6 +560,10 @@ def test_sd_scan_matches_pair_scan_both_models():
                 assert m1 != graph.full_mask and m2 != graph.full_mask, where
                 assert indist_mask(graph, m1, m2, model), where
                 assert max(m1.bit_count(), m2.bit_count()) == res.value + 1, where
+                if model is Model.MM and g <= 1 and indist_mask(graph, m1, m2, Model.PMC):
+                    assert res.pair == pairs[Model.PMC], where
+                    bridgeless += 1
+    assert bridgeless == 43
 
 
 def test_orbit_scan_matches_the_full_scan():
@@ -645,8 +692,8 @@ def test_k12_mm_scan_caps_bridges_by_degree():
     # candidate differences (3798 without the cap), for the same values and pairs
     k12 = build_nk_star(12, 1)
     low, high = ("1", "10", "11", "12", "2", "3"), ("4", "5", "6", "7", "8", "9")
-    expected = {1: (5, (high, low)), 6: (5, None), 7: (4, None)}
-    expected.update({g: (5, (low, high)) for g in range(2, 6)})
+    expected = {6: (5, None), 7: (4, None)}
+    expected.update({g: (5, (low, high)) for g in range(1, 6)})
     for g, (value, pair) in sorted(expected.items()):
         res = tg_bruteforce(k12, g, Model.MM)
         assert (res.value, res.pair) == (value, pair), g
